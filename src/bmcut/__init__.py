@@ -17,9 +17,8 @@ from .escape import (EscapeConfig, LanczosResult, TridiagonalForm,
                      escape_ascent_floor, escape_threshold, lanczos_budget,
                      lanczos_leading, run_bcm2, second_order_step,
                      shifted_hess_apply)
-from .manifold import (FactorPoint, TangentVector, align_procrustes, exp_map,
-                       geodesic_distance, grad_frobenius_norm, grad_metric_sq,
-                       hess_apply, hess_quadratic, lambda_diag, load_point,
+from .manifold import (FactorPoint, TangentVector, exp_map, geodesic_distance,
+                       grad_metric_sq, hess_apply, hess_quadratic, load_point,
                        project_tangent, random_point, random_tangent,
                        riemannian_gradient, save_point)
 from .problem import (ProblemInstance, gen_erdos_renyi, gen_gaussian,

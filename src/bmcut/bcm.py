@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,60 +202,116 @@ class SolveTrace:
                                   for c in cols) + "\n")
 
 
+def start_point(instance: ProblemInstance, seed: int,
+                initial: FactorPoint | None = None, r: int | None = None):
+    """The run's seeded generator and its starting point, as (point, rng).
+
+    The initial point is copied, never mutated; when absent, rows are drawn
+    uniformly at random from the generator.
+    """
+    rng = np.random.default_rng(seed)
+    if initial is not None:
+        point = initial.copy()
+    elif r is None:
+        raise ValidationError("a solver run needs either an initial point or r")
+    else:
+        point = random_point(instance.n, r, rng)
+    if point.n != instance.n:
+        raise ValidationError("initial point does not match the instance size")
+    return point, rng
+
+
+@dataclass
+class EscapePolicy:
+    """The second-order branch of the solver loop in `drive`.
+
+    Whenever the gradient metric is at or under `threshold`, the loop calls
+    `step()`, which returns (gain, rayleigh) for an accepted escape step or
+    None for the concave verdict.  Coordinate and escape epochs together stop
+    at `epoch_cap`.
+    """
+
+    threshold: float
+    epoch_cap: int
+    step: Callable[[], tuple[float, float] | None]
+
+
+def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
+          rng: np.random.Generator, trace: SolveTrace, config: SolverConfig,
+          tol: float, policy: EscapePolicy | None = None):
+    """The solver loop: sweeps of up to n coordinate steps, one record each.
+
+    An epoch is n coordinate steps or one escape step.  The epoch-0 record
+    comes first; the cache is refreshed before coordinate epoch e whenever
+    e % refresh_period == 0.  No coordinate step is taken past the epoch
+    caps; with a policy, the escape threshold is checked before every step;
+    tol is checked after every sweep.  Mutates point, cache and trace;
+    returns (status, coordinate steps, escape steps).
+    """
+    n = instance.n
+    limit, at_limit = config.max_epochs, "max_epochs"
+    if policy is not None and policy.epoch_cap <= limit:
+        limit, at_limit = policy.epoch_cap, "epoch_cap"
+    steps = escapes = 0
+    touched = np.zeros(n, dtype=bool)
+    t0 = time.perf_counter()
+
+    def emit(kind, taken, coords, gain=None, ray=None):
+        metric = grad_metric_sq(point, cache)
+        trace.records.append(TraceRecord(
+            epoch=steps // n + escapes, kind=kind, f_raw=cache.objective(),
+            f_total=cache.objective() + instance.trace_offset,
+            grad_metric_sq=metric, steps=taken, coords_updated=coords,
+            wall_time=time.perf_counter() - t0, escape_gain=gain,
+            rayleigh=ray))
+        return metric
+
+    metric = emit("bcm", 0, 0)
+    while True:
+        if metric <= tol:
+            return "converged", steps, escapes
+        # coordinate steps left before steps // n + escapes reaches the limit
+        left = (limit - escapes) * n - steps
+        if left <= 0:
+            return at_limit, steps, escapes
+        touched[:] = False
+        sweep, begun = min(n, left), steps
+        for _ in range(sweep):
+            if (policy is not None
+                    and grad_metric_sq(point, cache) <= policy.threshold):
+                break
+            if steps % n == 0 and (steps // n + 1) % config.refresh_period == 0:
+                refresh_cache(instance, point, cache)
+            i = select_coordinate(config.rule, cache, rng, step=steps)
+            if bcm_step(instance, point, cache, i) > 0.0:
+                touched[i] = True
+            steps += 1
+        if steps > begun:
+            metric = emit("bcm", steps - begun, int(touched.sum()))
+        if steps - begun < sweep:   # the metric fell to the escape threshold
+            accepted = policy.step()
+            if accepted is None:
+                return "concave", steps, escapes
+            escapes += 1
+            metric = emit("escape", 1, n, *accepted)
+
+
 def run(instance: ProblemInstance, config: SolverConfig,
         initial: FactorPoint | None = None, r: int | None = None):
     """Run coordinate maximization until the gradient metric falls under
     grad_tol or max_epochs (of n steps each) elapse.
 
-    Returns (point, trace).  The initial point is copied, never mutated;
-    when absent, rows are drawn uniformly at random from the seeded generator.
+    Returns (point, trace); the starting point follows start_point.
     """
-    rng = np.random.default_rng(config.seed)
-    if initial is not None:
-        point = initial.copy()
-    else:
-        if r is None:
-            raise ValidationError("run() needs either an initial point or r")
-        point = random_point(instance.n, r, rng)
-    if point.n != instance.n:
-        raise ValidationError("initial point does not match the instance size")
-
-    n = instance.n
+    point, rng = start_point(instance, config.seed, initial, r)
     tol = config.grad_tol if config.grad_tol is not None else default_grad_tol(instance)
     cache = init_cache(instance, point)
     trace = SolveTrace(header={
-        "method": "bcm", "n": n, "r": point.r, "rule": config.rule,
+        "method": "bcm", "n": instance.n, "r": point.r, "rule": config.rule,
         "max_epochs": config.max_epochs, "grad_tol": tol, "seed": config.seed,
         "refresh_period": config.refresh_period,
         "instance_checksum": instance.checksum(),
         "trace_offset": instance.trace_offset,
     })
-    t0 = time.perf_counter()
-
-    metric = grad_metric_sq(point, cache)
-    trace.records.append(TraceRecord(
-        epoch=0, kind="bcm", f_raw=cache.objective(),
-        f_total=cache.objective() + instance.trace_offset,
-        grad_metric_sq=metric, steps=0, coords_updated=0,
-        wall_time=0.0))
-
-    touched = np.zeros(n, dtype=bool)
-    for epoch in range(1, config.max_epochs + 1):
-        if metric <= tol:
-            break
-        if epoch % config.refresh_period == 0:
-            refresh_cache(instance, point, cache)
-        touched[:] = False
-        base = (epoch - 1) * n
-        for s in range(n):
-            i = select_coordinate(config.rule, cache, rng, step=base + s)
-            if bcm_step(instance, point, cache, i) > 0.0:
-                touched[i] = True
-        metric = grad_metric_sq(point, cache)
-        trace.records.append(TraceRecord(
-            epoch=epoch, kind="bcm", f_raw=cache.objective(),
-            f_total=cache.objective() + instance.trace_offset,
-            grad_metric_sq=metric, steps=n, coords_updated=int(touched.sum()),
-            wall_time=time.perf_counter() - t0))
-    trace.status = "converged" if metric <= tol else "max_epochs"
+    trace.status, _, _ = drive(instance, point, cache, rng, trace, config, tol)
     return point, trace

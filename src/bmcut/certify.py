@@ -66,8 +66,8 @@ def _shifted_lambda_max(instance: ProblemInstance, lam: np.ndarray) -> float:
             op, k=1, which="LA", tol=1e-8, maxiter=200 * n,
             return_eigenvectors=False)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        if exc.eigenvalues is not None and len(exc.eigenvalues):
-            return float(exc.eigenvalues[-1])
+        # a partially converged Ritz value can sit below lambda_max, and a
+        # bound built on it would be too low
         raise NumericalError("eigenvalue estimation did not converge") from exc
     return float(vals[0])
 

@@ -11,19 +11,20 @@ eps^3/(2700 |A|_1^2); changing one invalidates the others.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .bcm import (GradientCache, SolverConfig, SolveTrace, TraceRecord,
-                  bcm_step, init_cache, refresh_cache, select_coordinate)
+# bcm_step, select_coordinate, grad_metric_sq: unused, kept for perfbench spans
+from .bcm import (EscapePolicy, GradientCache, SolverConfig, SolveTrace,
+                  TraceRecord, bcm_step, drive, init_cache, refresh_cache,
+                  select_coordinate, start_point)
 from .certify import dual_upper_bound
 from .errors import TrivialInstanceError, ValidationError
 from .manifold import (FactorPoint, TangentVector, _hess_apply_rows,
                        _project_rows, exp_map, grad_metric_sq, hess_quadratic,
-                       random_point, riemannian_gradient)
+                       riemannian_gradient)
 from .problem import ProblemInstance
 
 THRESHOLD_DENOM = 1350.0
@@ -258,21 +259,13 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
     and either stepped along (curvature >= eps/2) or, failing that, the point
     is declared an eps-approximate concave point and the run stops.  A hard
     cap of ceil(675 n |A|_1^2 / eps^2) combined epochs applies, on top of the
-    user's max_epochs.
+    user's max_epochs.  The loop itself is bcm.drive with an escape policy;
+    solver.rule and solver.grad_tol are not used.
     """
-    rng_init = np.random.default_rng(solver.seed)
-    if initial is not None:
-        point = initial.copy()
-    else:
-        if r is None:
-            raise ValidationError("run_bcm2() needs either an initial point or r")
-        point = random_point(instance.n, r, rng_init)
-    if point.n != instance.n:
-        raise ValidationError("initial point does not match the instance size")
+    point, rng = start_point(instance, solver.seed, initial, r)
     n, rr = instance.n, point.r
 
     if instance.one_norm == 0.0:
-        cache = init_cache(instance, point)
         trace = SolveTrace(header={
             "method": "bcm2", "n": n, "r": rr,
             "instance_checksum": instance.checksum(),
@@ -302,71 +295,22 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
         "instance_checksum": instance.checksum(),
         "trace_offset": instance.trace_offset,
     })
-    t0 = time.perf_counter()
 
-    def emit(epoch, kind, steps, coords, gain=None, ray=None):
-        trace.records.append(TraceRecord(
-            epoch=epoch, kind=kind, f_raw=cache.objective(),
-            f_total=cache.objective() + instance.trace_offset,
-            grad_metric_sq=grad_metric_sq(point, cache), steps=steps,
-            coords_updated=coords, wall_time=time.perf_counter() - t0,
-            escape_gain=gain, rayleigh=ray))
+    def escape_step():
+        for _attempt in range(esc.retries + 1):
+            res = lanczos_leading(instance, point, cache, budget, rng_lan,
+                                  reorth=esc.lanczos_reorth)
+            ray = hess_quadratic(instance, point, res.direction, cache)
+            if ray >= eps / 2.0:
+                gain = second_order_step(instance, point, cache,
+                                         res.direction, eps)
+                return gain, ray
+        return None
 
-    emit(0, "bcm", 0, 0)
-    k_bcm_steps = 0
-    k_escape = 0
-    pending_steps = 0
-    touched = np.zeros(n, dtype=bool)
-    status = None
-
-    def epochs_used():
-        return k_bcm_steps // n + k_escape
-
-    while True:
-        if epochs_used() >= cap:
-            status = "epoch_cap"
-            break
-        if epochs_used() >= solver.max_epochs:
-            status = "max_epochs"
-            break
-        metric = grad_metric_sq(point, cache)
-        if metric > threshold:
-            i = select_coordinate("greedy", cache, rng_init)
-            if bcm_step(instance, point, cache, i) > 0.0:
-                touched[i] = True
-            k_bcm_steps += 1
-            pending_steps += 1
-            if pending_steps == n:
-                emit(epochs_used(), "bcm", pending_steps, int(touched.sum()))
-                pending_steps = 0
-                touched[:] = False
-                if (k_bcm_steps // n) % solver.refresh_period == 0:
-                    refresh_cache(instance, point, cache)
-        else:
-            if pending_steps:
-                emit(epochs_used(), "bcm", pending_steps, int(touched.sum()))
-                pending_steps = 0
-                touched[:] = False
-            accepted = None
-            for _attempt in range(esc.retries + 1):
-                res = lanczos_leading(instance, point, cache, budget, rng_lan,
-                                      reorth=esc.lanczos_reorth)
-                ray = hess_quadratic(instance, point, res.direction, cache)
-                if ray >= eps / 2.0:
-                    accepted = (res, ray)
-                    break
-            if accepted is None:
-                status = "concave"
-                break
-            res, ray = accepted
-            gain = second_order_step(instance, point, cache, res.direction, eps)
-            k_escape += 1
-            emit(epochs_used(), "escape", 1, n, gain=gain, ray=ray)
-
-    if pending_steps:
-        emit(epochs_used(), "bcm", pending_steps, int(touched.sum()))
-    trace.status = status
-    trace.header["bcm_epochs"] = k_bcm_steps / n
-    trace.header["bcm_steps"] = k_bcm_steps
-    trace.header["escape_steps"] = k_escape
+    trace.status, steps, escapes = drive(
+        instance, point, cache, rng, trace, replace(solver, rule="greedy"),
+        -math.inf, EscapePolicy(threshold, cap, escape_step))
+    trace.header["bcm_epochs"] = steps / n
+    trace.header["bcm_steps"] = steps
+    trace.header["escape_steps"] = escapes
     return point, trace

@@ -166,16 +166,6 @@ def grad_metric_sq(point: FactorPoint, cache) -> float:
     return float(2.0 * np.sum(np.maximum(terms, 0.0)))
 
 
-def grad_frobenius_norm(point: FactorPoint, cache) -> float:
-    """Literal Frobenius norm of the gradient rows, for diagnostics."""
-    return float(np.sqrt(2.0 * grad_metric_sq(point, cache)))
-
-
-def lambda_diag(point: FactorPoint, cache) -> np.ndarray:
-    """The diagonal multipliers lambda_i = <sigma_i, g_i> (= diag(A S S^T))."""
-    return cache.inner.copy()
-
-
 def hess_quadratic(instance, point: FactorPoint, u: TangentVector, cache) -> float:
     """Curvature quadratic form 2 (<U, A U> - sum_i lambda_i |u_i|^2)."""
     _check_tangency(point.sigma, u.u)
@@ -195,21 +185,6 @@ def _hess_apply_rows(instance, sigma: np.ndarray, inner: np.ndarray,
                      u: np.ndarray) -> np.ndarray:
     raw = 2.0 * (instance.matmat(u) - inner[:, None] * u)
     return _project_rows(sigma, raw)
-
-
-def align_procrustes(p: FactorPoint, q: FactorPoint):
-    """Orthogonal Q minimizing ||p - q Q||_F, plus the minimized residual.
-
-    Test utility for measuring convergence up to the orthogonal symmetry of
-    the objective.
-    """
-    if p.sigma.shape != q.sigma.shape:
-        raise DimensionError("points have different shapes")
-    m = q.sigma.T @ p.sigma
-    uu, _, vt = np.linalg.svd(m)
-    rot = uu @ vt
-    residual = float(np.linalg.norm(p.sigma - q.sigma @ rot))
-    return rot, residual
 
 
 def save_point(point: FactorPoint, path: str, fmt: str = "binary") -> None:

@@ -7,6 +7,8 @@ disagree when one of them is wrong.
 
 import numpy as np
 
+from bmcut import manifold
+
 
 def f_dense(instance, sigma: np.ndarray) -> float:
     """Objective <A, S S^T> from the dense cost matrix."""
@@ -87,3 +89,38 @@ def exhaustive_best_cut(instance) -> float:
         x = np.array([1.0 if (k >> b) & 1 else -1.0 for b in range(n)])
         best = max(best, float(x @ a @ x))
     return best
+
+
+def align_procrustes(p: np.ndarray, q: np.ndarray):
+    """Orthogonal Q minimizing ||p - q Q||_F, plus the minimized residual:
+    the distance between two factors up to the orthogonal symmetry of the
+    objective."""
+    assert p.shape == q.shape
+    uu, _, vt = np.linalg.svd(q.T @ p)
+    rot = uu @ vt
+    return rot, float(np.linalg.norm(p - q @ rot))
+
+
+class TestProcrustes:
+    """Checks of the oracle itself; test_manifold imports this class, which is
+    where pytest collects it."""
+
+    def test_orbit_member_zero_residual(self):
+        rng = np.random.default_rng(5)
+        p = manifold.random_point(8, 3, rng).sigma
+        q0, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        _, res = align_procrustes(p, p @ q0)
+        assert res < 1e-10
+
+    def test_same_point_identity(self):
+        p = manifold.random_point(6, 3, np.random.default_rng(8)).sigma
+        rot, res = align_procrustes(p, p)
+        assert res < 1e-10
+        assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-12)
+
+    def test_residual_bounded_by_plain_distance(self):
+        rng = np.random.default_rng(9)
+        p = manifold.random_point(7, 3, rng).sigma
+        q = manifold.random_point(7, 3, rng).sigma
+        _, res = align_procrustes(p, q)
+        assert res <= np.linalg.norm(p - q) + 1e-12

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -305,3 +306,39 @@ class TestTraceIO:
         header = data[0].split(",")
         assert header[:3] == ["epoch", "kind", "f_raw"]
         assert len(data) - 1 == len(trace.records)
+
+
+def trace_digest(path, point, trace) -> str:
+    """sha256 of the trace_v1 JSON-lines file plus the final factor bytes."""
+    trace.write_jsonl(str(path))
+    h = hashlib.sha256(path.read_bytes())
+    h.update(point.sigma.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenTraces:
+    """Digests frozen from the two-loop solver that bcm.drive replaced; any
+    change to an iterate, a record or the header shows up here."""
+
+    BCM = {
+        "cyclic": "fa712ce526d2cdb5696662324ff3ebbc23cfb16ac0e71c51c6e85367a64b517e",
+        "uniform": "157967085a5a4ef3b9066b6abd390979eeebf5f4c4c9e98587127c7689c31fa2",
+        "importance": "ceadd5c0e4dcd9f32d6328071ab6f562b1ed0c622c61eb69b5bc9b1d3b9e92b6",
+        "greedy": "2f38e882c0aacf3c5bb8833896e5c49e2635e36fb810fa0da353efaf3b169830",
+    }
+    BCM2 = "73544051bc39ddfcd43a38673cf13ae260eef1f36a70e5e15e65788babccea8b"
+
+    @pytest.mark.parametrize("rule", bcm.RULES)
+    def test_bcm_rule(self, tmp_path, rule):
+        # 250 epochs cross two cache refreshes
+        inst = bmcut.gen_erdos_renyi(300, 900, -1, 3)
+        cfg = bcm.SolverConfig(rule=rule, max_epochs=250, grad_tol=0.0, seed=5)
+        point, trace = bcm.run(inst, cfg, r=8)
+        assert trace_digest(tmp_path / "t.jsonl", point, trace) == self.BCM[rule]
+
+    def test_bcm2(self, tmp_path):
+        inst = bmcut.gen_gaussian(40, 1)
+        cfg = bcm.SolverConfig(rule="greedy", seed=2)
+        esc = bmcut.EscapeConfig(epsilon=0.01, seed=3)
+        point, trace = bmcut.run_bcm2(inst, cfg, esc, r=5)
+        assert trace_digest(tmp_path / "t.jsonl", point, trace) == self.BCM2

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import bmcut
-from bmcut import FactorPoint, ValidationError, bcm, certify, manifold
+from bmcut import (FactorPoint, NumericalError, ValidationError, bcm, certify,
+                   cli, manifold)
 
 import oracles
 
@@ -48,6 +50,26 @@ class TestDualBound:
         dense_top = np.linalg.eigvalsh(m)[-1]
         assert cert.slack == pytest.approx(dense_top, abs=1e-6)
         assert cert.upper_bound >= cache.objective() - 1e-8
+
+    def test_arpack_no_convergence_raises(self, tmp_path, monkeypatch):
+        # a partially converged Ritz value may sit below lambda_max, so the
+        # bound must refuse it rather than come out too low
+        def stalled(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "stalled", np.array([-1e3]), np.zeros((250, 1)))
+
+        inst = bmcut.gen_erdos_renyi(250, 750, sign=-1, seed=5)
+        point = manifold.random_point(250, 5, np.random.default_rng(1))
+        cache = bcm.init_cache(inst, point)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        with pytest.raises(NumericalError):
+            certify.dual_upper_bound(inst, point, cache)
+
+        graph, pt = tmp_path / "g.txt", tmp_path / "p.bin"
+        bmcut.write_edge_list(inst, str(graph))
+        bmcut.save_point(point, str(pt))
+        assert cli.main(["certify", "--edge-list", str(graph),
+                         "--point", str(pt)]) == 4
 
     def test_fixed_point_lambda_equals_norms(self):
         inst = bmcut.gen_gaussian(15, seed=4)

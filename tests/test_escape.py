@@ -275,6 +275,30 @@ class TestRunBcm2:
         h = oracles.dense_tangent_hessian(inst, point.sigma)
         assert np.linalg.eigvalsh(h)[-1] <= eps + 1e-6
 
+    def test_no_step_past_max_epochs(self, triangle):
+        # rows 0-2: a triangle at its saddle, whose escape waits until the
+        # second triangle (rows 3-5) has converged partway through a sweep
+        a = np.zeros((6, 6))
+        a[:3, :3] = a[3:, 3:] = triangle.dense()
+        inst = bmcut.preprocess(a)
+        rest = manifold.random_point(3, 2, np.random.default_rng(0)).sigma
+        start = bmcut.FactorPoint(np.vstack([np.tile([1.0, 0.0], (3, 1)),
+                                             rest]))
+        cfg = bcm.SolverConfig(rule="greedy", max_epochs=3, seed=1)
+        esc = escape.EscapeConfig(epsilon=0.5, seed=2)
+        _, trace = escape.run_bcm2(inst, cfg, esc, initial=start)
+        kinds = [(rec.kind, rec.steps) for rec in trace.records]
+        assert kinds == [("bcm", 0), ("bcm", 6), ("bcm", 3), ("escape", 1),
+                         ("bcm", 3)]
+        steps, escapes = (trace.header["bcm_steps"],
+                          trace.header["escape_steps"])
+        assert trace.status == "max_epochs"
+        assert steps // 6 + escapes == 3
+        # the step that reached the cap was the last one taken
+        assert (steps - 1) // 6 + escapes == 2
+        assert sum(rec.steps for rec in trace.records
+                   if rec.kind == "bcm") == steps
+
     def test_threshold_echoed_in_header(self, triangle, triangle_saddle):
         cfg = bcm.SolverConfig(rule="greedy", max_epochs=100, seed=1)
         esc = escape.EscapeConfig(epsilon=0.02, delta=0.05, seed=2)
