@@ -56,7 +56,8 @@ class EscapeConfig:
 class TridiagonalForm:
     alpha: np.ndarray         # diagonal
     beta: np.ndarray          # off-diagonal, >= 0
-    basis: np.ndarray         # (k, n, r) stored tangent vectors
+    basis: np.ndarray         # (k, n, r) Lanczos vectors: a view of the first
+                              # k rows of the preallocated (m, n r) basis
 
 
 @dataclass
@@ -118,9 +119,15 @@ def lanczos_budget(instance: ProblemInstance, epsilon: float, delta: float,
     return min(ell, dim)
 
 
-def _orthogonalize(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    for b in basis:
-        vec = vec - np.sum(vec * b) * b
+def _orthogonalize(vec: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Two classical Gram-Schmidt passes (CGS2) of the flat vector vec
+    against the orthonormal rows of basis, in place: each pass is
+    vec -= basis^T (basis vec), two BLAS matrix-vector products.  One pass
+    leaves rounding errors along the basis; the second removes them
+    ("twice is enough", Giraud et al. 2005).
+    """
+    for _ in range(2):
+        vec -= (basis @ vec) @ basis
     return vec
 
 
@@ -130,11 +137,15 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
                     reorth: bool = True) -> LanczosResult:
     """Leading curvature eigenpair via the tridiagonal recurrence on H.
 
-    Starts from a uniformly random unit tangent vector.  On breakdown
-    (beta = 0) a fresh random direction orthogonal to the stored basis is
-    substituted; if none exists the tangent space is exhausted and the
-    recurrence is already exact.  Returns the unshifted estimate
-    lambda_max(T) - 4 |A|_1 and the reconstructed unit direction.
+    Starts from a uniformly random unit tangent vector.  The Lanczos vectors
+    are the flattened rows of one (m, n r) array allocated up front,
+    m = min(max_iters, n (r-1)), so the basis costs m n r 8 bytes and is
+    never copied.  With reorth each new vector is reorthogonalised against
+    all stored ones by CGS2.  On breakdown (beta = 0) a fresh random
+    direction orthogonal to the stored basis is substituted; if none exists
+    the tangent space is exhausted and the recurrence is already exact.
+    Returns the unshifted estimate lambda_max(T) - 4 |A|_1 and the
+    reconstructed unit direction.
     """
     if max_iters < 1:
         raise ValidationError("max_iters must be >= 1")
@@ -146,28 +157,28 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     m = min(max_iters, dim)
     shift = HESS_SHIFT_FACTOR * instance.one_norm
     breakdown_tol = 1e-12 * max(1.0, instance.one_norm)
+    basis = np.empty((m, n * r))
 
     u = _project_rows(sigma, rng.standard_normal((n, r)))
     u /= np.linalg.norm(u)
-    basis = [u]
+    basis[0] = u.ravel()
     hu = _shifted_apply_rows(instance, sigma, cache.inner, u)
     alphas = [float(np.sum(u * hu))]
     res = hu - alphas[0] * u
     betas: list[float] = []
     exhausted = False
 
-    for _ in range(1, m):
+    for k in range(1, m):
         res = _project_rows(sigma, res)
         if reorth:
-            res = _orthogonalize(res, basis)
-            res = _orthogonalize(res, basis)
+            res = _orthogonalize(res.ravel(), basis[:k]).reshape(n, r)
         beta = float(np.linalg.norm(res))
         if beta <= breakdown_tol:
             # invariant subspace found: restart orthogonally to it
             new = None
             for _attempt in range(3):
                 cand = _project_rows(sigma, rng.standard_normal((n, r)))
-                cand = _orthogonalize(_orthogonalize(cand, basis), basis)
+                cand = _orthogonalize(cand.ravel(), basis[:k]).reshape(n, r)
                 nrm = float(np.linalg.norm(cand))
                 if nrm > 1e-8:
                     new = cand / nrm
@@ -182,8 +193,8 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
             unew = res / beta
         hu = _shifted_apply_rows(instance, sigma, cache.inner, unew)
         alphas.append(float(np.sum(unew * hu)))
-        res = hu - alphas[-1] * unew - betas[-1] * basis[-1]
-        basis.append(unew)
+        res = hu - alphas[-1] * unew - betas[-1] * basis[k - 1].reshape(n, r)
+        basis[k] = unew.ravel()
 
     alpha_arr = np.asarray(alphas)
     beta_arr = np.asarray(betas)
@@ -196,9 +207,7 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
             alpha_arr, beta_arr, select="i", select_range=(k - 1, k - 1))
         top = float(vals[0])
         y = vecs[:, 0]
-    stack = np.stack(basis)
-    direction = np.tensordot(y, stack, axes=1)
-    direction = _project_rows(sigma, direction)
+    direction = _project_rows(sigma, (y @ basis[:k]).reshape(n, r))
     nrm = float(np.linalg.norm(direction))
     if nrm == 0.0:
         raise ValidationError("Lanczos produced a null direction")
@@ -206,7 +215,8 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     return LanczosResult(
         estimate=float(top - shift),
         direction=TangentVector(direction, point),
-        tri=TridiagonalForm(alpha=alpha_arr, beta=beta_arr, basis=stack),
+        tri=TridiagonalForm(alpha=alpha_arr, beta=beta_arr,
+                            basis=basis[:k].reshape(k, n, r)),
         exhausted=exhausted,
         iterations=k,
     )

@@ -6,8 +6,9 @@ disagree when one of them is wrong.
 """
 
 import numpy as np
+import scipy.linalg
 
-from bmcut import manifold
+from bmcut import escape, manifold
 
 
 def f_dense(instance, sigma: np.ndarray) -> float:
@@ -89,6 +90,85 @@ def exhaustive_best_cut(instance) -> float:
         x = np.array([1.0 if (k >> b) & 1 else -1.0 for b in range(n)])
         best = max(best, float(x @ a @ x))
     return best
+
+
+def lanczos_reference(instance, point, cache, max_iters, rng, reorth=True):
+    """Per-vector Lanczos: the basis is a list of (n, r) arrays,
+    reorthogonalised by two modified Gram-Schmidt sweeps of one inner
+    product per stored vector, and stacked at the end.  It shares the
+    package's curvature operator; the recurrence, the restarts, the
+    orthogonalisation and the reconstruction are its own.  Given the same
+    generator it draws the same random numbers as lanczos_leading.
+    """
+    def mgs(vec, basis):
+        for b in basis:
+            vec = vec - np.sum(vec * b) * b
+        return vec
+
+    sigma = point.sigma
+    n, r = sigma.shape
+    m = min(max_iters, n * (r - 1))
+    shift = escape.HESS_SHIFT_FACTOR * instance.one_norm
+    breakdown_tol = 1e-12 * max(1.0, instance.one_norm)
+
+    def apply(u):
+        return escape._shifted_apply_rows(instance, sigma, cache.inner, u)
+
+    u = manifold._project_rows(sigma, rng.standard_normal((n, r)))
+    u /= np.linalg.norm(u)
+    basis = [u]
+    hu = apply(u)
+    alphas = [float(np.sum(u * hu))]
+    res = hu - alphas[0] * u
+    betas = []
+    exhausted = False
+
+    for _ in range(1, m):
+        res = manifold._project_rows(sigma, res)
+        if reorth:
+            res = mgs(mgs(res, basis), basis)
+        beta = float(np.linalg.norm(res))
+        if beta <= breakdown_tol:
+            new = None
+            for _attempt in range(3):
+                cand = manifold._project_rows(sigma, rng.standard_normal((n, r)))
+                cand = mgs(mgs(cand, basis), basis)
+                nrm = float(np.linalg.norm(cand))
+                if nrm > 1e-8:
+                    new = cand / nrm
+                    break
+            if new is None:
+                exhausted = True
+                break
+            betas.append(0.0)
+            unew = new
+        else:
+            betas.append(beta)
+            unew = res / beta
+        hu = apply(unew)
+        alphas.append(float(np.sum(unew * hu)))
+        res = hu - alphas[-1] * unew - betas[-1] * basis[-1]
+        basis.append(unew)
+
+    alpha_arr = np.asarray(alphas)
+    beta_arr = np.asarray(betas)
+    k = len(alphas)
+    if k == 1:
+        top, y = alpha_arr[0], np.ones(1)
+    else:
+        vals, vecs = scipy.linalg.eigh_tridiagonal(
+            alpha_arr, beta_arr, select="i", select_range=(k - 1, k - 1))
+        top, y = float(vals[0]), vecs[:, 0]
+    stack = np.stack(basis)
+    direction = manifold._project_rows(sigma, np.tensordot(y, stack, axes=1))
+    direction /= np.linalg.norm(direction)
+    return escape.LanczosResult(
+        estimate=float(top - shift),
+        direction=manifold.TangentVector(direction, point),
+        tri=escape.TridiagonalForm(alpha=alpha_arr, beta=beta_arr, basis=stack),
+        exhausted=exhausted,
+        iterations=k,
+    )
 
 
 def align_procrustes(p: np.ndarray, q: np.ndarray):

@@ -327,6 +327,9 @@ class TestGoldenTraces:
         "greedy": "2f38e882c0aacf3c5bb8833896e5c49e2635e36fb810fa0da353efaf3b169830",
     }
     BCM2 = "73544051bc39ddfcd43a38673cf13ae260eef1f36a70e5e15e65788babccea8b"
+    # computed on the preallocated-basis CGS2 Lanczos; it pins the rounding of
+    # the escape directions, which test_bcm2 (no escape step) does not
+    BCM2_ESCAPES = "325e82c5d8f644f5725e4d816d8e9b36c08762dafff8842e0651db42de31a4e3"
 
     @pytest.mark.parametrize("rule", bcm.RULES)
     def test_bcm_rule(self, tmp_path, rule):
@@ -342,3 +345,15 @@ class TestGoldenTraces:
         esc = bmcut.EscapeConfig(epsilon=0.01, seed=3)
         point, trace = bmcut.run_bcm2(inst, cfg, esc, r=5)
         assert trace_digest(tmp_path / "t.jsonl", point, trace) == self.BCM2
+
+    def test_bcm2_escapes(self, tmp_path):
+        # the all-equal start is stationary: escape steps must come first
+        inst = bmcut.gen_gaussian(20, 8)
+        start = np.zeros((20, 4))
+        start[:, 0] = 1.0
+        cfg = bcm.SolverConfig(rule="greedy", seed=1)
+        esc = bmcut.EscapeConfig(epsilon=0.01, seed=2)
+        point, trace = bmcut.run_bcm2(inst, cfg, esc, initial=FactorPoint(start))
+        assert trace.header["escape_steps"] >= 2
+        assert (trace_digest(tmp_path / "t.jsonl", point, trace)
+                == self.BCM2_ESCAPES)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,14 @@ def rand_setup(n=10, r=3, seed=0, inst_seed=1):
     point = manifold.random_point(n, r, rng)
     cache = bcm.init_cache(inst, point)
     return inst, point, cache, rng
+
+
+def assert_same_lanczos(got, ref, inst):
+    assert got.estimate == pytest.approx(ref.estimate,
+                                         abs=1e-10 * inst.one_norm)
+    assert abs(np.sum(got.direction.u * ref.direction.u)) >= 1.0 - 1e-8
+    assert got.iterations == ref.iterations
+    assert got.exhausted == ref.exhausted
 
 
 class TestThreshold:
@@ -172,6 +181,48 @@ class TestLanczos:
         h = oracles.dense_tangent_hessian(triangle, triangle_saddle.sigma)
         top = np.linalg.eigvalsh(h)[-1]
         assert res.estimate == pytest.approx(top, abs=1e-8)
+
+    @pytest.mark.parametrize("n, r, iters, reorth", [
+        (8, 3, 16, True),     # full budget: the recurrence is exact
+        (30, 4, 25, True),
+        (100, 3, 20, True),
+        (30, 4, 25, False),
+    ])
+    def test_matches_reference(self, n, r, iters, reorth):
+        for seed in range(3):
+            inst, point, cache, _ = rand_setup(n=n, r=r, seed=40 + seed,
+                                               inst_seed=60 + seed)
+            got = escape.lanczos_leading(inst, point, cache, iters,
+                                         np.random.default_rng(seed),
+                                         reorth=reorth)
+            ref = oracles.lanczos_reference(inst, point, cache, iters,
+                                            np.random.default_rng(seed),
+                                            reorth=reorth)
+            assert_same_lanczos(got, ref, inst)
+
+    def test_matches_reference_through_restart(self, triangle,
+                                               triangle_saddle):
+        cache = bcm.init_cache(triangle, triangle_saddle)
+        got = escape.lanczos_leading(triangle, triangle_saddle, cache, 3,
+                                     np.random.default_rng(0))
+        ref = oracles.lanczos_reference(triangle, triangle_saddle, cache, 3,
+                                        np.random.default_rng(0))
+        assert 0.0 in ref.tri.beta
+        assert_same_lanczos(got, ref, triangle)
+
+    def test_peak_memory_one_basis(self):
+        inst = bmcut.gen_gaussian(300, 1)
+        point = manifold.random_point(300, 8, np.random.default_rng(0))
+        cache = bcm.init_cache(inst, point)
+        tracemalloc.start()
+        try:
+            res = escape.lanczos_leading(inst, point, cache, 400,
+                                         np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.tri.basis.shape == (res.iterations, 300, 8)
+        assert peak <= 1.25 * res.tri.basis.nbytes
 
     def test_single_iteration(self):
         inst, point, cache, _ = rand_setup()
