@@ -172,9 +172,6 @@ def cmd_certify(args) -> int:
     instance = _load_from_args(args)
     fmt = "csv" if args.point.endswith(".csv") else "binary"
     point = manifold.load_point(args.point, fmt=fmt, allow_r1=args.allow_r1)
-    if point.n != instance.n:
-        raise ValidationError(
-            f"point has {point.n} rows, instance has {instance.n}")
     cache = bcm.init_cache(instance, point)
     cert = certify.dual_upper_bound(instance, point, cache)
     print(cert.to_json())
@@ -192,18 +189,14 @@ def cmd_certify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    instance = parse_gen_spec(args.gen) if args.gen else None
-    if instance is None:
-        raise ValidationError("gen needs --gen")
+    instance = parse_gen_spec(args.gen)
     fmt = args.format
     if fmt is None:
         fmt = "mtx" if args.out.endswith((".mtx", ".mm")) else "edge-list"
-    if fmt == "edge-list":
-        problem.write_edge_list(instance, args.out)
-    elif fmt == "mtx":
+    if fmt == "mtx":
         problem.write_matrix_market(instance, args.out)
     else:
-        raise ValidationError(f"unknown output format {fmt!r}")
+        problem.write_edge_list(instance, args.out)
     print(f"wrote {args.out}: n={instance.n} nnz={instance.nnz} "
           f"one_norm={instance.one_norm!r}")
     return 0

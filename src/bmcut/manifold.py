@@ -34,7 +34,7 @@ class FactorPoint:
                 "r = 1 is only meant for rounding diagnostics; pass allow_r1=True"
             )
         err = np.abs(np.einsum("ij,ij->i", self.sigma, self.sigma) - 1.0)
-        if err.size and err.max() > 2.0 * UNIT_TOL:
+        if err.size and not err.max() <= 2.0 * UNIT_TOL:  # NaN fails
             raise ValidationError(f"rows are not unit norm (max error {err.max():g})")
 
     @property
@@ -76,7 +76,7 @@ def _check_tangency(sigma: np.ndarray, u: np.ndarray, tol: float = TANGENT_TOL):
     dots = np.abs(np.einsum("ij,ij->i", sigma, u))
     scale = 1.0 + np.linalg.norm(u, axis=1)
     worst = (dots / scale).max() if dots.size else 0.0
-    if worst > tol:
+    if not worst <= tol:  # NaN fails
         raise ValidationError(f"matrix is not tangent to the point (error {worst:g})")
 
 

@@ -2,13 +2,18 @@
 
 The objective <A, X> over matrices with unit diagonal only sees the symmetric
 part of A, and zeroing the diagonal shifts it by the constant trace(A).  Every
-construction path below therefore symmetrizes, strips the diagonal into
-``trace_offset``, and caches the two norms the solver bounds depend on.
+source (``preprocess``, the generators, and both file loaders) ends in one
+construction path, ``_finish``: it rejects non-finite entries, strips the
+diagonal into ``trace_offset``, and caches the two norms the solver bounds
+depend on.  Weighted pairs (edge lists, Erdos-Renyi graphs) go through
+``_from_edges``, which sums repeated pairs; raw matrices (Matrix Market files)
+go through ``preprocess``, which symmetrizes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,31 +62,22 @@ class ProblemInstance:
         return h.hexdigest()
 
 
-def _finish(sym: sp.csr_array | np.ndarray) -> ProblemInstance:
+def _finish(sym: sp.sparray | np.ndarray) -> ProblemInstance:
     """Build an instance from an exactly symmetric matrix (diagonal included).
 
-    Strips the diagonal into trace_offset, drops explicit zeros (including
-    cancellations produced by symmetrization), sorts column indices and caches
-    the norms.
+    ``sym`` is a dense array or a sparse matrix whose repeated coordinates are
+    already summed.  Rejects non-finite entries, strips the diagonal into
+    trace_offset, drops explicit zeros (including cancellations produced by
+    symmetrization), sorts column indices and caches the norms.
     """
-    if sp.issparse(sym):
-        coo = sp.coo_array(sym)
-        offset = float(coo.diagonal().sum())
-        keep = (coo.row != coo.col) & (coo.data != 0.0)
-        mat = sp.coo_array(
-            (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape
-        ).tocsr()
-    else:
-        arr = np.asarray(sym, dtype=np.float64)
-        offset = float(np.trace(arr))
-        i, j = np.nonzero(arr)
-        keep = i != j
-        mat = sp.coo_array(
-            (arr[i[keep], j[keep]], (i[keep], j[keep])), shape=arr.shape
-        ).tocsr()
-    mat.sum_duplicates()
-    mat.eliminate_zeros()
-    mat.sort_indices()
+    coo = sp.coo_array(sym)
+    if not np.isfinite(coo.data).all():
+        raise ValidationError("matrix contains non-finite entries")
+    offset = float(coo.diagonal().sum())
+    keep = (coo.row != coo.col) & (coo.data != 0.0)
+    mat = sp.coo_array(
+        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape
+    ).tocsr()
     n = mat.shape[0]
     col_abs = abs(mat).sum(axis=0)
     one_norm = float(col_abs.max()) if n else 0.0
@@ -90,19 +86,35 @@ def _finish(sym: sp.csr_array | np.ndarray) -> ProblemInstance:
                            one_norm=one_norm, l11_norm=l11)
 
 
+def _from_edges(n: int, i, j, w) -> ProblemInstance:
+    """Build an instance from 0-based weighted pairs (i, j, w).
+
+    Entry {i, j} is the sum of the weights of every pair naming it, in either
+    orientation; a self-loop (i == j) adds its weight to the diagonal once.
+    """
+    i, j, w = np.asarray(i), np.asarray(j), np.asarray(w, dtype=np.float64)
+    off = i != j
+    rows = np.concatenate([i, j[off]])
+    cols = np.concatenate([j, i[off]])
+    vals = np.concatenate([w, w[off]])
+    # CSR conversion sums the repeated coordinates
+    return _finish(sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr())
+
+
 def preprocess(raw_matrix) -> ProblemInstance:
     """Symmetrize a square matrix, zero its diagonal, and cache norms.
 
-    The returned instance stores (raw + raw.T)/2 off the diagonal;
-    trace_offset records the trace removed from the diagonal.
+    ``raw_matrix`` is array-like or scipy-sparse.  The returned instance
+    stores (raw + raw.T)/2 off the diagonal; trace_offset records the trace
+    removed from the diagonal.
     """
-    arr = np.asarray(raw_matrix, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("matrix contains non-finite entries")
-    sym = (arr + arr.T) * 0.5
-    return _finish(sym)
+    if sp.issparse(raw_matrix):
+        m = sp.csr_array(raw_matrix)
+    else:
+        m = np.asarray(raw_matrix, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    return _finish((m + m.T) * 0.5)
 
 
 def gen_gaussian(n: int, seed: int) -> ProblemInstance:
@@ -155,19 +167,14 @@ def gen_erdos_renyi(n: int, edges: int, sign: int, seed: int) -> ProblemInstance
     else:
         ks = np.sort(rng.permutation(m)[:edges]).astype(np.int64)
     i, j = _decode_pairs(ks, n)
-    w = np.full(edges, float(sign))
-    mat = sp.coo_array(
-        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(n, n),
-    ).tocsr()
-    return _finish(mat)
+    return _from_edges(n, i, j, np.full(edges, float(sign)))
 
 
 def _load_edge_list(path: str) -> ProblemInstance:
-    # a line "i j w" sets the symmetric entry {i, j} to w; duplicates
-    # (either orientation) are summed in file order
-    acc: dict[tuple[int, int], float] = {}
-    nmax = 0
+    # a line "i j w" adds w to the symmetric entry {i, j}
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             text = line.strip()
@@ -183,26 +190,14 @@ def _load_edge_list(path: str) -> ProblemInstance:
                 raise ParseError(f"{path}:{ln}: {exc}") from None
             if i < 1 or j < 1:
                 raise ParseError(f"{path}:{ln}: indices are 1-based, got {i} {j}")
-            if not np.isfinite(w):
+            if not math.isfinite(w):
                 raise ParseError(f"{path}:{ln}: non-finite weight {parts[2]}")
-            key = (min(i, j) - 1, max(i, j) - 1)
-            acc[key] = acc.get(key, 0.0) + w
-            nmax = max(nmax, i, j)
-    if nmax == 0:
-        raise ParseError(f"{path}: no edges found")
-    rows, cols, vals = [], [], []
-    for (i, j), w in acc.items():
-        rows.append(i)
-        cols.append(j)
-        vals.append(w)
-        if i != j:
-            rows.append(j)
-            cols.append(i)
+            rows.append(i - 1)
+            cols.append(j - 1)
             vals.append(w)
-    sym = sp.coo_array(
-        (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
-        shape=(nmax, nmax)).tocsr()
-    return _finish(sym)
+    if not rows:
+        raise ParseError(f"{path}: no edges found")
+    return _from_edges(max(max(rows), max(cols)) + 1, rows, cols, vals)
 
 
 def _load_matrix_market(path: str) -> ProblemInstance:
@@ -212,22 +207,17 @@ def _load_matrix_market(path: str) -> ProblemInstance:
         raw = scipy.io.mmread(path)
     except Exception as exc:
         raise ParseError(f"{path}: {exc}") from None
-    if raw.shape[0] != raw.shape[1]:
-        raise DimensionError(f"{path}: matrix is {raw.shape}, expected square")
-    if sp.issparse(raw):
-        csr = sp.csr_array(raw)
-        csr.sum_duplicates()
-        sym = (csr + csr.T) * 0.5
-        return _finish(sym)
-    return preprocess(np.asarray(raw))
+    return preprocess(raw)
 
 
 def load_instance(path: str, format: str = "edge-list") -> ProblemInstance:
-    """Load an instance file and route it through the preprocessing pipeline.
+    """Load an instance file and build it through the one construction path.
 
-    Formats: "edge-list" (lines "i j w", 1-based, '#' comments, duplicates
-    summed) and "matrix-market" (coordinate or array; a general header is
-    symmetrized).
+    Formats: "edge-list" (lines "i j w", 1-based, '#' comments; repeated
+    pairs, in either orientation, are summed) and "matrix-market" (coordinate
+    or array; passed to ``preprocess``, so a general header is symmetrized).
+    Every source rejects non-finite entries, including sums of repeated pairs
+    that overflow.
     """
     if format == "edge-list":
         return _load_edge_list(path)

@@ -206,6 +206,14 @@ class TestCertify:
         assert run_cli(["certify", "--edge-list", str(tri),
                         "--point", str(pt)]) == 2
 
+    def test_nan_point_rejected(self, tmp_path):
+        tri = tmp_path / "tri.txt"
+        tri.write_text("1 2 -1\n1 3 -1\n2 3 -1\n")
+        pt = tmp_path / "p.csv"
+        pt.write_text("nan,0\n1,0\n0,1\n")
+        assert run_cli(["certify", "--edge-list", str(tri),
+                        "--point", str(pt)]) == 2
+
     def test_reproducible_cut(self, tmp_path, capsys, triangle_optimum):
         tri = tmp_path / "tri.txt"
         tri.write_text("1 2 -1\n1 3 -1\n2 3 -1\n")

@@ -21,6 +21,10 @@ class TestFactorPoint:
         with pytest.raises(ValidationError):
             FactorPoint(np.ones((3, 2)))
 
+    def test_nan_row_rejected(self):
+        with pytest.raises(ValidationError):
+            FactorPoint(np.array([[np.nan, 0.0], [1.0, 0.0]]))
+
     def test_r1_needs_flag(self):
         sig = np.ones((3, 1))
         with pytest.raises(ValidationError):
@@ -59,6 +63,13 @@ class TestProjection:
         s = point.sigma
         expect = w - np.diag(np.diag(w @ s.T)) @ s
         assert np.allclose(tv.u, expect, atol=1e-12)
+
+    def test_nan_tangent_rejected(self):
+        _, point, _, _ = rand_setup()
+        u = np.zeros_like(point.sigma)
+        u[2, 1] = np.nan
+        with pytest.raises(ValidationError):
+            TangentVector(u, point)
 
     def test_shape_mismatch(self):
         _, point, _, _ = rand_setup()

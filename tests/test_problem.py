@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -64,6 +65,13 @@ class TestPreprocess:
         assert inst.one_norm == pytest.approx(one, rel=1e-12, abs=1e-15)
         assert inst.l11_norm == pytest.approx(l11, rel=1e-12, abs=1e-15)
         assert inst.l11_norm <= inst.n * inst.one_norm + 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(arrays(np.float64, (5, 5), elements=st.floats(-5, 5)))
+    def test_sparse_input_matches_dense(self, raw):
+        dense = bmcut.preprocess(raw)
+        assert bmcut.preprocess(sp.csr_array(raw)).checksum() == dense.checksum()
+        assert bmcut.preprocess(sp.coo_matrix(raw)).checksum() == dense.checksum()
 
     @settings(max_examples=30, deadline=None)
     @given(arrays(np.float64, (5, 5), elements=st.floats(-5, 5)))
@@ -213,6 +221,24 @@ class TestLoad:
         assert inst.rows[0, 1] == 2.0
         assert inst.rows[1, 0] == 2.0
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_matrix_market_non_finite_rejected(self, tmp_path, bad):
+        p = tmp_path / "bad.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 2 2\n"
+            "1 2 1.0\n"
+            f"2 1 {bad}\n")
+        with pytest.raises(ValidationError, match="non-finite"):
+            bmcut.load_instance(str(p), "matrix-market")
+
+    def test_edge_list_overflowing_repeat_rejected(self, tmp_path):
+        # each weight is finite; their sum is not
+        p = tmp_path / "big.txt"
+        p.write_text("1 2 1e308\n2 1 1e308\n")
+        with pytest.raises(ValidationError, match="non-finite"):
+            bmcut.load_instance(str(p), "edge-list")
+
     def test_matrix_market_garbage_rejected(self, tmp_path):
         p = tmp_path / "g.mtx"
         p.write_text("not a matrix\n")
@@ -228,7 +254,24 @@ class TestLoad:
         p = tmp_path / "round.txt"
         bmcut.write_edge_list(inst, str(p))
         back = bmcut.load_instance(str(p), "edge-list")
-        assert np.allclose(inst.dense(), back.dense())
+        assert back.checksum() == inst.checksum()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6),
+                              st.integers(-4, 4)), min_size=1, max_size=30))
+    def test_edge_list_sums_repeats(self, tmp_path_factory, edges):
+        p = tmp_path_factory.mktemp("edges") / "e.txt"
+        p.write_text("".join(f"{i} {j} {w}\n" for i, j, w in edges))
+        inst = bmcut.load_instance(str(p), "edge-list")
+        i, j, w = (np.array(col) for col in zip(*edges))
+        n = max(i.max(), j.max())
+        off = i != j
+        ref = np.zeros((n, n))
+        np.add.at(ref, (i[off] - 1, j[off] - 1), w[off])
+        np.add.at(ref, (j[off] - 1, i[off] - 1), w[off])
+        assert inst.n == n
+        assert np.array_equal(inst.dense(), ref)
+        assert inst.trace_offset == w[~off].sum()
 
     def test_matrix_market_roundtrip(self, tmp_path):
         inst = bmcut.gen_gaussian(8, seed=2)
