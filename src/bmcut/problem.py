@@ -3,11 +3,12 @@
 The objective <A, X> over matrices with unit diagonal only sees the symmetric
 part of A, and zeroing the diagonal shifts it by the constant trace(A).  Every
 source (``preprocess``, the generators, and both file loaders) ends in one
-construction path, ``_finish``: it rejects non-finite entries, strips the
-diagonal into ``trace_offset``, and caches the two norms the solver bounds
-depend on.  Weighted pairs (edge lists, Erdos-Renyi graphs) go through
-``_from_edges``, which sums repeated pairs; raw matrices (Matrix Market files)
-go through ``preprocess``, which symmetrizes.
+construction path, ``_finish``: it strips the diagonal into ``trace_offset``,
+caches the two norms the solver bounds depend on, and rejects non-finite
+entries and sums that overflow.  Weighted pairs (edge lists, Erdos-Renyi
+graphs) go through ``_from_edges``, which sums each pair's repeats once and
+mirrors the sum; raw matrices (Matrix Market files) go through
+``preprocess``, which symmetrizes.
 """
 
 from __future__ import annotations
@@ -66,22 +67,24 @@ def _finish(sym: sp.sparray | np.ndarray) -> ProblemInstance:
     """Build an instance from an exactly symmetric matrix (diagonal included).
 
     ``sym`` is a dense array or a sparse matrix whose repeated coordinates are
-    already summed.  Rejects non-finite entries, strips the diagonal into
-    trace_offset, drops explicit zeros (including cancellations produced by
-    symmetrization), sorts column indices and caches the norms.
+    already summed.  Strips the diagonal into trace_offset, drops explicit
+    zeros (including cancellations produced by symmetrization), sorts column
+    indices and caches the norms.  Rejects the matrix when trace_offset or
+    l11_norm is not finite: that covers every NaN or inf entry, and finite
+    entries whose sums overflow.
     """
     coo = sp.coo_array(sym)
-    if not np.isfinite(coo.data).all():
-        raise ValidationError("matrix contains non-finite entries")
     offset = float(coo.diagonal().sum())
     keep = (coo.row != coo.col) & (coo.data != 0.0)
     mat = sp.coo_array(
         (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape
     ).tocsr()
+    l11 = float(abs(mat.data).sum())
+    if not (math.isfinite(l11) and math.isfinite(offset)):
+        raise ValidationError("matrix contains non-finite entries or sums")
     n = mat.shape[0]
     col_abs = abs(mat).sum(axis=0)
     one_norm = float(col_abs.max()) if n else 0.0
-    l11 = float(abs(mat.data).sum())
     return ProblemInstance(n=n, rows=mat, trace_offset=offset,
                            one_norm=one_norm, l11_norm=l11)
 
@@ -93,12 +96,12 @@ def _from_edges(n: int, i, j, w) -> ProblemInstance:
     orientation; a self-loop (i == j) adds its weight to the diagonal once.
     """
     i, j, w = np.asarray(i), np.asarray(j), np.asarray(w, dtype=np.float64)
-    off = i != j
-    rows = np.concatenate([i, j[off]])
-    cols = np.concatenate([j, i[off]])
-    vals = np.concatenate([w, w[off]])
-    # CSR conversion sums the repeated coordinates
-    return _finish(sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr())
+    # CSR conversion sums each pair's weights once, in the upper triangle;
+    # mirroring those sums keeps the matrix exactly symmetric
+    upper = sp.coo_array(
+        (w, (np.minimum(i, j), np.maximum(i, j))), shape=(n, n)
+    ).tocsr()
+    return _finish(upper + sp.triu(upper, k=1).T)
 
 
 def preprocess(raw_matrix) -> ProblemInstance:
@@ -109,7 +112,7 @@ def preprocess(raw_matrix) -> ProblemInstance:
     removed from the diagonal.
     """
     if sp.issparse(raw_matrix):
-        m = sp.csr_array(raw_matrix)
+        m = sp.csr_array(raw_matrix, dtype=np.float64)
     else:
         m = np.asarray(raw_matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -207,7 +210,10 @@ def _load_matrix_market(path: str) -> ProblemInstance:
         raw = scipy.io.mmread(path)
     except Exception as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return preprocess(raw)
+    try:
+        return preprocess(raw)
+    except DimensionError as exc:
+        raise DimensionError(f"{path}: {exc}") from None
 
 
 def load_instance(path: str, format: str = "edge-list") -> ProblemInstance:
@@ -216,8 +222,8 @@ def load_instance(path: str, format: str = "edge-list") -> ProblemInstance:
     Formats: "edge-list" (lines "i j w", 1-based, '#' comments; repeated
     pairs, in either orientation, are summed) and "matrix-market" (coordinate
     or array; passed to ``preprocess``, so a general header is symmetrized).
-    Every source rejects non-finite entries, including sums of repeated pairs
-    that overflow.
+    Every source rejects non-finite entries, and finite entries whose sums
+    (repeated pairs, norms, trace) overflow.
     """
     if format == "edge-list":
         return _load_edge_list(path)

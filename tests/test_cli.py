@@ -78,6 +78,12 @@ class TestSolve:
         bad.write_text("1 2 x\n")
         assert run_cli(["solve", "--edge-list", str(bad)]) == 3
 
+    def test_overflowing_norm_is_validation_error(self, tmp_path):
+        big = tmp_path / "big.txt"
+        big.write_text("1 2 1e308\n1 3 1e308\n")
+        assert run_cli(["solve", "--edge-list", str(big), "--method", "bcm2",
+                        "--epsilon", "0.1", "--r", "2"]) == 2
+
     def test_bad_gen_spec_is_validation_error(self):
         assert run_cli(["solve", "--gen", "gaussian:n=oops"]) == 2
         assert run_cli(["solve", "--gen", "wat:n=5"]) == 2

@@ -73,6 +73,18 @@ class TestPreprocess:
         assert bmcut.preprocess(sp.csr_array(raw)).checksum() == dense.checksum()
         assert bmcut.preprocess(sp.coo_matrix(raw)).checksum() == dense.checksum()
 
+    def test_sparse_integer_input_summed_in_float(self):
+        # (m + m.T) in int64 would wrap 2**62 + 2**62 around to -2**63
+        raw = sp.csr_array(np.array([[0, 2**62], [2**62, 0]], dtype=np.int64))
+        inst = bmcut.preprocess(raw)
+        assert inst.rows[0, 1] == 2.0**62
+        assert inst.checksum() == bmcut.preprocess(raw.toarray()).checksum()
+
+    def test_overflowing_trace_rejected(self):
+        # each diagonal entry survives symmetrization; their sum does not
+        with pytest.raises(ValidationError, match="non-finite"):
+            bmcut.preprocess(np.diag([8e307, 8e307, 8e307]))
+
     @settings(max_examples=30, deadline=None)
     @given(arrays(np.float64, (5, 5), elements=st.floats(-5, 5)))
     def test_idempotent(self, raw):
@@ -238,6 +250,35 @@ class TestLoad:
         p.write_text("1 2 1e308\n2 1 1e308\n")
         with pytest.raises(ValidationError, match="non-finite"):
             bmcut.load_instance(str(p), "edge-list")
+
+    def test_edge_list_overflowing_norm_rejected(self, tmp_path):
+        # each entry is finite; l11_norm and row 1's one-norm sum are not
+        p = tmp_path / "big.txt"
+        p.write_text("1 2 1e308\n1 3 1e308\n")
+        with pytest.raises(ValidationError, match="non-finite"):
+            bmcut.load_instance(str(p), "edge-list")
+
+    def test_edge_list_overflowing_self_loops_rejected(self, tmp_path):
+        p = tmp_path / "big.txt"
+        p.write_text("1 1 1e308\n2 2 1e308\n1 2 1.0\n")
+        with pytest.raises(ValidationError, match="non-finite"):
+            bmcut.load_instance(str(p), "edge-list")
+
+    def test_edge_list_cancelling_repeats_symmetric(self, tmp_path):
+        # summed in two different orders, (i, j) and (j, i) would disagree
+        p = tmp_path / "cancel.txt"
+        p.write_text("1 2 1e16\n2 1 1\n1 2 -1e16\n")
+        inst = bmcut.load_instance(str(p), "edge-list")
+        assert (inst.rows != inst.rows.T).nnz == 0
+
+    def test_matrix_market_non_square_names_path(self, tmp_path):
+        p = tmp_path / "wide.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "2 3 1\n"
+            "1 3 1.0\n")
+        with pytest.raises(DimensionError, match=r"wide\.mtx"):
+            bmcut.load_instance(str(p), "matrix-market")
 
     def test_matrix_market_garbage_rejected(self, tmp_path):
         p = tmp_path / "g.mtx"
