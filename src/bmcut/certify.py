@@ -22,6 +22,7 @@ from .manifold import FactorPoint
 from .problem import ProblemInstance
 
 DENSE_EIG_LIMIT = 200
+ROUND_CHUNK = 32        # rounding trials scored per sparse matmat
 BRUTE_FORCE_LIMIT = 24
 
 
@@ -129,30 +130,50 @@ def cut_value(instance: ProblemInstance, signs: np.ndarray) -> float:
     return float(x @ (instance.rows @ x))
 
 
+def _chunk_winner(instance: ProblemInstance, sigma: np.ndarray,
+                  z: np.ndarray) -> np.ndarray:
+    """Signs of the first best trial among the unit directions in z's rows.
+
+    The (n, k) sign block is scored by one sparse matmat; every temporary
+    dies on return, so a chunk holds about 2 n k doubles at a time.
+    """
+    x = np.where(sigma @ z.T >= 0.0, 1.0, -1.0)
+    v = np.einsum("ij,ij->j", x, instance.rows @ x)
+    return x[:, int(np.argmax(v))].copy()
+
+
 def round_cut(instance: ProblemInstance, point: FactorPoint, trials: int,
               rng: np.random.Generator) -> Cut:
-    """Best hyperplane rounding over `trials` draws.
+    """Best hyperplane rounding over `trials` draws (Goemans-Williamson).
 
     Each trial projects the rows onto a uniformly random direction and takes
-    signs, with sign(0) := +1.  Deterministic per generator state.
+    signs, with sign(0) := +1.  Trials run in chunks of ROUND_CHUNK = 32: a
+    chunk draws its k directions as one (k, r) block, which leaves the
+    generator where k single draws of r would, and scores its k sign vectors
+    with one sparse matmat.  The first strictly best trial wins.  Chunk
+    winners are compared by `cut_value`, which also gives the reported value,
+    so a cut drawn again in a later chunk ties exactly; inside a chunk the
+    matmat's scores, which can differ from `cut_value` in the last bits,
+    order the trials.  Working memory is about 2 n ROUND_CHUNK doubles.
+    Deterministic per generator state.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     sigma = point.sigma
     best_signs = None
     best_value = -np.inf
-    for _ in range(trials):
-        z = rng.standard_normal(sigma.shape[1])
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            z[0] = 1.0
-        else:
-            z /= nz
-        x = np.where(sigma @ z >= 0.0, 1.0, -1.0)
-        v = cut_value(instance, x)
-        if v > best_value:
-            best_value = v
-            best_signs = x
+    for start in range(0, trials, ROUND_CHUNK):
+        z = rng.standard_normal((min(ROUND_CHUNK, trials - start),
+                                 sigma.shape[1]))
+        nz = np.linalg.norm(z, axis=1)
+        zero = nz == 0.0
+        z[zero, 0] = 1.0
+        nz[zero] = 1.0
+        z /= nz[:, None]
+        signs = _chunk_winner(instance, sigma, z)
+        value = cut_value(instance, signs)
+        if value > best_value:
+            best_signs, best_value = signs, value
     return Cut(signs=best_signs, value=best_value)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,15 +174,26 @@ def gen_erdos_renyi(n: int, edges: int, sign: int, seed: int) -> ProblemInstance
     return _from_edges(n, i, j, np.full(edges, float(sign)))
 
 
+_NODES_HEADER = re.compile(r"#\s*(\d+) nodes\b")
+
+
 def _load_edge_list(path: str) -> ProblemInstance:
-    # a line "i j w" adds w to the symmetric entry {i, j}
+    # a line "i j w" adds w to the symmetric entry {i, j}; a "# <n> nodes"
+    # comment before the first edge fixes n, so trailing isolated nodes survive
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
+    n = None
+    limit = math.inf
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             text = line.strip()
-            if not text or text.startswith("#"):
+            if not text:
+                continue
+            if text.startswith("#"):
+                header = _NODES_HEADER.match(text)
+                if header and not rows:
+                    n = limit = int(header.group(1))
                 continue
             parts = text.split()
             if len(parts) != 3:
@@ -191,8 +203,13 @@ def _load_edge_list(path: str) -> ProblemInstance:
                 w = float(parts[2])
             except ValueError as exc:
                 raise ParseError(f"{path}:{ln}: {exc}") from None
-            if i < 1 or j < 1:
-                raise ParseError(f"{path}:{ln}: indices are 1-based, got {i} {j}")
+            if not (0 < i <= limit and 0 < j <= limit):
+                if i < 1 or j < 1:
+                    raise ParseError(
+                        f"{path}:{ln}: indices are 1-based, got {i} {j}")
+                raise ParseError(
+                    f"{path}:{ln}: index {max(i, j)} exceeds the header's "
+                    f"{n} nodes")
             if not math.isfinite(w):
                 raise ParseError(f"{path}:{ln}: non-finite weight {parts[2]}")
             rows.append(i - 1)
@@ -200,7 +217,9 @@ def _load_edge_list(path: str) -> ProblemInstance:
             vals.append(w)
     if not rows:
         raise ParseError(f"{path}: no edges found")
-    return _from_edges(max(max(rows), max(cols)) + 1, rows, cols, vals)
+    if n is None:
+        n = max(max(rows), max(cols)) + 1
+    return _from_edges(n, rows, cols, vals)
 
 
 def _load_matrix_market(path: str) -> ProblemInstance:
@@ -220,8 +239,10 @@ def load_instance(path: str, format: str = "edge-list") -> ProblemInstance:
     """Load an instance file and build it through the one construction path.
 
     Formats: "edge-list" (lines "i j w", 1-based, '#' comments; repeated
-    pairs, in either orientation, are summed) and "matrix-market" (coordinate
-    or array; passed to ``preprocess``, so a general header is symmetrized).
+    pairs, in either orientation, are summed; a "# <n> nodes" comment before
+    the first edge sets n, else n is the largest index) and "matrix-market"
+    (coordinate or array; passed to ``preprocess``, so a general header is
+    symmetrized).
     Every source rejects non-finite entries, and finite entries whose sums
     (repeated pairs, norms, trace) overflow.
     """
@@ -233,7 +254,8 @@ def load_instance(path: str, format: str = "edge-list") -> ProblemInstance:
 
 
 def write_edge_list(instance: ProblemInstance, path: str) -> None:
-    """Write the strict upper triangle as 1-based "i j w" lines.
+    """Write a "# <n> nodes" header and the strict upper triangle as 1-based
+    "i j w" lines.
 
     The trace offset has no edge-list representation and is dropped.
     """

@@ -8,7 +8,7 @@ disagree when one of them is wrong.
 import numpy as np
 import scipy.linalg
 
-from bmcut import escape, manifold
+from bmcut import certify, escape, manifold
 
 
 def f_dense(instance, sigma: np.ndarray) -> float:
@@ -169,6 +169,29 @@ def lanczos_reference(instance, point, cache, max_iters, rng, reorth=True):
         exhausted=exhausted,
         iterations=k,
     )
+
+
+def round_cut_reference(instance, point, trials, rng):
+    """Per-trial hyperplane rounding: one draw of r, one normalisation and
+    one cut_value matvec per trial, keeping the first strictly best.  Given
+    the same generator it draws the same random numbers as round_cut.
+    """
+    sigma = point.sigma
+    best_signs = None
+    best_value = -np.inf
+    for _ in range(trials):
+        z = rng.standard_normal(sigma.shape[1])
+        nz = np.linalg.norm(z)
+        if nz == 0.0:
+            z[0] = 1.0
+        else:
+            z /= nz
+        x = np.where(sigma @ z >= 0.0, 1.0, -1.0)
+        v = certify.cut_value(instance, x)
+        if v > best_value:
+            best_value = v
+            best_signs = x
+    return certify.Cut(signs=best_signs, value=best_value)
 
 
 def align_procrustes(p: np.ndarray, q: np.ndarray):

@@ -1,8 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bmcut
 from bmcut import (FactorPoint, NumericalError, ValidationError, bcm, certify,
@@ -156,6 +159,129 @@ class TestRounding:
         point = FactorPoint(np.tile([1.0, 0.0], (2, 1)))
         cut = certify.round_cut(inst, point, 5, np.random.default_rng(0))
         assert cut.total_value(inst) == cut.value + 2.0
+
+
+class DrawQueue:
+    """Stands in for a Generator: hands out fixed normals in draw order,
+    whatever shape each call asks for."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.pos = 0
+
+    def standard_normal(self, size):
+        count = int(np.prod(size))
+        out = self.values[self.pos:self.pos + count].reshape(size).copy()
+        self.pos += count
+        return out
+
+
+def assert_same_cut(a, b):
+    assert np.array_equal(a.signs, b.signs)
+    assert a.value == b.value
+
+
+class TestRoundingMatchesReference:
+    """round_cut scores chunks of trials at once; the per-trial loop in
+    oracles.round_cut_reference is what it must reproduce exactly."""
+
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    @pytest.mark.parametrize("trials", [1, 31, 32, 33, 1000])
+    def test_signs_value_and_stream(self, trials, r):
+        inst = bmcut.gen_gaussian(30, seed=7 + r)
+        point = manifold.random_point(30, r, np.random.default_rng(r),
+                                      allow_r1=True)
+        fast_rng, ref_rng = (np.random.default_rng(11) for _ in range(2))
+        fast = certify.round_cut(inst, point, trials, fast_rng)
+        ref = oracles.round_cut_reference(inst, point, trials, ref_rng)
+        assert_same_cut(fast, ref)
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_two_nodes(self, edge2):
+        point = manifold.random_point(2, 3, np.random.default_rng(4))
+        fast = certify.round_cut(edge2, point, 33, np.random.default_rng(2))
+        ref = oracles.round_cut_reference(edge2, point, 33,
+                                          np.random.default_rng(2))
+        assert_same_cut(fast, ref)
+
+    def test_identical_rows(self):
+        inst = bmcut.gen_erdos_renyi(16, 30, sign=-1, seed=3)
+        sigma = manifold.random_point(16, 4, np.random.default_rng(5)).sigma
+        sigma[8:] = sigma[0]
+        point = FactorPoint(sigma)
+        for trials in (32, 100):
+            fast = certify.round_cut(inst, point, trials,
+                                     np.random.default_rng(6))
+            ref = oracles.round_cut_reference(inst, point, trials,
+                                              np.random.default_rng(6))
+            assert_same_cut(fast, ref)
+            assert len(set(fast.signs[8:])) == 1
+
+    def test_zero_direction_uses_first_axis(self):
+        # only the first draw, a zero row, separates the two nodes, and only
+        # through the z[0] = 1 branch: 0/0 would give NaN and equal signs
+        inst = bmcut.preprocess([[0.0, -1.0], [-1.0, 0.0]])
+        point = FactorPoint(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
+        draws = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+        fast_rng, ref_rng = DrawQueue(draws), DrawQueue(draws)
+        fast = certify.round_cut(inst, point, 3, fast_rng)
+        ref = oracles.round_cut_reference(inst, point, 3, ref_rng)
+        assert_same_cut(fast, ref)
+        assert np.array_equal(fast.signs, [1.0, -1.0])
+        assert fast.value == 2.0
+        assert fast_rng.pos == ref_rng.pos == len(draws)
+
+    def test_working_memory_bounded_by_chunk(self):
+        # a chunk holds about 2 n k doubles for k = 32 trials: 0.5 MB here,
+        # under the ~0.7 MB that rounding adds at most to a solve of this size
+        # today.  Chunks of r = 45 trials, or all 1000 at once, do not fit.
+        inst = bmcut.gen_erdos_renyi(1000, 3000, -1, 0)
+        point = manifold.random_point(1000, 45, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            certify.round_cut(inst, point, 1000, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * inst.n * 32 * 8
+
+
+@st.composite
+def split_graphs(draw):
+    """Signed graphs on at most 12 nodes: two or three components that each
+    hold a path plus random chords, and at least one isolated node, under a
+    random relabelling."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3)
+                 .filter(lambda s: sum(s) <= 11))
+    isolated = draw(st.integers(1, 12 - sum(sizes)))
+    n = sum(sizes) + isolated
+    label = draw(st.permutations(range(n)))
+    a = np.zeros((n, n))
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            for j in range(i + 1, start + size):
+                if j == i + 1 or draw(st.booleans()):
+                    w = draw(st.sampled_from([-1.0, 1.0]))
+                    a[label[i], label[j]] = a[label[j], label[i]] = w
+        start += size
+    return bmcut.preprocess(a)
+
+
+class TestRoundingSandwich:
+    @settings(max_examples=40, deadline=None)
+    @given(inst=split_graphs(), seed=st.integers(0, 2**16))
+    def test_cut_le_brute_le_bound(self, inst, seed):
+        cfg = bcm.SolverConfig(rule="greedy", max_epochs=200, seed=seed)
+        point, _ = bcm.run(inst, cfg, r=3)
+        cert = certify.dual_upper_bound(inst, point,
+                                        bcm.init_cache(inst, point))
+        brute = certify.brute_force_best_cut(inst)
+        cut = certify.round_cut(inst, point, 64, np.random.default_rng(seed))
+        assert cut.value <= brute.value
+        assert brute.value <= cert.upper_bound + 1e-9 * inst.n
+        assert certify.cut_value(inst, cut.signs) == cut.value
 
 
 class TestBruteForce:

@@ -291,11 +291,23 @@ class TestLoad:
             bmcut.load_instance("whatever", "hdf5")
 
     def test_edge_list_roundtrip(self, tmp_path):
-        inst = bmcut.gen_erdos_renyi(12, 20, sign=-1, seed=4)
-        p = tmp_path / "round.txt"
-        bmcut.write_edge_list(inst, str(p))
-        back = bmcut.load_instance(str(p), "edge-list")
-        assert back.checksum() == inst.checksum()
+        # the second instance's last node is isolated: only the header's node
+        # count keeps it
+        tail = np.zeros((5, 5))
+        tail[0, 1] = tail[1, 0] = tail[1, 3] = tail[3, 1] = -1.0
+        for inst in (bmcut.gen_erdos_renyi(12, 20, sign=-1, seed=4),
+                     bmcut.preprocess(tail)):
+            p = tmp_path / "round.txt"
+            bmcut.write_edge_list(inst, str(p))
+            back = bmcut.load_instance(str(p), "edge-list")
+            assert back.n == inst.n
+            assert back.checksum() == inst.checksum()
+
+    def test_edge_list_index_above_header_rejected(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("# 3 nodes, 2 edges\n1 2 1.0\n2 4 1.0\n")
+        with pytest.raises(ParseError, match=r"bad\.txt:3"):
+            bmcut.load_instance(str(p), "edge-list")
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6),
