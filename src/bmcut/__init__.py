@@ -15,11 +15,9 @@ from .errors import (DimensionError, NumericalError, ParseError,
                      TrivialInstanceError, ValidationError)
 from .escape import (EscapeConfig, LanczosResult, TridiagonalForm,
                      escape_ascent_floor, escape_threshold, lanczos_budget,
-                     lanczos_leading, run_bcm2, second_order_step,
-                     shifted_hess_apply)
-from .manifold import (FactorPoint, TangentVector, exp_map, geodesic_distance,
-                       grad_metric_sq, hess_apply, hess_quadratic, load_point,
-                       project_tangent, random_point, random_tangent,
+                     lanczos_leading, run_bcm2, second_order_step)
+from .manifold import (FactorPoint, TangentVector, exp_map, grad_metric_sq,
+                       hess_quadratic, load_point, random_point,
                        riemannian_gradient, save_point)
 from .problem import (ProblemInstance, gen_erdos_renyi, gen_gaussian,
                       load_instance, preprocess, write_edge_list,

@@ -20,6 +20,7 @@ from .manifold import FactorPoint, grad_metric_sq, random_point
 from .problem import ProblemInstance
 
 RULES = ("cyclic", "uniform", "importance", "greedy")
+REFRESH_PERIOD = 100   # coordinate epochs between full cache recomputations
 
 
 @dataclass
@@ -117,7 +118,6 @@ class SolverConfig:
     max_epochs: int = 10_000
     grad_tol: float | None = None   # None: 1e-12 * n * |A|_1^2
     seed: int = 0
-    refresh_period: int = 100       # epochs between full cache recomputations
 
     def __post_init__(self):
         if self.rule not in RULES:
@@ -126,8 +126,6 @@ class SolverConfig:
             raise ValidationError("max_epochs must be >= 1")
         if self.grad_tol is not None and self.grad_tol < 0:
             raise ValidationError("grad_tol must be >= 0")
-        if self.refresh_period < 1:
-            raise ValidationError("refresh_period must be >= 1")
 
 
 def default_grad_tol(instance: ProblemInstance) -> float:
@@ -243,7 +241,7 @@ def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
 
     An epoch is n coordinate steps or one escape step.  The epoch-0 record
     comes first; the cache is refreshed before coordinate epoch e whenever
-    e % refresh_period == 0.  No coordinate step is taken past the epoch
+    e % REFRESH_PERIOD == 0.  No coordinate step is taken past the epoch
     caps; with a policy, the escape threshold is checked before every step;
     tol is checked after every sweep.  Mutates point, cache and trace;
     returns (status, coordinate steps, escape steps).
@@ -280,7 +278,7 @@ def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
             if (policy is not None
                     and grad_metric_sq(point, cache) <= policy.threshold):
                 break
-            if steps % n == 0 and (steps // n + 1) % config.refresh_period == 0:
+            if steps % n == 0 and (steps // n + 1) % REFRESH_PERIOD == 0:
                 refresh_cache(instance, point, cache)
             i = select_coordinate(config.rule, cache, rng, step=steps)
             if bcm_step(instance, point, cache, i) > 0.0:
@@ -309,7 +307,7 @@ def run(instance: ProblemInstance, config: SolverConfig,
     trace = SolveTrace(header={
         "method": "bcm", "n": instance.n, "r": point.r, "rule": config.rule,
         "max_epochs": config.max_epochs, "grad_tol": tol, "seed": config.seed,
-        "refresh_period": config.refresh_period,
+        "refresh_period": REFRESH_PERIOD,
         "instance_checksum": instance.checksum(),
         "trace_offset": instance.trace_offset,
     })

@@ -70,8 +70,12 @@ def _add_instance_args(p: argparse.ArgumentParser):
     p.add_argument("--mtx", help="Matrix Market file")
 
 
-def _default_r(n: int) -> int:
-    return max(2, math.ceil(math.sqrt(2 * n)))
+def _rank(args, instance: problem.ProblemInstance) -> int:
+    """--r, by default ceil(sqrt(2n)); the solvers need r >= 2."""
+    r = args.r if args.r is not None else max(2, math.ceil(math.sqrt(2 * instance.n)))
+    if r < 2:
+        raise ValidationError("r must be >= 2")
+    return r
 
 
 def _write_trace(trace: bcm.SolveTrace, path: str, include_timing: bool):
@@ -83,19 +87,13 @@ def _write_trace(trace: bcm.SolveTrace, path: str, include_timing: bool):
 
 def cmd_solve(args) -> int:
     instance = _load_from_args(args)
-    r = args.r if args.r is not None else _default_r(instance.n)
-    if r < 2 and not args.allow_r1:
-        raise ValidationError("r must be >= 2 (use --allow-r1 for diagnostics)")
+    r = _rank(args, instance)
     solver = bcm.SolverConfig(rule=args.rule, max_epochs=args.max_epochs,
-                              grad_tol=args.grad_tol, seed=args.seed,
-                              refresh_period=args.refresh_period)
+                              grad_tol=args.grad_tol, seed=args.seed)
     t0 = time.perf_counter()
     if args.method == "bcm":
         point, trace = bcm.run(instance, solver, r=r)
     else:
-        if args.auto_epsilon and args.epsilon is not None:
-            raise ValidationError("--epsilon and --auto-epsilon are "
-                                  "mutually exclusive")
         esc = escape.EscapeConfig(epsilon=args.epsilon, delta=args.delta,
                                   lanczos_reorth=not args.no_reorth,
                                   seed=args.seed, retries=args.escape_retries)
@@ -131,7 +129,7 @@ def cmd_bench(args) -> int:
         if rule not in bcm.RULES:
             raise ValidationError(f"unknown rule {rule!r}; pick from {bcm.RULES}")
     instance = _load_from_args(args)
-    r = args.r if args.r is not None else _default_r(instance.n)
+    r = _rank(args, instance)
     rng = np.random.default_rng(args.seed)
     shared = manifold.random_point(instance.n, r, rng)
     init_checksum = hashlib.sha256(shared.sigma.tobytes()).hexdigest()
@@ -139,7 +137,7 @@ def cmd_bench(args) -> int:
     traces = {}
     for rule in rules:
         cfg = bcm.SolverConfig(rule=rule, max_epochs=args.epochs, grad_tol=0.0,
-                               seed=args.seed, refresh_period=args.refresh_period)
+                               seed=args.seed)
         _, trace = bcm.run(instance, cfg, initial=shared)
         traces[rule] = trace
 
@@ -219,17 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--max-epochs", type=int, default=10_000)
     sp.add_argument("--grad-tol", type=float, default=None)
-    sp.add_argument("--refresh-period", type=int, default=100)
     sp.add_argument("--epsilon", type=float, default=None,
                     help="accuracy target for bcm2; default auto from the "
                          "dual bound")
-    sp.add_argument("--auto-epsilon", action="store_true",
-                    help="derive epsilon from the dual bound at the start "
-                         "(mutually exclusive with --epsilon)")
     sp.add_argument("--delta", type=float, default=0.01)
     sp.add_argument("--escape-retries", type=int, default=0)
     sp.add_argument("--no-reorth", action="store_true")
-    sp.add_argument("--allow-r1", action="store_true")
     sp.add_argument("--trace", help="trace output (.jsonl or .csv)")
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock in traces (breaks byte-level "
@@ -243,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--r", type=int, default=None)
     bp.add_argument("--seed", type=int, default=0)
     bp.add_argument("--epochs", type=int, default=100)
-    bp.add_argument("--refresh-period", type=int, default=100)
     bp.add_argument("--out", help="wide CSV output path (default stdout)")
     bp.set_defaults(func=cmd_bench)
 

@@ -17,9 +17,9 @@ import numpy as np
 import scipy.linalg
 
 # bcm_step, select_coordinate, grad_metric_sq: unused, kept for perfbench spans
-from .bcm import (EscapePolicy, GradientCache, SolverConfig, SolveTrace,
-                  TraceRecord, bcm_step, drive, init_cache, refresh_cache,
-                  select_coordinate, start_point)
+from .bcm import (REFRESH_PERIOD, EscapePolicy, GradientCache, SolverConfig,
+                  SolveTrace, TraceRecord, bcm_step, drive, init_cache,
+                  refresh_cache, select_coordinate, start_point)
 from .certify import dual_upper_bound
 from .errors import TrivialInstanceError, ValidationError
 from .manifold import (FactorPoint, TangentVector, _hess_apply_rows,
@@ -87,14 +87,8 @@ def escape_ascent_floor(instance: ProblemInstance, epsilon: float) -> float:
     return epsilon**3 / (ASCENT_DENOM * instance.one_norm**2)
 
 
-def shifted_hess_apply(instance: ProblemInstance, point: FactorPoint,
-                       u: TangentVector, cache: GradientCache) -> TangentVector:
-    """H[u] = Hess[u] + 4 |A|_1 u; positive semidefinite on the tangent space."""
-    rows = _shifted_apply_rows(instance, point.sigma, cache.inner, u.u)
-    return TangentVector(rows, point)
-
-
 def _shifted_apply_rows(instance, sigma, inner, u):
+    """H[u] = Hess[u] + 4 |A|_1 u; positive semidefinite on the tangent space."""
     return (_hess_apply_rows(instance, sigma, inner, u)
             + (HESS_SHIFT_FACTOR * instance.one_norm) * u)
 
@@ -274,6 +268,8 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
     """
     point, rng = start_point(instance, solver.seed, initial, r)
     n, rr = instance.n, point.r
+    if rr < 2:
+        raise ValidationError(f"bcm2 needs r >= 2, got r = {rr}")
 
     if instance.one_norm == 0.0:
         trace = SolveTrace(header={
@@ -301,7 +297,7 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
         "step_length": t_step, "retries": esc.retries,
         "lanczos_reorth": esc.lanczos_reorth, "seed": solver.seed,
         "escape_seed": esc.seed, "max_epochs": solver.max_epochs,
-        "refresh_period": solver.refresh_period,
+        "refresh_period": REFRESH_PERIOD,
         "instance_checksum": instance.checksum(),
         "trace_offset": instance.trace_offset,
     })

@@ -48,10 +48,6 @@ class FactorPoint:
     def copy(self) -> "FactorPoint":
         return FactorPoint(self.sigma.copy(), allow_r1=self.allow_r1)
 
-    def renormalize(self) -> None:
-        """Rescale rows back to unit norm after long mutating runs."""
-        self.sigma /= np.linalg.norm(self.sigma, axis=1, keepdims=True)
-
 
 @dataclass
 class TangentVector:
@@ -81,6 +77,7 @@ def _check_tangency(sigma: np.ndarray, u: np.ndarray, tol: float = TANGENT_TOL):
 
 
 def _project_rows(sigma: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rowwise orthogonal projection: w_i - <sigma_i, w_i> sigma_i."""
     return w - np.einsum("ij,ij->i", sigma, w)[:, None] * sigma
 
 
@@ -95,23 +92,6 @@ def random_point(n: int, r: int, rng: np.random.Generator,
         x[bad, 0] = 1.0
         norms[bad] = 1.0
     return FactorPoint(x / norms, allow_r1=allow_r1)
-
-
-def random_tangent(point: FactorPoint, rng: np.random.Generator) -> TangentVector:
-    """Unit-Frobenius tangent from a projected Gaussian draw."""
-    w = _project_rows(point.sigma, rng.standard_normal(point.sigma.shape))
-    nrm = np.linalg.norm(w)
-    if nrm == 0.0:
-        raise ValidationError("tangent space is trivial (r = 1?)")
-    return TangentVector(w / nrm, point)
-
-
-def project_tangent(point: FactorPoint, w) -> TangentVector:
-    """Rowwise orthogonal projection: w_i - <sigma_i, w_i> sigma_i."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != point.sigma.shape:
-        raise DimensionError(f"shape {w.shape} != point shape {point.sigma.shape}")
-    return TangentVector(_project_rows(point.sigma, w), point)
 
 
 def exp_map(point: FactorPoint, u: TangentVector, t: float) -> FactorPoint:
@@ -131,21 +111,6 @@ def exp_map(point: FactorPoint, u: TangentVector, t: float) -> FactorPoint:
         theta = nr * t
         out[moving] = sigma[moving] * np.cos(theta) + (u.u[moving] / nr) * np.sin(theta)
     return FactorPoint(out, allow_r1=point.allow_r1)
-
-
-def geodesic_distance(p: FactorPoint, q: FactorPoint) -> float:
-    """sqrt of the sum of squared great-circle angles between matching rows.
-
-    The angle arccos<p_i, q_i> is evaluated as 2 atan2(|p_i - q_i|, |p_i + q_i|),
-    which stays exact at coincident and antipodal rows where arccos of a
-    rounded dot product loses half the digits.
-    """
-    if p.sigma.shape != q.sigma.shape:
-        raise DimensionError("points have different shapes")
-    diff = np.linalg.norm(p.sigma - q.sigma, axis=1)
-    summ = np.linalg.norm(p.sigma + q.sigma, axis=1)
-    angles = 2.0 * np.arctan2(diff, summ)
-    return float(np.sqrt(np.sum(angles**2)))
 
 
 def riemannian_gradient(point: FactorPoint, cache) -> TangentVector:
@@ -174,15 +139,10 @@ def hess_quadratic(instance, point: FactorPoint, u: TangentVector, cache) -> flo
     return float(2.0 * quad)
 
 
-def hess_apply(instance, point: FactorPoint, u: TangentVector, cache) -> TangentVector:
-    """Curvature operator: tangent projection of 2 (A U - Lambda U)."""
-    _check_tangency(point.sigma, u.u)
-    out = _hess_apply_rows(instance, point.sigma, cache.inner, u.u)
-    return TangentVector(out, point)
-
-
 def _hess_apply_rows(instance, sigma: np.ndarray, inner: np.ndarray,
                      u: np.ndarray) -> np.ndarray:
+    """Curvature operator on the tangent array u: the tangent projection of
+    2 (A U - Lambda U), with Lambda = diag(inner)."""
     raw = 2.0 * (instance.matmat(u) - inner[:, None] * u)
     return _project_rows(sigma, raw)
 
@@ -209,6 +169,8 @@ def load_point(path: str, fmt: str = "binary", allow_r1: bool = False) -> Factor
             n = int(np.frombuffer(head[:8], dtype="<i8")[0])
             r = int(np.frombuffer(head[8:], dtype="<i8")[0])
             body = fh.read()
+        if n < 0 or r < 0:
+            raise ValidationError(f"{path}: negative size n={n}, r={r}")
         if len(body) != 8 * n * r:
             raise ValidationError(f"{path}: expected {8 * n * r} payload bytes")
         sigma = np.frombuffer(body, dtype="<f8").reshape(n, r).copy()

@@ -179,7 +179,8 @@ _NODES_HEADER = re.compile(r"#\s*(\d+) nodes\b")
 
 def _load_edge_list(path: str) -> ProblemInstance:
     # a line "i j w" adds w to the symmetric entry {i, j}; a "# <n> nodes"
-    # comment before the first edge fixes n, so trailing isolated nodes survive
+    # comment before the first edge fixes n, so trailing isolated nodes and
+    # edgeless graphs survive
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
@@ -215,9 +216,9 @@ def _load_edge_list(path: str) -> ProblemInstance:
             rows.append(i - 1)
             cols.append(j - 1)
             vals.append(w)
-    if not rows:
-        raise ParseError(f"{path}: no edges found")
     if n is None:
+        if not rows:
+            raise ParseError(f"{path}: no edges found and no '# <n> nodes' header")
         n = max(max(rows), max(cols)) + 1
     return _from_edges(n, rows, cols, vals)
 

@@ -31,6 +31,29 @@ def grad_dense(instance, sigma: np.ndarray) -> np.ndarray:
     return 2.0 * (g - lam[:, None] * sigma)
 
 
+def random_tangent(point, rng: np.random.Generator):
+    """Unit-Frobenius tangent from a projected Gaussian draw."""
+    w = manifold._project_rows(point.sigma,
+                               rng.standard_normal(point.sigma.shape))
+    nrm = np.linalg.norm(w)
+    assert nrm > 0.0, "tangent space is trivial (r = 1?)"
+    return manifold.TangentVector(w / nrm, point)
+
+
+def geodesic_distance(p, q) -> float:
+    """sqrt of the sum of squared great-circle angles between matching rows.
+
+    The angle arccos<p_i, q_i> is evaluated as 2 atan2(|p_i - q_i|, |p_i + q_i|),
+    which stays exact at coincident and antipodal rows where arccos of a
+    rounded dot product loses half the digits.
+    """
+    assert p.sigma.shape == q.sigma.shape
+    diff = np.linalg.norm(p.sigma - q.sigma, axis=1)
+    summ = np.linalg.norm(p.sigma + q.sigma, axis=1)
+    angles = 2.0 * np.arctan2(diff, summ)
+    return float(np.sqrt(np.sum(angles**2)))
+
+
 def tangent_basis(sigma: np.ndarray) -> list[np.ndarray]:
     """Orthonormal basis of the tangent space: one-hot rows times an
     orthonormal completion of each sigma_i."""

@@ -250,9 +250,7 @@ class TestRun:
             print(f"\n  {rule}: mean ascent {gain:.3e}, "
                   f"mean rate-bound term {ref:.3e}")
 
-    def test_refresh_period_validates(self):
-        with pytest.raises(ValidationError):
-            bcm.SolverConfig(refresh_period=0)
+    def test_config_validates(self):
         with pytest.raises(ValidationError):
             bcm.SolverConfig(max_epochs=0)
         with pytest.raises(ValidationError):

@@ -89,16 +89,25 @@ class TestSolve:
         assert run_cli(["solve", "--gen", "wat:n=5"]) == 2
 
     def test_auto_epsilon_flag(self, capsys):
+        # without --epsilon, bcm2 derives it from the dual bound at the start
         code = run_cli(["solve", "--gen", "er:n=12,edges=30,sign=-1,seed=6",
-                        "--method", "bcm2", "--auto-epsilon",
-                        "--max-epochs", "100000"])
+                        "--method", "bcm2", "--max-epochs", "100000"])
         assert code == 0
         assert "status=concave" in capsys.readouterr().out
 
-    def test_epsilon_flags_mutually_exclusive(self):
-        assert run_cli(["solve", "--gen", "gaussian:n=10,seed=0",
-                        "--method", "bcm2", "--auto-epsilon",
-                        "--epsilon", "0.1"]) == 2
+    @pytest.mark.parametrize("method", ["bcm", "bcm2"])
+    def test_rank_one_rejected(self, method, capsys):
+        assert run_cli(["solve", "--gen", "gaussian:n=6,seed=0",
+                        "--method", method, "--r", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "r must be >= 2" in err
+        assert "allow-r1" not in err   # the message names no removed flag
+
+    def test_removed_flags_rejected(self):
+        for flag in ("--auto-epsilon", "--allow-r1", "--refresh-period=100"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["solve", "--gen", "gaussian:n=6,seed=0", flag])
+            assert exc.value.code == 2
 
     def test_zero_instance_graceful(self, tmp_path):
         mm = tmp_path / "z.mtx"
@@ -169,6 +178,11 @@ class TestBench:
                         "--rules", ""]) == 2
         assert run_cli(["bench", "--gen", "gaussian:n=10,seed=0"]) == 2
 
+    @pytest.mark.parametrize("r", ["1", "0", "-1"])
+    def test_rank_below_two_rejected(self, r):
+        assert run_cli(["bench", "--gen", "gaussian:n=6,seed=0",
+                        "--rules", "cyclic", "--r", r]) == 2
+
     def test_unknown_rule_rejected(self):
         assert run_cli(["bench", "--gen", "gaussian:n=10,seed=0",
                         "--rules", "cyclic,warp"]) == 2
@@ -209,6 +223,15 @@ class TestCertify:
         pt = tmp_path / "p.bin"
         bmcut.save_point(bmcut.random_point(5, 3, np.random.default_rng(0)),
                          str(pt))
+        assert run_cli(["certify", "--edge-list", str(tri),
+                        "--point", str(pt)]) == 2
+
+    def test_negative_point_sizes_rejected(self, tmp_path):
+        tri = tmp_path / "tri.txt"
+        tri.write_text("1 2 -1\n1 3 -1\n2 3 -1\n")
+        pt = tmp_path / "p.bin"
+        pt.write_bytes(np.array([-1, -8], dtype="<i8").tobytes()
+                       + np.zeros(8, dtype="<f8").tobytes())
         assert run_cli(["certify", "--edge-list", str(tri),
                         "--point", str(pt)]) == 2
 

@@ -55,9 +55,9 @@ class TestShiftedApply:
     def test_definition_identity(self):
         inst, point, cache, rng = rand_setup()
         for _ in range(20):
-            u = manifold.random_tangent(point, rng)
-            hu = escape.shifted_hess_apply(inst, point, u, cache)
-            quad = float(np.sum(u.u * hu.u))
+            u = oracles.random_tangent(point, rng)
+            hu = escape._shifted_apply_rows(inst, point.sigma, cache.inner, u.u)
+            quad = float(np.sum(u.u * hu))
             plain = manifold.hess_quadratic(inst, point, u, cache)
             expect = plain + 4.0 * inst.one_norm * np.sum(u.u * u.u)
             assert quad == pytest.approx(expect, abs=1e-10)
@@ -67,9 +67,10 @@ class TestShiftedApply:
             inst, point, cache, rng = rand_setup(n=8, r=3, seed=seed,
                                                  inst_seed=seed + 20)
             for _ in range(10):
-                u = manifold.random_tangent(point, rng)
-                hu = escape.shifted_hess_apply(inst, point, u, cache)
-                assert float(np.sum(u.u * hu.u)) >= -1e-10
+                u = oracles.random_tangent(point, rng)
+                hu = escape._shifted_apply_rows(inst, point.sigma,
+                                                cache.inner, u.u)
+                assert float(np.sum(u.u * hu)) >= -1e-10
 
     def test_psd_matches_dense_spectrum(self):
         inst, point, _, _ = rand_setup(n=7, r=3, seed=4, inst_seed=6)
@@ -81,9 +82,9 @@ class TestShiftedApply:
         inst = bmcut.preprocess(np.zeros((5, 5)))
         point = manifold.random_point(5, 3, np.random.default_rng(0))
         cache = bcm.init_cache(inst, point)
-        u = manifold.random_tangent(point, np.random.default_rng(1))
-        out = escape.shifted_hess_apply(inst, point, u, cache)
-        assert np.array_equal(out.u, np.zeros((5, 3)))
+        u = oracles.random_tangent(point, np.random.default_rng(1))
+        out = escape._shifted_apply_rows(inst, point.sigma, cache.inner, u.u)
+        assert np.array_equal(out, np.zeros((5, 3)))
 
 
 class TestBudget:
@@ -242,7 +243,7 @@ class TestSecondOrderStep:
     def test_sign_flip_when_against_gradient(self):
         inst, point, cache, rng = rand_setup(n=8, r=3, seed=5, inst_seed=7)
         grad = manifold.riemannian_gradient(point, cache)
-        u = manifold.random_tangent(point, rng)
+        u = oracles.random_tangent(point, rng)
         if float(np.sum(u.u * grad.u)) > 0:
             u = TangentVector(-u.u, point)
         # moving along the corrected direction cannot lose the first-order term
@@ -266,19 +267,30 @@ class TestSecondOrderStep:
 
     def test_non_unit_direction_rejected(self):
         inst, point, cache, rng = rand_setup()
-        u = manifold.random_tangent(point, rng)
+        u = oracles.random_tangent(point, rng)
         bad = TangentVector(0.5 * u.u, point)
         with pytest.raises(ValidationError):
             escape.second_order_step(inst, point, cache, bad, 0.1)
 
     def test_epsilon_zero_rejected(self):
         inst, point, cache, rng = rand_setup()
-        u = manifold.random_tangent(point, rng)
+        u = oracles.random_tangent(point, rng)
         with pytest.raises(ValidationError):
             escape.second_order_step(inst, point, cache, u, 0.0)
 
 
 class TestRunBcm2:
+    @pytest.mark.parametrize("epsilon", [None, 0.1])
+    def test_rank_one_rejected(self, epsilon):
+        # epsilon=None used to reach auto_epsilon's 1/(r - 1)
+        inst = bmcut.gen_gaussian(6, seed=0)
+        start = manifold.random_point(6, 1, np.random.default_rng(0),
+                                      allow_r1=True)
+        cfg = bcm.SolverConfig(rule="greedy", seed=0)
+        esc = escape.EscapeConfig(epsilon=epsilon, seed=0)
+        with pytest.raises(ValidationError, match="r >= 2"):
+            escape.run_bcm2(inst, cfg, esc, initial=start)
+
     def test_zero_instance_immediate(self):
         inst = bmcut.preprocess(np.zeros((5, 5)))
         cfg = bcm.SolverConfig(rule="greedy", max_epochs=100, seed=0)

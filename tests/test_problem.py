@@ -303,6 +303,21 @@ class TestLoad:
             assert back.n == inst.n
             assert back.checksum() == inst.checksum()
 
+    def test_edge_list_no_edges_roundtrip(self, tmp_path):
+        # the "# <n> nodes" header alone gives n; the instance is all zeros
+        inst = bmcut.preprocess(np.zeros((3, 3)))
+        p = tmp_path / "empty.txt"
+        bmcut.write_edge_list(inst, str(p))
+        back = bmcut.load_instance(str(p), "edge-list")
+        assert back.n == 3 and back.nnz == 0
+        assert back.checksum() == inst.checksum()
+
+    def test_edge_list_no_edges_without_header_rejected(self, tmp_path):
+        p = tmp_path / "empty.txt"
+        p.write_text("# a comment, but no node count\n\n")
+        with pytest.raises(ParseError, match="no edges"):
+            bmcut.load_instance(str(p), "edge-list")
+
     def test_edge_list_index_above_header_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_text("# 3 nodes, 2 edges\n1 2 1.0\n2 4 1.0\n")
