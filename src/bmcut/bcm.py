@@ -21,6 +21,7 @@ from .problem import ProblemInstance
 
 RULES = ("cyclic", "uniform", "importance", "greedy")
 REFRESH_PERIOD = 100   # coordinate epochs between full cache recomputations
+_ZERO = np.zeros(1)
 
 
 @dataclass
@@ -42,6 +43,8 @@ def init_cache(instance: ProblemInstance, point: FactorPoint) -> GradientCache:
             f"point has {point.n} rows, instance has {instance.n}"
         )
     g = instance.matmat(point.sigma)
+    # np.linalg.norm may differ in the last bit from bcm_step's
+    # sqrt(einsum); changing either formula changes the golden digests
     norms = np.linalg.norm(g, axis=1)
     inner = np.einsum("ij,ij->i", point.sigma, g)
     return GradientCache(g=g, norms=norms, inner=inner)
@@ -103,7 +106,18 @@ def bcm_step(instance: ProblemInstance, point: FactorPoint,
     sigma[i] = new
     cache.inner[i] = ni  # g_i is unchanged: A_ii = 0
     cols, vals = instance.row(i)
-    if cols.size:
+    if cols.size == instance.n - 1:
+        # full row: one rank-1 update of all of g with the gather path's
+        # bits; sorted cols put the zero coefficient at i, g_i is restored
+        # (g_i + 0*delta turns -0.0 into +0.0), and |g_i| keeps its stored
+        # value (see init_cache)
+        g, gi = cache.g, cache.g[i].copy()
+        g += np.concatenate((vals[:i], _ZERO, vals[i:]))[:, None] * delta
+        g[i] = gi
+        np.sqrt(np.einsum("ij,ij->i", g, g), out=cache.norms)
+        np.einsum("ij,ij->i", g, sigma, out=cache.inner)
+        cache.norms[i] = cache.inner[i] = ni
+    elif cols.size:
         gc = cache.g[cols]
         gc += vals[:, None] * delta[None, :]
         cache.g[cols] = gc

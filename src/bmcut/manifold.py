@@ -84,6 +84,8 @@ def _project_rows(sigma: np.ndarray, w: np.ndarray) -> np.ndarray:
 def random_point(n: int, r: int, rng: np.random.Generator,
                  allow_r1: bool = False) -> FactorPoint:
     """Rows drawn uniformly on the unit sphere via normalized Gaussians."""
+    if n < 0 or r < 1:
+        raise ValidationError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
     x = rng.standard_normal((n, r))
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     bad = norms[:, 0] < 1e-300

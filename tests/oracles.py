@@ -217,6 +217,31 @@ def round_cut_reference(instance, point, trials, rng):
     return certify.Cut(signs=best_signs, value=best_value)
 
 
+def bcm_step_reference(instance, point, cache, i: int) -> float:
+    """The coordinate step by gather and scatter alone: g, norms and inner of
+    every neighbour of row i are gathered, updated and written back, whether
+    or not row i touches every other row."""
+    ni = cache.norms[i]
+    if ni <= 0.0:
+        return 0.0
+    ascent = 2.0 * (ni - cache.inner[i])
+    if ascent <= 0.0:
+        return 0.0
+    sigma = point.sigma
+    new = cache.g[i] / ni
+    delta = new - sigma[i]
+    sigma[i] = new
+    cache.inner[i] = ni
+    cols, vals = instance.row(i)
+    if cols.size:
+        gc = cache.g[cols]
+        gc += vals[:, None] * delta[None, :]
+        cache.g[cols] = gc
+        cache.norms[cols] = np.sqrt(np.einsum("ij,ij->i", gc, gc))
+        cache.inner[cols] = np.einsum("ij,ij->i", gc, sigma[cols])
+    return float(ascent)
+
+
 def align_procrustes(p: np.ndarray, q: np.ndarray):
     """Orthogonal Q minimizing ||p - q Q||_F, plus the minimized residual:
     the distance between two factors up to the orthogonal symmetry of the

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +176,90 @@ class TestStep:
                 assert cache.norms.max() <= inst.one_norm + 1e-12
 
 
+def _partial_gaussian(n, seed):
+    """A Gaussian instance whose node 0 loses half of its edges: row 0 and
+    the rows it lost are partial, every other row is full."""
+    a = bmcut.gen_gaussian(n, seed).dense()
+    a[0, 1::2] = a[1::2, 0] = 0.0
+    return bmcut.preprocess(a)
+
+
+def _star_plus_edges(n, seed):
+    """Node 0 joined to every other node (a full row), plus random edges
+    among the rest (partial rows)."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n))
+    a[0, 1:] = rng.standard_normal(n - 1)
+    for _ in range(n):
+        j, k = rng.choice(np.arange(1, n), size=2, replace=False)
+        a[j, k] = rng.standard_normal()
+    return bmcut.preprocess(a + a.T)
+
+
+def _state_bytes(point, cache):
+    return [x.tobytes() for x in (point.sigma, cache.g, cache.norms,
+                                  cache.inner)]
+
+
+class TestFullRowStep:
+    """bcm_step updates all of g in place when row i touches every other row;
+    its iterates must equal the gather/scatter step's bit for bit."""
+
+    @pytest.mark.parametrize("rule", bcm.RULES)
+    @pytest.mark.parametrize("r", [3, 5, 45])
+    @pytest.mark.parametrize("make", [
+        lambda: _partial_gaussian(40, 1),
+        lambda: _star_plus_edges(30, 2),
+        lambda: bmcut.gen_gaussian(2, 3),
+    ], ids=["partial_gaussian", "star_plus_edges", "n2"])
+    def test_matches_gather_scatter(self, make, r, rule):
+        inst = make()
+        n = inst.n
+        full = [inst.row(i)[0].size == n - 1 for i in range(n)]
+        assert any(full) and (n == 2 or not all(full))
+        point = manifold.random_point(n, r, np.random.default_rng(r))
+        cache = bcm.init_cache(inst, point)
+        ref_point, ref_cache = point.copy(), copy.deepcopy(cache)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for step in range(4 * n):
+            i = bcm.select_coordinate(rule, cache, rng, step=step)
+            assert i == bcm.select_coordinate(rule, ref_cache, ref_rng,
+                                              step=step)
+            ascent = bcm.bcm_step(inst, point, cache, i)
+            assert ascent == oracles.bcm_step_reference(inst, ref_point,
+                                                        ref_cache, i)
+        assert _state_bytes(point, cache) == _state_bytes(ref_point,
+                                                          ref_cache)
+
+    def test_keeps_negative_zero_in_own_row(self, triangle):
+        # g_2 = (-2, -0.0) and sigma_2 = (0, -1): delta_2 = (-1, +1), so
+        # g_2 + 0*delta_2 would turn the -0.0 into +0.0
+        point = FactorPoint(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, -1.0]]))
+        cache = bcm.init_cache(triangle, point)
+        cache.g[2, 1] = -0.0
+        ref_point, ref_cache = point.copy(), copy.deepcopy(cache)
+        assert bcm.bcm_step(triangle, point, cache, 2) == 4.0
+        oracles.bcm_step_reference(triangle, ref_point, ref_cache, 2)
+        assert np.signbit(cache.g[2, 1])
+        assert _state_bytes(point, cache) == _state_bytes(ref_point,
+                                                          ref_cache)
+
+    def test_no_dense_copy_of_a(self):
+        # a dense n x n copy of A alone would take n^2 * 8 bytes
+        n = 400
+        inst = bmcut.gen_gaussian(n, 4)
+        point = manifold.random_point(n, 8, np.random.default_rng(0))
+        cache = bcm.init_cache(inst, point)
+        tracemalloc.start()
+        try:
+            for i in range(50):
+                assert bcm.bcm_step(inst, point, cache, i) > 0.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+
+
 class TestRun:
     def test_single_edge_one_epoch(self, edge2):
         # exactly representable start: the terminal metric is exactly zero
@@ -261,6 +347,12 @@ class TestRun:
         with pytest.raises(ValidationError):
             bcm.run(triangle, cfg)
 
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_bad_rank_rejected(self, r):
+        cfg = bcm.SolverConfig(max_epochs=2)
+        with pytest.raises(ValidationError, match="r >= 1"):
+            bcm.run(bmcut.gen_gaussian(6, seed=0), cfg, r=r)
+
     def test_deterministic_runs(self):
         inst = bmcut.gen_gaussian(18, seed=2)
         cfg = bcm.SolverConfig(rule="uniform", max_epochs=50, seed=33)
@@ -329,6 +421,15 @@ class TestGoldenTraces:
     # the escape directions, which test_bcm2 (no escape step) does not
     BCM2_ESCAPES = "325e82c5d8f644f5725e4d816d8e9b36c08762dafff8842e0651db42de31a4e3"
 
+    # every row of these is full: bcm_step's in-place path; computed on the
+    # gather/scatter step before that path existed
+    BCM_DENSE = {
+        (240, 0, 22, "cyclic"):
+            "436a3cb7915adb7c1afbf297c5d3d33410ec26e2ba1594dc58b093ca941a99ab",
+        (61, 2, 5, "greedy"):
+            "3658c58b8bed9739392ccbf1d8d5de7371dece9fbdb361ea7fc00987ea16b005",
+    }
+
     @pytest.mark.parametrize("rule", bcm.RULES)
     def test_bcm_rule(self, tmp_path, rule):
         # 250 epochs cross two cache refreshes
@@ -336,6 +437,14 @@ class TestGoldenTraces:
         cfg = bcm.SolverConfig(rule=rule, max_epochs=250, grad_tol=0.0, seed=5)
         point, trace = bcm.run(inst, cfg, r=8)
         assert trace_digest(tmp_path / "t.jsonl", point, trace) == self.BCM[rule]
+
+    @pytest.mark.parametrize("n, seed, r, rule", list(BCM_DENSE))
+    def test_bcm_dense(self, tmp_path, n, seed, r, rule):
+        inst = bmcut.gen_gaussian(n, seed)
+        cfg = bcm.SolverConfig(rule=rule, max_epochs=30, grad_tol=0.0, seed=0)
+        point, trace = bcm.run(inst, cfg, r=r)
+        assert (trace_digest(tmp_path / "t.jsonl", point, trace)
+                == self.BCM_DENSE[n, seed, r, rule])
 
     def test_bcm2(self, tmp_path):
         inst = bmcut.gen_gaussian(40, 1)

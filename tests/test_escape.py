@@ -291,6 +291,13 @@ class TestRunBcm2:
         with pytest.raises(ValidationError, match="r >= 2"):
             escape.run_bcm2(inst, cfg, esc, initial=start)
 
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_bad_rank_rejected(self, r):
+        cfg = bcm.SolverConfig(rule="greedy", seed=0)
+        esc = escape.EscapeConfig(epsilon=0.1, seed=0)
+        with pytest.raises(ValidationError, match="r >= 1"):
+            escape.run_bcm2(bmcut.gen_gaussian(6, seed=0), cfg, esc, r=r)
+
     def test_zero_instance_immediate(self):
         inst = bmcut.preprocess(np.zeros((5, 5)))
         cfg = bcm.SolverConfig(rule="greedy", max_epochs=100, seed=0)

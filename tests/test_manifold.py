@@ -32,6 +32,17 @@ class TestFactorPoint:
         pt = FactorPoint(sig, allow_r1=True)
         assert pt.r == 1
 
+    @pytest.mark.parametrize("n, r", [(-2, 3), (4, 0), (4, -1)])
+    def test_random_point_rejects_sizes(self, n, r):
+        with pytest.raises(ValidationError, match="n >= 0 and r >= 1"):
+            manifold.random_point(n, r, np.random.default_rng(0))
+
+    def test_random_point_rank_one_needs_flag(self):
+        with pytest.raises(ValidationError, match="allow_r1"):
+            manifold.random_point(4, 1, np.random.default_rng(0))
+        assert manifold.random_point(4, 1, np.random.default_rng(0),
+                                     allow_r1=True).r == 1
+
     def test_random_point_rows_unit(self):
         pt = manifold.random_point(50, 7, np.random.default_rng(4))
         assert np.allclose(np.linalg.norm(pt.sigma, axis=1), 1.0, atol=1e-12)
