@@ -62,9 +62,12 @@ def _shifted_lambda_max(instance: ProblemInstance, lam: np.ndarray) -> float:
         return float(scipy.linalg.eigvalsh(m)[-1])
     op = scipy.sparse.linalg.LinearOperator(
         (n, n), matvec=lambda v: instance.rows @ v - lam * v, dtype=np.float64)
+    # ARPACK's own start vector is unseeded; a fixed one from a local
+    # generator makes the bound a function of the iterate alone
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
         vals = scipy.sparse.linalg.eigsh(
-            op, k=1, which="LA", tol=1e-8, maxiter=200 * n,
+            op, k=1, which="LA", tol=1e-8, maxiter=200 * n, v0=v0,
             return_eigenvectors=False)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         # a partially converged Ritz value can sit below lambda_max, and a

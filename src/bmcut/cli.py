@@ -95,7 +95,6 @@ def cmd_solve(args) -> int:
         point, trace = bcm.run(instance, solver, r=r)
     else:
         esc = escape.EscapeConfig(epsilon=args.epsilon, delta=args.delta,
-                                  lanczos_reorth=not args.no_reorth,
                                   seed=args.seed, retries=args.escape_retries)
         point, trace = escape.run_bcm2(instance, solver, esc, r=r)
     wall = time.perf_counter() - t0
@@ -222,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "dual bound")
     sp.add_argument("--delta", type=float, default=0.01)
     sp.add_argument("--escape-retries", type=int, default=0)
-    sp.add_argument("--no-reorth", action="store_true")
     sp.add_argument("--trace", help="trace output (.jsonl or .csv)")
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock in traces (breaks byte-level "

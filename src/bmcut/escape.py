@@ -39,7 +39,6 @@ HESS_SHIFT_FACTOR = 4.0
 class EscapeConfig:
     epsilon: float | None = None   # None: pick from the dual bound at the start
     delta: float = 0.01            # failure probability budget for Lanczos
-    lanczos_reorth: bool = True
     seed: int = 0
     retries: int = 0               # extra random restarts before the concave verdict
 
@@ -55,7 +54,8 @@ class EscapeConfig:
 @dataclass
 class TridiagonalForm:
     alpha: np.ndarray         # diagonal
-    beta: np.ndarray          # off-diagonal, >= 0
+    beta: np.ndarray          # off-diagonal, > 0: the recurrence stops
+                              # at breakdown
     basis: np.ndarray         # (k, n, r) Lanczos vectors: a view of the first
                               # k rows of the preallocated (m, n r) basis
 
@@ -65,25 +65,28 @@ class LanczosResult:
     estimate: float           # unshifted leading curvature estimate
     direction: TangentVector  # unit Frobenius norm
     tri: TridiagonalForm
-    exhausted: bool           # tangent space ran out before max_iters
+    exhausted: bool           # stopped at breakdown before max_iters: the
+                              # Krylov space is invariant and the pair exact
     iterations: int
 
 
-def escape_threshold(instance: ProblemInstance, epsilon: float) -> float:
-    """Gradient-metric level below which the second-order branch engages."""
+def _check_epsilon(instance: ProblemInstance, epsilon: float) -> None:
+    """Every escape constant divides by epsilon or |A|_1."""
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be > 0, got {epsilon}")
     if instance.one_norm == 0.0:
         raise TrivialInstanceError("zero cost matrix: every point is optimal")
+
+
+def escape_threshold(instance: ProblemInstance, epsilon: float) -> float:
+    """Gradient-metric level below which the second-order branch engages."""
+    _check_epsilon(instance, epsilon)
     return epsilon**3 / (THRESHOLD_DENOM * instance.one_norm)
 
 
 def escape_ascent_floor(instance: ProblemInstance, epsilon: float) -> float:
     """Guaranteed objective gain of one accepted escape step."""
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be > 0, got {epsilon}")
-    if instance.one_norm == 0.0:
-        raise TrivialInstanceError("zero cost matrix: every point is optimal")
+    _check_epsilon(instance, epsilon)
     return epsilon**3 / (ASCENT_DENOM * instance.one_norm**2)
 
 
@@ -101,8 +104,7 @@ def lanczos_budget(instance: ProblemInstance, epsilon: float, delta: float,
     """
     if epsilon <= 0 or not 0.0 < delta < 1.0 or r < 2:
         raise ValidationError("need epsilon > 0, delta in (0,1), r >= 2")
-    if instance.one_norm == 0.0:
-        raise TrivialInstanceError("zero cost matrix: every point is optimal")
+    _check_epsilon(instance, epsilon)
     n = instance.n
     dim = n * (r - 1)
     calls = math.ceil(EPOCH_CAP_NUM * n * instance.one_norm**2 / epsilon**2)
@@ -113,31 +115,20 @@ def lanczos_budget(instance: ProblemInstance, epsilon: float, delta: float,
     return min(ell, dim)
 
 
-def _orthogonalize(vec: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Two classical Gram-Schmidt passes (CGS2) of the flat vector vec
-    against the orthonormal rows of basis, in place: each pass is
-    vec -= basis^T (basis vec), two BLAS matrix-vector products.  One pass
-    leaves rounding errors along the basis; the second removes them
-    ("twice is enough", Giraud et al. 2005).
-    """
-    for _ in range(2):
-        vec -= (basis @ vec) @ basis
-    return vec
-
-
 def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
                     cache: GradientCache, max_iters: int,
-                    rng: np.random.Generator,
-                    reorth: bool = True) -> LanczosResult:
+                    rng: np.random.Generator) -> LanczosResult:
     """Leading curvature eigenpair via the tridiagonal recurrence on H.
 
     Starts from a uniformly random unit tangent vector.  The Lanczos vectors
     are the flattened rows of one (m, n r) array allocated up front,
     m = min(max_iters, n (r-1)), so the basis costs m n r 8 bytes and is
-    never copied.  With reorth each new vector is reorthogonalised against
-    all stored ones by CGS2.  On breakdown (beta = 0) a fresh random
-    direction orthogonal to the stored basis is substituted; if none exists
-    the tangent space is exhausted and the recurrence is already exact.
+    never copied.  Each new vector is reorthogonalised against all stored
+    ones by two classical Gram-Schmidt passes (CGS2).  At breakdown
+    (beta <= 1e-12 max(1, |A|_1)) the recurrence stops and flags
+    `exhausted`: the Krylov space of the start is then invariant under H,
+    it holds the start's component in every eigenspace, and its top Ritz
+    pair is exact (almost surely, for a random start).
     Returns the unshifted estimate lambda_max(T) - 4 |A|_1 and the
     reconstructed unit direction.
     """
@@ -163,51 +154,36 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     exhausted = False
 
     for k in range(1, m):
-        res = _project_rows(sigma, res)
-        if reorth:
-            res = _orthogonalize(res.ravel(), basis[:k]).reshape(n, r)
-        beta = float(np.linalg.norm(res))
+        vec = _project_rows(sigma, res).ravel()
+        # CGS2: vec -= basis^T (basis vec), two BLAS matrix-vector products
+        # per pass.  One pass leaves rounding errors along the basis; the
+        # second removes them ("twice is enough", Giraud et al. 2005).
+        stored = basis[:k]
+        for _ in range(2):
+            vec -= (stored @ vec) @ stored
+        beta = float(np.linalg.norm(vec))
         if beta <= breakdown_tol:
-            # invariant subspace found: restart orthogonally to it
-            new = None
-            for _attempt in range(3):
-                cand = _project_rows(sigma, rng.standard_normal((n, r)))
-                cand = _orthogonalize(cand.ravel(), basis[:k]).reshape(n, r)
-                nrm = float(np.linalg.norm(cand))
-                if nrm > 1e-8:
-                    new = cand / nrm
-                    break
-            if new is None:
-                exhausted = True
-                break
-            betas.append(0.0)
-            unew = new
-        else:
-            betas.append(beta)
-            unew = res / beta
-        hu = _shifted_apply_rows(instance, sigma, cache.inner, unew)
-        alphas.append(float(np.sum(unew * hu)))
-        res = hu - alphas[-1] * unew - betas[-1] * basis[k - 1].reshape(n, r)
-        basis[k] = unew.ravel()
+            exhausted = True
+            break
+        betas.append(beta)
+        basis[k] = vec / beta
+        u = basis[k].reshape(n, r)
+        hu = _shifted_apply_rows(instance, sigma, cache.inner, u)
+        alphas.append(float(np.sum(u * hu)))
+        res = hu - alphas[-1] * u - beta * basis[k - 1].reshape(n, r)
 
+    k = len(alphas)
     alpha_arr = np.asarray(alphas)
     beta_arr = np.asarray(betas)
-    k = len(alphas)
-    if k == 1:
-        top = alpha_arr[0]
-        y = np.ones(1)
-    else:
-        vals, vecs = scipy.linalg.eigh_tridiagonal(
-            alpha_arr, beta_arr, select="i", select_range=(k - 1, k - 1))
-        top = float(vals[0])
-        y = vecs[:, 0]
-    direction = _project_rows(sigma, (y @ basis[:k]).reshape(n, r))
+    vals, vecs = scipy.linalg.eigh_tridiagonal(
+        alpha_arr, beta_arr, select="i", select_range=(k - 1, k - 1))
+    direction = _project_rows(sigma, (vecs[:, 0] @ basis[:k]).reshape(n, r))
     nrm = float(np.linalg.norm(direction))
     if nrm == 0.0:
         raise ValidationError("Lanczos produced a null direction")
     direction /= nrm
     return LanczosResult(
-        estimate=float(top - shift),
+        estimate=float(vals[0] - shift),
         direction=TangentVector(direction, point),
         tri=TridiagonalForm(alpha=alpha_arr, beta=beta_arr,
                             basis=basis[:k].reshape(k, n, r)),
@@ -223,10 +199,7 @@ def second_order_step(instance: ProblemInstance, point: FactorPoint,
     direction, followed by a full cache rebuild.  Mutates point and cache;
     returns the measured objective increase.
     """
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be > 0, got {epsilon}")
-    if instance.one_norm == 0.0:
-        raise TrivialInstanceError("zero cost matrix: every point is optimal")
+    _check_epsilon(instance, epsilon)
     nrm = direction.norm()
     if abs(nrm - 1.0) > 1e-8:
         raise ValidationError(f"direction must have unit Frobenius norm, got {nrm}")
@@ -295,7 +268,7 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
         "method": "bcm2", "n": n, "r": rr, "epsilon": eps, "delta": esc.delta,
         "threshold": threshold, "epoch_cap": cap, "lanczos_budget": budget,
         "step_length": t_step, "retries": esc.retries,
-        "lanczos_reorth": esc.lanczos_reorth, "seed": solver.seed,
+        "lanczos_reorth": True, "seed": solver.seed,
         "escape_seed": esc.seed, "max_epochs": solver.max_epochs,
         "refresh_period": REFRESH_PERIOD,
         "instance_checksum": instance.checksum(),
@@ -304,8 +277,7 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
 
     def escape_step():
         for _attempt in range(esc.retries + 1):
-            res = lanczos_leading(instance, point, cache, budget, rng_lan,
-                                  reorth=esc.lanczos_reorth)
+            res = lanczos_leading(instance, point, cache, budget, rng_lan)
             ray = hess_quadratic(instance, point, res.direction, cache)
             if ray >= eps / 2.0:
                 gain = second_order_step(instance, point, cache,

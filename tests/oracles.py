@@ -115,13 +115,14 @@ def exhaustive_best_cut(instance) -> float:
     return best
 
 
-def lanczos_reference(instance, point, cache, max_iters, rng, reorth=True):
+def lanczos_reference(instance, point, cache, max_iters, rng):
     """Per-vector Lanczos: the basis is a list of (n, r) arrays,
     reorthogonalised by two modified Gram-Schmidt sweeps of one inner
-    product per stored vector, and stacked at the end.  It shares the
-    package's curvature operator; the recurrence, the restarts, the
-    orthogonalisation and the reconstruction are its own.  Given the same
-    generator it draws the same random numbers as lanczos_leading.
+    product per stored vector, and stacked at the end.  It stops at
+    breakdown and flags it as exhausted.  It shares the package's curvature
+    operator; the recurrence, the orthogonalisation and the reconstruction
+    are its own.  Given the same generator it draws the same random numbers
+    as lanczos_leading.
     """
     def mgs(vec, basis):
         for b in basis:
@@ -148,29 +149,16 @@ def lanczos_reference(instance, point, cache, max_iters, rng, reorth=True):
 
     for _ in range(1, m):
         res = manifold._project_rows(sigma, res)
-        if reorth:
-            res = mgs(mgs(res, basis), basis)
+        res = mgs(mgs(res, basis), basis)
         beta = float(np.linalg.norm(res))
         if beta <= breakdown_tol:
-            new = None
-            for _attempt in range(3):
-                cand = manifold._project_rows(sigma, rng.standard_normal((n, r)))
-                cand = mgs(mgs(cand, basis), basis)
-                nrm = float(np.linalg.norm(cand))
-                if nrm > 1e-8:
-                    new = cand / nrm
-                    break
-            if new is None:
-                exhausted = True
-                break
-            betas.append(0.0)
-            unew = new
-        else:
-            betas.append(beta)
-            unew = res / beta
+            exhausted = True
+            break
+        betas.append(beta)
+        unew = res / beta
         hu = apply(unew)
         alphas.append(float(np.sum(unew * hu)))
-        res = hu - alphas[-1] * unew - betas[-1] * basis[-1]
+        res = hu - alphas[-1] * unew - beta * basis[-1]
         basis.append(unew)
 
     alpha_arr = np.asarray(alphas)

@@ -54,6 +54,18 @@ class TestDualBound:
         assert cert.slack == pytest.approx(dense_top, abs=1e-6)
         assert cert.upper_bound >= cache.objective() - 1e-8
 
+    @pytest.mark.parametrize("inst, r", [
+        (bmcut.gen_gaussian(240, seed=0), 22),
+        (bmcut.gen_erdos_renyi(1000, 3000, sign=-1, seed=0), 45),
+    ], ids=["gaussian-240", "er-1000"])
+    def test_lanczos_path_repeatable(self, inst, r):
+        # the eigsh start vector is fixed, so one iterate gives one bound
+        point = manifold.random_point(inst.n, r, np.random.default_rng(0))
+        cache = bcm.init_cache(inst, point)
+        first = certify.dual_upper_bound(inst, point, cache).to_json()
+        for _ in range(3):
+            assert certify.dual_upper_bound(inst, point, cache).to_json() == first
+
     def test_arpack_no_convergence_raises(self, tmp_path, monkeypatch):
         # a partially converged Ritz value may sit below lambda_max, so the
         # bound must refuse it rather than come out too low

@@ -104,7 +104,8 @@ class TestSolve:
         assert "allow-r1" not in err   # the message names no removed flag
 
     def test_removed_flags_rejected(self):
-        for flag in ("--auto-epsilon", "--allow-r1", "--refresh-period=100"):
+        for flag in ("--auto-epsilon", "--allow-r1", "--refresh-period=100",
+                     "--no-reorth"):
             with pytest.raises(SystemExit) as exc:
                 run_cli(["solve", "--gen", "gaussian:n=6,seed=0", flag])
             assert exc.value.code == 2

@@ -163,52 +163,50 @@ class TestLanczos:
         k = res.tri.basis.shape[0]
         gram = np.einsum("aij,bij->ab", res.tri.basis, res.tri.basis)
         assert np.abs(gram - np.eye(k)).max() < 1e-10
-        assert np.all(res.tri.beta >= 0.0)
+        assert np.all(res.tri.beta > 0.0)
 
-    def test_no_reorth_still_close(self):
-        inst, point, cache, _ = rand_setup(n=7, r=3, seed=3, inst_seed=9)
-        res = escape.lanczos_leading(inst, point, cache, 14,
-                                     np.random.default_rng(2), reorth=False)
-        k = res.tri.basis.shape[0]
-        gram = np.einsum("aij,bij->ab", res.tri.basis, res.tri.basis)
-        assert np.abs(gram - np.eye(k)).max() < 1e-6
-
-    def test_breakdown_restart(self, triangle, triangle_saddle):
-        # at the symmetric saddle the Krylov space collapses quickly; the
-        # recurrence must restart orthogonally instead of dividing by zero
-        cache = bcm.init_cache(triangle, triangle_saddle)
-        res = escape.lanczos_leading(triangle, triangle_saddle, cache, 3,
+    @pytest.mark.parametrize("n, r", [(3, 2), (5, 3), (8, 4)])
+    def test_breakdown_at_complete_graph_saddle(self, n, r):
+        # all rows equal on K_n: the curvature operator has few distinct
+        # eigenvalues, so the Krylov space of the start is invariant after a
+        # few steps; the recurrence stops there with the exact top pair
+        inst = bmcut.preprocess(-(np.ones((n, n)) - np.eye(n)))
+        sigma = np.zeros((n, r))
+        sigma[:, 0] = 1.0
+        point = bmcut.FactorPoint(sigma)
+        cache = bcm.init_cache(inst, point)
+        res = escape.lanczos_leading(inst, point, cache, n * (r - 1),
                                      np.random.default_rng(0))
-        h = oracles.dense_tangent_hessian(triangle, triangle_saddle.sigma)
-        top = np.linalg.eigvalsh(h)[-1]
+        top = np.linalg.eigvalsh(oracles.dense_tangent_hessian(inst, sigma))[-1]
+        assert res.exhausted
+        assert res.iterations < n * (r - 1)
+        assert np.all(res.tri.beta > 0.0)
         assert res.estimate == pytest.approx(top, abs=1e-8)
+        ray = manifold.hess_quadratic(inst, point, res.direction, cache)
+        assert ray == pytest.approx(top, abs=1e-8)
 
-    @pytest.mark.parametrize("n, r, iters, reorth", [
-        (8, 3, 16, True),     # full budget: the recurrence is exact
-        (30, 4, 25, True),
-        (100, 3, 20, True),
-        (30, 4, 25, False),
+    @pytest.mark.parametrize("n, r, iters", [
+        (8, 3, 16),     # full budget: the recurrence is exact
+        (30, 4, 25),
+        (100, 3, 20),
     ])
-    def test_matches_reference(self, n, r, iters, reorth):
+    def test_matches_reference(self, n, r, iters):
         for seed in range(3):
             inst, point, cache, _ = rand_setup(n=n, r=r, seed=40 + seed,
                                                inst_seed=60 + seed)
             got = escape.lanczos_leading(inst, point, cache, iters,
-                                         np.random.default_rng(seed),
-                                         reorth=reorth)
+                                         np.random.default_rng(seed))
             ref = oracles.lanczos_reference(inst, point, cache, iters,
-                                            np.random.default_rng(seed),
-                                            reorth=reorth)
+                                            np.random.default_rng(seed))
             assert_same_lanczos(got, ref, inst)
 
-    def test_matches_reference_through_restart(self, triangle,
-                                               triangle_saddle):
+    def test_matches_reference_at_breakdown(self, triangle, triangle_saddle):
         cache = bcm.init_cache(triangle, triangle_saddle)
         got = escape.lanczos_leading(triangle, triangle_saddle, cache, 3,
                                      np.random.default_rng(0))
         ref = oracles.lanczos_reference(triangle, triangle_saddle, cache, 3,
                                         np.random.default_rng(0))
-        assert 0.0 in ref.tri.beta
+        assert ref.exhausted
         assert_same_lanczos(got, ref, triangle)
 
     def test_peak_memory_one_basis(self):
