@@ -16,9 +16,9 @@ from .errors import (DimensionError, NumericalError, ParseError,
 from .escape import (EscapeConfig, LanczosResult, TridiagonalForm,
                      escape_ascent_floor, escape_threshold, lanczos_budget,
                      lanczos_leading, run_bcm2, second_order_step)
-from .manifold import (FactorPoint, TangentVector, exp_map, grad_metric_sq,
-                       hess_quadratic, load_point, random_point,
-                       riemannian_gradient, save_point)
+from .manifold import (FactorPoint, exp_map, grad_metric_sq, hess_quadratic,
+                       load_point, random_point, riemannian_gradient,
+                       save_point)
 from .problem import (ProblemInstance, gen_erdos_renyi, gen_gaussian,
                       load_instance, preprocess, write_edge_list,
                       write_matrix_market)

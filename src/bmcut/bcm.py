@@ -138,8 +138,8 @@ class SolverConfig:
             raise ValidationError(f"unknown rule {self.rule!r}; pick from {RULES}")
         if self.max_epochs < 1:
             raise ValidationError("max_epochs must be >= 1")
-        if self.grad_tol is not None and self.grad_tol < 0:
-            raise ValidationError("grad_tol must be >= 0")
+        if self.grad_tol is not None and not self.grad_tol >= 0:   # NaN fails
+            raise ValidationError(f"grad_tol must be >= 0, got {self.grad_tol}")
 
 
 def default_grad_tol(instance: ProblemInstance) -> float:
@@ -219,7 +219,7 @@ def start_point(instance: ProblemInstance, seed: int,
     """The run's seeded generator and its starting point, as (point, rng).
 
     The initial point is copied, never mutated; when absent, rows are drawn
-    uniformly at random from the generator.
+    uniformly at random from the generator.  Every solver needs r >= 2.
     """
     rng = np.random.default_rng(seed)
     if initial is not None:
@@ -230,6 +230,8 @@ def start_point(instance: ProblemInstance, seed: int,
         point = random_point(instance.n, r, rng)
     if point.n != instance.n:
         raise ValidationError("initial point does not match the instance size")
+    if point.r < 2:
+        raise ValidationError(f"the solvers need r >= 2, got r = {point.r}")
     return point, rng
 
 

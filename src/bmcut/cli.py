@@ -95,7 +95,7 @@ def cmd_solve(args) -> int:
         point, trace = bcm.run(instance, solver, r=r)
     else:
         esc = escape.EscapeConfig(epsilon=args.epsilon, delta=args.delta,
-                                  seed=args.seed, retries=args.escape_retries)
+                                  seed=args.seed)
         point, trace = escape.run_bcm2(instance, solver, esc, r=r)
     wall = time.perf_counter() - t0
     trace.header["git"] = _git_describe()
@@ -168,7 +168,7 @@ def cmd_bench(args) -> int:
 def cmd_certify(args) -> int:
     instance = _load_from_args(args)
     fmt = "csv" if args.point.endswith(".csv") else "binary"
-    point = manifold.load_point(args.point, fmt=fmt, allow_r1=args.allow_r1)
+    point = manifold.load_point(args.point, fmt=fmt)
     cache = bcm.init_cache(instance, point)
     cert = certify.dual_upper_bound(instance, point, cache)
     print(cert.to_json())
@@ -220,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="accuracy target for bcm2; default auto from the "
                          "dual bound")
     sp.add_argument("--delta", type=float, default=0.01)
-    sp.add_argument("--escape-retries", type=int, default=0)
     sp.add_argument("--trace", help="trace output (.jsonl or .csv)")
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock in traces (breaks byte-level "
@@ -244,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--trials", type=int, default=0,
                     help="hyperplane rounding trials")
     cp.add_argument("--seed", type=int, default=0)
-    cp.add_argument("--allow-r1", action="store_true")
     cp.set_defaults(func=cmd_certify)
 
     gp = sub.add_parser("gen", help="generate an instance file")

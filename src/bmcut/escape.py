@@ -22,9 +22,8 @@ from .bcm import (REFRESH_PERIOD, EscapePolicy, GradientCache, SolverConfig,
                   refresh_cache, select_coordinate, start_point)
 from .certify import dual_upper_bound
 from .errors import TrivialInstanceError, ValidationError
-from .manifold import (FactorPoint, TangentVector, _hess_apply_rows,
-                       _project_rows, exp_map, grad_metric_sq, hess_quadratic,
-                       riemannian_gradient)
+from .manifold import (FactorPoint, _hess_apply_rows, _project_rows, exp_map,
+                       grad_metric_sq, hess_quadratic, riemannian_gradient)
 from .problem import ProblemInstance
 
 THRESHOLD_DENOM = 1350.0
@@ -40,15 +39,12 @@ class EscapeConfig:
     epsilon: float | None = None   # None: pick from the dual bound at the start
     delta: float = 0.01            # failure probability budget for Lanczos
     seed: int = 0
-    retries: int = 0               # extra random restarts before the concave verdict
 
     def __post_init__(self):
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValidationError("epsilon must be > 0")
+        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
+            raise ValidationError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValidationError("delta must be in (0, 1)")
-        if self.retries < 0:
-            raise ValidationError("retries must be >= 0")
 
 
 @dataclass
@@ -63,7 +59,7 @@ class TridiagonalForm:
 @dataclass
 class LanczosResult:
     estimate: float           # unshifted leading curvature estimate
-    direction: TangentVector  # unit Frobenius norm
+    direction: np.ndarray     # (n, r) tangent array, unit Frobenius norm
     tri: TridiagonalForm
     exhausted: bool           # stopped at breakdown before max_iters: the
                               # Krylov space is invariant and the pair exact
@@ -72,10 +68,24 @@ class LanczosResult:
 
 def _check_epsilon(instance: ProblemInstance, epsilon: float) -> None:
     """Every escape constant divides by epsilon or |A|_1."""
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be > 0, got {epsilon}")
+    if not 0.0 < epsilon < math.inf:   # NaN fails
+        raise ValidationError(f"epsilon must be finite and > 0, got {epsilon}")
     if instance.one_norm == 0.0:
         raise TrivialInstanceError("zero cost matrix: every point is optimal")
+
+
+def _epoch_cap(instance: ProblemInstance, epsilon: float) -> int:
+    """ceil(675 n |A|_1^2 / eps^2): the cap on a run's combined epochs, and so
+    on its Lanczos calls.  Rejects an epsilon that leaves it infinite."""
+    _check_epsilon(instance, epsilon)
+    try:
+        cap = EPOCH_CAP_NUM * instance.n * instance.one_norm**2 / epsilon**2
+    except (OverflowError, ZeroDivisionError):
+        cap = math.inf
+    if cap == math.inf:
+        raise ValidationError(
+            f"epsilon = {epsilon!r} gives no finite epoch cap 675 n |A|_1^2/eps^2")
+    return math.ceil(cap)
 
 
 def escape_threshold(instance: ProblemInstance, epsilon: float) -> float:
@@ -102,12 +112,10 @@ def lanczos_budget(instance: ProblemInstance, epsilon: float, delta: float,
     call over the whole run by delta; capped at the tangent dimension n(r-1),
     where the recurrence is exact.
     """
-    if epsilon <= 0 or not 0.0 < delta < 1.0 or r < 2:
-        raise ValidationError("need epsilon > 0, delta in (0,1), r >= 2")
-    _check_epsilon(instance, epsilon)
-    n = instance.n
-    dim = n * (r - 1)
-    calls = math.ceil(EPOCH_CAP_NUM * n * instance.one_norm**2 / epsilon**2)
+    if not 0.0 < delta < 1.0 or r < 2:
+        raise ValidationError("need delta in (0,1), r >= 2")
+    calls = _epoch_cap(instance, epsilon)
+    dim = instance.n * (r - 1)
     ell = math.ceil(
         (0.5 + 2.0 * math.sqrt(instance.one_norm / epsilon))
         * math.log(calls * LANCZOS_TAIL_CONST * math.sqrt(dim) / delta)
@@ -184,7 +192,7 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     direction /= nrm
     return LanczosResult(
         estimate=float(vals[0] - shift),
-        direction=TangentVector(direction, point),
+        direction=direction,
         tri=TridiagonalForm(alpha=alpha_arr, beta=beta_arr,
                             basis=basis[:k].reshape(k, n, r)),
         exhausted=exhausted,
@@ -193,23 +201,22 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
 
 
 def second_order_step(instance: ProblemInstance, point: FactorPoint,
-                      cache: GradientCache, direction: TangentVector,
+                      cache: GradientCache, direction: np.ndarray,
                       epsilon: float) -> float:
     """Geodesic step of length eps/(15 |A|_1) along the (sign-corrected)
-    direction, followed by a full cache rebuild.  Mutates point and cache;
-    returns the measured objective increase.
+    tangent array `direction`, followed by a full cache rebuild.  Mutates
+    point and cache; returns the measured objective increase.
     """
     _check_epsilon(instance, epsilon)
-    nrm = direction.norm()
+    nrm = float(np.linalg.norm(direction))
     if abs(nrm - 1.0) > 1e-8:
         raise ValidationError(f"direction must have unit Frobenius norm, got {nrm}")
-    grad = riemannian_gradient(point, cache)
-    d = direction.u
-    if float(np.sum(d * grad.u)) < 0.0:
+    d = direction
+    if float(np.sum(d * riemannian_gradient(point, cache))) < 0.0:
         d = -d
     t = epsilon / (STEP_DENOM * instance.one_norm)
     f_before = cache.objective()
-    moved = exp_map(point, TangentVector(d, point), t)
+    moved = exp_map(point, d, t)
     point.sigma[:] = moved.sigma
     refresh_cache(instance, point, cache)
     return cache.objective() - f_before
@@ -235,14 +242,12 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
     count as one epoch); below it, a leading curvature direction is computed
     and either stepped along (curvature >= eps/2) or, failing that, the point
     is declared an eps-approximate concave point and the run stops.  A hard
-    cap of ceil(675 n |A|_1^2 / eps^2) combined epochs applies, on top of the
-    user's max_epochs.  The loop itself is bcm.drive with an escape policy;
+    cap of _epoch_cap combined epochs applies, on top of the user's
+    max_epochs.  The loop itself is bcm.drive with an escape policy;
     solver.rule and solver.grad_tol are not used.
     """
     point, rng = start_point(instance, solver.seed, initial, r)
     n, rr = instance.n, point.r
-    if rr < 2:
-        raise ValidationError(f"bcm2 needs r >= 2, got r = {rr}")
 
     if instance.one_norm == 0.0:
         trace = SolveTrace(header={
@@ -258,8 +263,8 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
     cache = init_cache(instance, point)
     eps = esc.epsilon if esc.epsilon is not None else auto_epsilon(
         instance, point, cache, rr)
+    cap = _epoch_cap(instance, eps)
     threshold = escape_threshold(instance, eps)
-    cap = math.ceil(EPOCH_CAP_NUM * n * instance.one_norm**2 / eps**2)
     budget = lanczos_budget(instance, eps, esc.delta, rr)
     t_step = eps / (STEP_DENOM * instance.one_norm)
     rng_lan = np.random.default_rng(esc.seed)
@@ -267,7 +272,7 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
     trace = SolveTrace(header={
         "method": "bcm2", "n": n, "r": rr, "epsilon": eps, "delta": esc.delta,
         "threshold": threshold, "epoch_cap": cap, "lanczos_budget": budget,
-        "step_length": t_step, "retries": esc.retries,
+        "step_length": t_step, "retries": 0,
         "lanczos_reorth": True, "seed": solver.seed,
         "escape_seed": esc.seed, "max_epochs": solver.max_epochs,
         "refresh_period": REFRESH_PERIOD,
@@ -276,14 +281,11 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
     })
 
     def escape_step():
-        for _attempt in range(esc.retries + 1):
-            res = lanczos_leading(instance, point, cache, budget, rng_lan)
-            ray = hess_quadratic(instance, point, res.direction, cache)
-            if ray >= eps / 2.0:
-                gain = second_order_step(instance, point, cache,
-                                         res.direction, eps)
-                return gain, ray
-        return None
+        res = lanczos_leading(instance, point, cache, budget, rng_lan)
+        ray = hess_quadratic(instance, point, res.direction, cache)
+        if ray < eps / 2.0:
+            return None
+        return second_order_step(instance, point, cache, res.direction, eps), ray
 
     trace.status, steps, escapes = drive(
         instance, point, cache, rng, trace, replace(solver, rule="greedy"),

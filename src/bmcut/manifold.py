@@ -1,13 +1,14 @@
 """Geometry of the product of unit spheres: points, tangents, maps, derivatives.
 
-A point is an (n, r) matrix with unit rows.  A tangent vector at that point is
-an (n, r) matrix whose rows are orthogonal to the corresponding point rows.
-All operations here are pure functions of their inputs.
+A point is an (n, r) matrix with unit rows, r >= 1.  A tangent at that point
+is a plain (n, r) array whose rows are orthogonal to the corresponding point
+rows; the public functions that take one check it.  All operations here are
+pure functions of their inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,16 +24,13 @@ class FactorPoint:
     """An (n, r) factor matrix with unit rows."""
 
     sigma: np.ndarray
-    allow_r1: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         self.sigma = np.ascontiguousarray(self.sigma, dtype=np.float64)
         if self.sigma.ndim != 2:
             raise DimensionError(f"factor must be 2-d, got shape {self.sigma.shape}")
-        if self.sigma.shape[1] < 2 and not self.allow_r1:
-            raise ValidationError(
-                "r = 1 is only meant for rounding diagnostics; pass allow_r1=True"
-            )
+        if self.sigma.shape[1] < 1:
+            raise ValidationError("a factor needs r >= 1")
         err = np.abs(np.einsum("ij,ij->i", self.sigma, self.sigma) - 1.0)
         if err.size and not err.max() <= 2.0 * UNIT_TOL:  # NaN fails
             raise ValidationError(f"rows are not unit norm (max error {err.max():g})")
@@ -46,29 +44,12 @@ class FactorPoint:
         return self.sigma.shape[1]
 
     def copy(self) -> "FactorPoint":
-        return FactorPoint(self.sigma.copy(), allow_r1=self.allow_r1)
-
-
-@dataclass
-class TangentVector:
-    """An (n, r) matrix with each row orthogonal to the base point's row."""
-
-    u: np.ndarray
-    point: FactorPoint
-
-    def __post_init__(self):
-        self.u = np.ascontiguousarray(self.u, dtype=np.float64)
-        if self.u.shape != self.point.sigma.shape:
-            raise DimensionError(
-                f"tangent shape {self.u.shape} != point shape {self.point.sigma.shape}"
-            )
-        _check_tangency(self.point.sigma, self.u)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.u))
+        return FactorPoint(self.sigma.copy())
 
 
 def _check_tangency(sigma: np.ndarray, u: np.ndarray, tol: float = TANGENT_TOL):
+    if u.shape != sigma.shape:
+        raise DimensionError(f"tangent shape {u.shape} != point shape {sigma.shape}")
     dots = np.abs(np.einsum("ij,ij->i", sigma, u))
     scale = 1.0 + np.linalg.norm(u, axis=1)
     worst = (dots / scale).max() if dots.size else 0.0
@@ -81,8 +62,7 @@ def _project_rows(sigma: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w - np.einsum("ij,ij->i", sigma, w)[:, None] * sigma
 
 
-def random_point(n: int, r: int, rng: np.random.Generator,
-                 allow_r1: bool = False) -> FactorPoint:
+def random_point(n: int, r: int, rng: np.random.Generator) -> FactorPoint:
     """Rows drawn uniformly on the unit sphere via normalized Gaussians."""
     if n < 0 or r < 1:
         raise ValidationError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
@@ -93,32 +73,31 @@ def random_point(n: int, r: int, rng: np.random.Generator,
         x[bad] = 0.0
         x[bad, 0] = 1.0
         norms[bad] = 1.0
-    return FactorPoint(x / norms, allow_r1=allow_r1)
+    return FactorPoint(x / norms)
 
 
-def exp_map(point: FactorPoint, u: TangentVector, t: float) -> FactorPoint:
+def exp_map(point: FactorPoint, u: np.ndarray, t: float) -> FactorPoint:
     """Geodesic step: row i moves to sigma_i cos(|u_i| t) + (u_i/|u_i|) sin(|u_i| t).
 
     Rows with |u_i| below the zero-motion tolerance are returned unchanged.
     """
     if t < 0:
         raise ValidationError(f"step length must be >= 0, got {t}")
-    _check_tangency(point.sigma, u.u)
+    _check_tangency(point.sigma, u)
     sigma = point.sigma
-    row_norms = np.linalg.norm(u.u, axis=1)
+    row_norms = np.linalg.norm(u, axis=1)
     moving = row_norms > ZERO_ROW_TOL
     out = sigma.copy()
     if moving.any():
         nr = row_norms[moving][:, None]
         theta = nr * t
-        out[moving] = sigma[moving] * np.cos(theta) + (u.u[moving] / nr) * np.sin(theta)
-    return FactorPoint(out, allow_r1=point.allow_r1)
+        out[moving] = sigma[moving] * np.cos(theta) + (u[moving] / nr) * np.sin(theta)
+    return FactorPoint(out)
 
 
-def riemannian_gradient(point: FactorPoint, cache) -> TangentVector:
+def riemannian_gradient(point: FactorPoint, cache) -> np.ndarray:
     """Rows 2 (g_i - <sigma_i, g_i> sigma_i); tangent by construction."""
-    grad = 2.0 * (cache.g - cache.inner[:, None] * point.sigma)
-    return TangentVector(grad, point)
+    return 2.0 * (cache.g - cache.inner[:, None] * point.sigma)
 
 
 def grad_metric_sq(point: FactorPoint, cache) -> float:
@@ -133,11 +112,11 @@ def grad_metric_sq(point: FactorPoint, cache) -> float:
     return float(2.0 * np.sum(np.maximum(terms, 0.0)))
 
 
-def hess_quadratic(instance, point: FactorPoint, u: TangentVector, cache) -> float:
+def hess_quadratic(instance, point: FactorPoint, u: np.ndarray, cache) -> float:
     """Curvature quadratic form 2 (<U, A U> - sum_i lambda_i |u_i|^2)."""
-    _check_tangency(point.sigma, u.u)
-    au = instance.matmat(u.u)
-    quad = np.sum(u.u * au) - np.sum(cache.inner * np.einsum("ij,ij->i", u.u, u.u))
+    _check_tangency(point.sigma, u)
+    au = instance.matmat(u)
+    quad = np.sum(u * au) - np.sum(cache.inner * np.einsum("ij,ij->i", u, u))
     return float(2.0 * quad)
 
 
@@ -162,7 +141,7 @@ def save_point(point: FactorPoint, path: str, fmt: str = "binary") -> None:
         raise ValidationError(f"unknown point format {fmt!r}")
 
 
-def load_point(path: str, fmt: str = "binary", allow_r1: bool = False) -> FactorPoint:
+def load_point(path: str, fmt: str = "binary") -> FactorPoint:
     if fmt == "binary":
         with open(path, "rb") as fh:
             head = fh.read(16)
@@ -176,8 +155,8 @@ def load_point(path: str, fmt: str = "binary", allow_r1: bool = False) -> Factor
         if len(body) != 8 * n * r:
             raise ValidationError(f"{path}: expected {8 * n * r} payload bytes")
         sigma = np.frombuffer(body, dtype="<f8").reshape(n, r).copy()
-        return FactorPoint(sigma, allow_r1=allow_r1)
+        return FactorPoint(sigma)
     if fmt == "csv":
         sigma = np.loadtxt(path, delimiter=",", ndmin=2)
-        return FactorPoint(sigma, allow_r1=allow_r1)
+        return FactorPoint(sigma)
     raise ValidationError(f"unknown point format {fmt!r}")

@@ -230,6 +230,8 @@ def _load_matrix_market(path: str) -> ProblemInstance:
         raw = scipy.io.mmread(path)
     except Exception as exc:
         raise ParseError(f"{path}: {exc}") from None
+    if np.iscomplexobj(raw):
+        raise ParseError(f"{path}: complex entries are not supported")
     try:
         return preprocess(raw)
     except DimensionError as exc:

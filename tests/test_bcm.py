@@ -341,11 +341,29 @@ class TestRun:
             bcm.SolverConfig(max_epochs=0)
         with pytest.raises(ValidationError):
             bcm.SolverConfig(rule="fastest")
+        for tol in (-1.0, float("nan")):
+            with pytest.raises(ValidationError, match="grad_tol"):
+                bcm.SolverConfig(grad_tol=tol)
 
     def test_run_needs_r_or_initial(self, triangle):
         cfg = bcm.SolverConfig()
         with pytest.raises(ValidationError):
             bcm.run(triangle, cfg)
+
+    @pytest.mark.parametrize("method", ["bcm", "bcm2"])
+    @pytest.mark.parametrize("source", ["drawn", "given"])
+    def test_rank_one_rejected(self, method, source):
+        inst = bmcut.gen_gaussian(6, seed=0)
+        cfg = bcm.SolverConfig(rule="greedy", max_epochs=2)
+        start = ({"r": 1} if source == "drawn"
+                 else {"initial": FactorPoint(np.ones((6, 1)))})
+        with pytest.raises(ValidationError) as exc:
+            if method == "bcm":
+                bcm.run(inst, cfg, **start)
+            else:
+                bmcut.run_bcm2(inst, cfg, bmcut.EscapeConfig(epsilon=0.1),
+                               **start)
+        assert str(exc.value) == "the solvers need r >= 2, got r = 1"
 
     @pytest.mark.parametrize("r", [0, -1])
     def test_bad_rank_rejected(self, r):

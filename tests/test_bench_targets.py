@@ -1,18 +1,21 @@
 """The benchmark's per-layer spans patch bmcut module attributes by name.
 
-perfbench/tests is not part of this suite, so this test keeps a rename or a
-deletion of a patched function from passing here and failing only when the
-benchmark runs.
+perfbench/tests is not part of this suite, so these tests keep a rename or a
+deletion of a patched function, or a change that breaks one of the spans'
+info callbacks, from passing here and failing only when the benchmark runs.
 """
 
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import bmcut
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import bench  # noqa: E402
+import spans  # noqa: E402
 
 
 def test_trace_targets_resolve_to_callables():
@@ -21,3 +24,35 @@ def test_trace_targets_resolve_to_callables():
     for module, attr, span, _info in targets:
         assert callable(getattr(module, attr, None)), \
             f"{module.__name__}.{attr} (span {span}) is gone"
+
+
+def test_info_callbacks_on_real_calls():
+    # the all-equal start is stationary, so this bcm2 run calls both
+    # bcm_step and lanczos_leading from their real call sites
+    n, r = 20, 4
+    inst = bmcut.gen_gaussian(n, 8)
+    start = np.zeros((n, r))
+    start[:, 0] = 1.0
+    targets = bench.trace_targets(bmcut)
+    rec = spans.Recorder()
+    with spans.instrumented(rec, targets):
+        _, trace = bmcut.run_bcm2(
+            inst, bmcut.SolverConfig(rule="greedy", seed=1),
+            bmcut.EscapeConfig(epsilon=0.01, seed=2),
+            initial=bmcut.FactorPoint(start))
+    assert trace.header["escape_steps"] >= 1
+    infos = {}
+    for row in rec.rows:
+        infos.setdefault(row[spans.NAME], []).append(row[spans.INFO])
+    for _module, _attr, span, info in targets:
+        if info is not None:
+            assert infos.get(span), f"span {span} was never recorded"
+            assert all(x is not None for x in infos[span]), span
+
+    for i, accepted in infos["bcm.step"]:
+        assert 0 <= i < n and isinstance(accepted, bool)
+    assert any(accepted for _, accepted in infos["bcm.step"])
+    for iterations, exhausted, nbytes in infos["escape.lanczos"]:
+        assert 1 <= iterations <= n * (r - 1)
+        assert isinstance(exhausted, bool)
+        assert nbytes == iterations * n * r * 8

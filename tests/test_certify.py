@@ -147,7 +147,7 @@ class TestRounding:
         assert cut.value == best
 
     def test_r1_returns_entry_signs(self, edge2):
-        point = FactorPoint(np.array([[1.0], [-1.0]]), allow_r1=True)
+        point = FactorPoint(np.array([[1.0], [-1.0]]))
         cut = certify.round_cut(edge2, point, 10, np.random.default_rng(1))
         # sign pattern matches the entries up to a global flip
         assert abs(float(cut.signs @ np.array([1.0, -1.0]))) == 2.0
@@ -201,8 +201,7 @@ class TestRoundingMatchesReference:
     @pytest.mark.parametrize("trials", [1, 31, 32, 33, 1000])
     def test_signs_value_and_stream(self, trials, r):
         inst = bmcut.gen_gaussian(30, seed=7 + r)
-        point = manifold.random_point(30, r, np.random.default_rng(r),
-                                      allow_r1=True)
+        point = manifold.random_point(30, r, np.random.default_rng(r))
         fast_rng, ref_rng = (np.random.default_rng(11) for _ in range(2))
         fast = certify.round_cut(inst, point, trials, fast_rng)
         ref = oracles.round_cut_reference(inst, point, trials, ref_rng)

@@ -105,10 +105,23 @@ class TestSolve:
 
     def test_removed_flags_rejected(self):
         for flag in ("--auto-epsilon", "--allow-r1", "--refresh-period=100",
-                     "--no-reorth"):
+                     "--no-reorth", "--escape-retries=1"):
             with pytest.raises(SystemExit) as exc:
                 run_cli(["solve", "--gen", "gaussian:n=6,seed=0", flag])
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("eps", ["1e-200", "1e-160", "inf", "nan"])
+    def test_bad_epsilon_is_validation_error(self, eps, capsys):
+        assert run_cli(["solve", "--gen", "gaussian:n=6,seed=0",
+                        "--method", "bcm2", "--epsilon", eps]) == 2
+        assert "epsilon" in capsys.readouterr().err
+
+    def test_complex_matrix_market_is_parse_error(self, tmp_path, capsys):
+        mm = tmp_path / "c.mtx"
+        mm.write_text("%%MatrixMarket matrix coordinate complex general\n"
+                      "2 2 1\n1 2 1.0 5.0\n")
+        assert run_cli(["solve", "--mtx", str(mm)]) == 3
+        assert str(mm) in capsys.readouterr().err
 
     def test_zero_instance_graceful(self, tmp_path):
         mm = tmp_path / "z.mtx"
@@ -243,6 +256,23 @@ class TestCertify:
         pt.write_text("nan,0\n1,0\n0,1\n")
         assert run_cli(["certify", "--edge-list", str(tri),
                         "--point", str(pt)]) == 2
+
+    def test_rank_one_point(self, tmp_path, capsys):
+        # no flag: certificate and rounding, and no report (it needs r >= 2)
+        tri = tmp_path / "tri.txt"
+        tri.write_text("1 2 -1\n1 3 -1\n2 3 -1\n")
+        pt = tmp_path / "r1.csv"
+        pt.write_text("1\n-1\n1\n")
+        assert run_cli(["certify", "--edge-list", str(tri), "--point", str(pt),
+                        "--trials", "10"]) == 0
+        out = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+        assert len(out) == 2
+        assert "upper_bound" in out[0]
+        assert out[1]["value"] == 2.0
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["certify", "--edge-list", str(tri), "--point", str(pt),
+                     "--allow-r1"])
+        assert exc.value.code == 2
 
     def test_reproducible_cut(self, tmp_path, capsys, triangle_optimum):
         tri = tmp_path / "tri.txt"

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 import bmcut
-from bmcut import (TangentVector, TrivialInstanceError, ValidationError,
-                   bcm, escape, manifold)
+from bmcut import TrivialInstanceError, ValidationError, bcm, escape, manifold
 
 import oracles
 
@@ -22,7 +21,7 @@ def rand_setup(n=10, r=3, seed=0, inst_seed=1):
 def assert_same_lanczos(got, ref, inst):
     assert got.estimate == pytest.approx(ref.estimate,
                                          abs=1e-10 * inst.one_norm)
-    assert abs(np.sum(got.direction.u * ref.direction.u)) >= 1.0 - 1e-8
+    assert abs(np.sum(got.direction * ref.direction)) >= 1.0 - 1e-8
     assert got.iterations == ref.iterations
     assert got.exhausted == ref.exhausted
 
@@ -56,10 +55,10 @@ class TestShiftedApply:
         inst, point, cache, rng = rand_setup()
         for _ in range(20):
             u = oracles.random_tangent(point, rng)
-            hu = escape._shifted_apply_rows(inst, point.sigma, cache.inner, u.u)
-            quad = float(np.sum(u.u * hu))
+            hu = escape._shifted_apply_rows(inst, point.sigma, cache.inner, u)
+            quad = float(np.sum(u * hu))
             plain = manifold.hess_quadratic(inst, point, u, cache)
-            expect = plain + 4.0 * inst.one_norm * np.sum(u.u * u.u)
+            expect = plain + 4.0 * inst.one_norm * np.sum(u * u)
             assert quad == pytest.approx(expect, abs=1e-10)
 
     def test_positive_semidefinite(self):
@@ -69,8 +68,8 @@ class TestShiftedApply:
             for _ in range(10):
                 u = oracles.random_tangent(point, rng)
                 hu = escape._shifted_apply_rows(inst, point.sigma,
-                                                cache.inner, u.u)
-                assert float(np.sum(u.u * hu)) >= -1e-10
+                                                cache.inner, u)
+                assert float(np.sum(u * hu)) >= -1e-10
 
     def test_psd_matches_dense_spectrum(self):
         inst, point, _, _ = rand_setup(n=7, r=3, seed=4, inst_seed=6)
@@ -83,7 +82,7 @@ class TestShiftedApply:
         point = manifold.random_point(5, 3, np.random.default_rng(0))
         cache = bcm.init_cache(inst, point)
         u = oracles.random_tangent(point, np.random.default_rng(1))
-        out = escape._shifted_apply_rows(inst, point.sigma, cache.inner, u.u)
+        out = escape._shifted_apply_rows(inst, point.sigma, cache.inner, u)
         assert np.array_equal(out, np.zeros((5, 3)))
 
 
@@ -117,6 +116,9 @@ class TestBudget:
         inst = bmcut.gen_gaussian(5, seed=0)
         with pytest.raises(ValidationError):
             escape.lanczos_budget(inst, 0.0, 0.1, 3)
+        for eps in (math.inf, math.nan, 1e-160, 1e-200):
+            with pytest.raises(ValidationError, match="epsilon"):
+                escape.lanczos_budget(inst, eps, 0.1, 3)
         with pytest.raises(ValidationError):
             escape.lanczos_budget(inst, 0.1, 1.5, 3)
         with pytest.raises(ValidationError):
@@ -140,7 +142,7 @@ class TestLanczos:
                                      np.random.default_rng(4))
         ray = manifold.hess_quadratic(inst, point, res.direction, cache)
         assert ray >= res.estimate - 1e-8
-        assert res.direction.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(res.direction) == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_budget_accuracy(self):
         # 20 iterations on a 200-dimensional tangent space
@@ -228,7 +230,7 @@ class TestLanczos:
         res = escape.lanczos_leading(inst, point, cache, 1,
                                      np.random.default_rng(1))
         assert res.iterations == 1
-        assert res.direction.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(res.direction) == pytest.approx(1.0, abs=1e-12)
 
     def test_max_iters_validated(self):
         inst, point, cache, _ = rand_setup()
@@ -242,8 +244,8 @@ class TestSecondOrderStep:
         inst, point, cache, rng = rand_setup(n=8, r=3, seed=5, inst_seed=7)
         grad = manifold.riemannian_gradient(point, cache)
         u = oracles.random_tangent(point, rng)
-        if float(np.sum(u.u * grad.u)) > 0:
-            u = TangentVector(-u.u, point)
+        if float(np.sum(u * grad)) > 0:
+            u = -u
         # moving along the corrected direction cannot lose the first-order term
         before = cache.objective()
         gain = escape.second_order_step(inst, point, cache, u, epsilon=0.05)
@@ -266,7 +268,7 @@ class TestSecondOrderStep:
     def test_non_unit_direction_rejected(self):
         inst, point, cache, rng = rand_setup()
         u = oracles.random_tangent(point, rng)
-        bad = TangentVector(0.5 * u.u, point)
+        bad = 0.5 * u
         with pytest.raises(ValidationError):
             escape.second_order_step(inst, point, cache, bad, 0.1)
 
@@ -282,8 +284,7 @@ class TestRunBcm2:
     def test_rank_one_rejected(self, epsilon):
         # epsilon=None used to reach auto_epsilon's 1/(r - 1)
         inst = bmcut.gen_gaussian(6, seed=0)
-        start = manifold.random_point(6, 1, np.random.default_rng(0),
-                                      allow_r1=True)
+        start = manifold.random_point(6, 1, np.random.default_rng(0))
         cfg = bcm.SolverConfig(rule="greedy", seed=0)
         esc = escape.EscapeConfig(epsilon=epsilon, seed=0)
         with pytest.raises(ValidationError, match="r >= 2"):
@@ -414,9 +415,25 @@ class TestRunBcm2:
         cert = bmcut.dual_upper_bound(inst, point, cache)
         assert cache.objective() >= (1 - 2 / (r - 1)) * cert.upper_bound
 
+    @pytest.mark.parametrize("epsilon", [1e-200, 1e-160, math.inf, math.nan])
+    def test_bad_epsilon_rejected(self, epsilon):
+        # 1e-200 squares to 0 and 1e-160 gives an infinite epoch cap
+        cfg = bcm.SolverConfig(rule="greedy", seed=0)
+        with pytest.raises(ValidationError, match="epsilon"):
+            escape.run_bcm2(bmcut.gen_gaussian(6, seed=0), cfg,
+                            escape.EscapeConfig(epsilon=epsilon), r=3)
+
+    def test_tiny_auto_epsilon_rejected(self):
+        # entries near 1e-170 make the automatic epsilon square to 0
+        inst = bmcut.preprocess(bmcut.gen_gaussian(6, seed=0).dense() * 1e-170)
+        cfg = bcm.SolverConfig(rule="greedy", seed=0)
+        with pytest.raises(ValidationError, match="epoch cap"):
+            escape.run_bcm2(inst, cfg, escape.EscapeConfig(), r=3)
+
     def test_retries_config(self):
-        with pytest.raises(ValidationError):
-            escape.EscapeConfig(epsilon=0.1, retries=-1)
+        # the option is gone: one Lanczos call decides each escape step
+        with pytest.raises(TypeError):
+            escape.EscapeConfig(epsilon=0.1, retries=1)
         with pytest.raises(ValidationError):
             escape.EscapeConfig(epsilon=0.1, delta=0.0)
         with pytest.raises(ValidationError):

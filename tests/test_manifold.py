@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bmcut
-from bmcut import FactorPoint, TangentVector, ValidationError, manifold
+from bmcut import FactorPoint, ValidationError, manifold
 
 import oracles
 from oracles import TestProcrustes  # noqa: F401  (collected from here)
@@ -25,23 +25,25 @@ class TestFactorPoint:
         with pytest.raises(ValidationError):
             FactorPoint(np.array([[np.nan, 0.0], [1.0, 0.0]]))
 
-    def test_r1_needs_flag(self):
-        sig = np.ones((3, 1))
-        with pytest.raises(ValidationError):
-            FactorPoint(sig)
-        pt = FactorPoint(sig, allow_r1=True)
+    def test_rank_one_is_a_point(self):
+        pt = FactorPoint(np.array([[1.0], [-1.0], [1.0]]))
         assert pt.r == 1
+        assert pt.copy().r == 1
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0)])
+    def test_rank_zero_rejected(self, shape):
+        with pytest.raises(ValidationError, match="r >= 1"):
+            FactorPoint(np.zeros(shape))
 
     @pytest.mark.parametrize("n, r", [(-2, 3), (4, 0), (4, -1)])
     def test_random_point_rejects_sizes(self, n, r):
         with pytest.raises(ValidationError, match="n >= 0 and r >= 1"):
             manifold.random_point(n, r, np.random.default_rng(0))
 
-    def test_random_point_rank_one_needs_flag(self):
-        with pytest.raises(ValidationError, match="allow_r1"):
-            manifold.random_point(4, 1, np.random.default_rng(0))
-        assert manifold.random_point(4, 1, np.random.default_rng(0),
-                                     allow_r1=True).r == 1
+    def test_random_point_rank_one(self):
+        pt = manifold.random_point(4, 1, np.random.default_rng(0))
+        assert pt.r == 1
+        assert np.array_equal(np.abs(pt.sigma), np.ones((4, 1)))
 
     def test_random_point_rows_unit(self):
         pt = manifold.random_point(50, 7, np.random.default_rng(4))
@@ -56,9 +58,9 @@ class TestProjection:
 
     def test_idempotent_on_tangent(self):
         _, point, _, rng = rand_setup()
-        tv = oracles.random_tangent(point, rng)
-        again = manifold._project_rows(point.sigma, tv.u)
-        assert np.allclose(again, tv.u, atol=1e-14)
+        u = oracles.random_tangent(point, rng)
+        again = manifold._project_rows(point.sigma, u)
+        assert np.allclose(again, u, atol=1e-14)
 
     def test_matches_dense_formula(self):
         rng = np.random.default_rng(12)
@@ -70,16 +72,20 @@ class TestProjection:
         assert np.allclose(u, expect, atol=1e-12)
 
     def test_nan_tangent_rejected(self):
-        _, point, _, _ = rand_setup()
+        inst, point, cache, _ = rand_setup()
         u = np.zeros_like(point.sigma)
         u[2, 1] = np.nan
         with pytest.raises(ValidationError):
-            TangentVector(u, point)
+            manifold.exp_map(point, u, 0.1)
+        with pytest.raises(ValidationError):
+            manifold.hess_quadratic(inst, point, u, cache)
 
     def test_shape_mismatch(self):
-        _, point, _, _ = rand_setup()
+        inst, point, cache, _ = rand_setup()
         with pytest.raises(bmcut.DimensionError):
-            TangentVector(np.zeros((2, 2)), point)
+            manifold.exp_map(point, np.zeros((2, 2)), 0.1)
+        with pytest.raises(bmcut.DimensionError):
+            manifold.hess_quadratic(inst, point, np.zeros((2, 2)), cache)
 
 
 class TestExpMap:
@@ -91,8 +97,7 @@ class TestExpMap:
 
     def test_quarter_circle(self):
         point = FactorPoint(np.array([[1.0, 0.0]]))
-        tv = TangentVector(np.array([[0.0, 1.0]]), point)
-        out = manifold.exp_map(point, tv, np.pi / 2)
+        out = manifold.exp_map(point, np.array([[0.0, 1.0]]), np.pi / 2)
         assert np.allclose(out.sigma, [[0.0, 1.0]], atol=1e-15)
 
     def test_rows_stay_unit(self):
@@ -104,9 +109,9 @@ class TestExpMap:
 
     def test_zero_rows_unmoved(self):
         _, point, _, rng = rand_setup()
-        u = oracles.random_tangent(point, rng).u
+        u = oracles.random_tangent(point, rng)
         u[2] = 0.0
-        out = manifold.exp_map(point, TangentVector(u, point), 0.7)
+        out = manifold.exp_map(point, u, 0.7)
         assert np.array_equal(out.sigma[2], point.sigma[2])
 
     def test_non_tangent_rejected(self):
@@ -114,7 +119,7 @@ class TestExpMap:
         other = manifold.random_point(point.n, point.r,
                                       np.random.default_rng(99))
         tv = oracles.random_tangent(other, rng)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="not tangent"):
             manifold.exp_map(point, tv, 0.1)
 
     def test_negative_t_rejected(self):
@@ -135,7 +140,7 @@ class TestDistance:
         t = 1e-3
         moved = manifold.exp_map(point, tv, t)
         d = oracles.geodesic_distance(point, moved)
-        assert d == pytest.approx(t * np.linalg.norm(tv.u), abs=1e-8)
+        assert d == pytest.approx(t * np.linalg.norm(tv), abs=1e-8)
 
     def test_antipodal_single_row(self):
         p = FactorPoint(np.array([[0.6, 0.8]]))
@@ -149,7 +154,7 @@ class TestGradient:
         point = manifold.random_point(4, 3, np.random.default_rng(1))
         cache = bmcut.init_cache(inst, point)
         g = manifold.riemannian_gradient(point, cache)
-        assert np.array_equal(g.u, np.zeros((4, 3)))
+        assert np.array_equal(g, np.zeros((4, 3)))
         assert manifold.grad_metric_sq(point, cache) == 0.0
 
     def test_aligned_edge_is_stationary(self, edge2):
@@ -158,13 +163,13 @@ class TestGradient:
         point = FactorPoint(sig)
         cache = bmcut.init_cache(edge2, point)
         g = manifold.riemannian_gradient(point, cache)
-        assert np.allclose(g.u, 0.0, atol=1e-14)
+        assert np.allclose(g, 0.0, atol=1e-14)
 
     def test_triangle_all_equal_stationary_with_curvature(self, triangle,
                                                           triangle_saddle):
         cache = bmcut.init_cache(triangle, triangle_saddle)
         g = manifold.riemannian_gradient(triangle_saddle, cache)
-        assert np.allclose(g.u, 0.0, atol=1e-14)
+        assert np.allclose(g, 0.0, atol=1e-14)
         assert np.allclose(cache.inner, -2.0)
         assert manifold.grad_metric_sq(triangle_saddle, cache) == 0.0
         # yet the curvature operator has a strictly positive direction
@@ -176,14 +181,14 @@ class TestGradient:
             inst, point, cache, _ = rand_setup(n=8, r=3, seed=seed,
                                                inst_seed=seed + 10)
             g = manifold.riemannian_gradient(point, cache)
-            assert np.allclose(g.u, oracles.grad_dense(inst, point.sigma),
+            assert np.allclose(g, oracles.grad_dense(inst, point.sigma),
                                atol=1e-12)
 
     def test_metric_identity(self):
         for seed in range(10):
             _, point, cache, _ = rand_setup(n=9, r=4, seed=seed, inst_seed=seed)
             lit = np.linalg.norm(
-                manifold.riemannian_gradient(point, cache).u) ** 2
+                manifold.riemannian_gradient(point, cache)) ** 2
             metric = manifold.grad_metric_sq(point, cache)
             assert metric == pytest.approx(0.5 * lit, abs=1e-10)
             assert np.sqrt(2.0 * metric) == pytest.approx(np.sqrt(lit),
@@ -209,10 +214,18 @@ class TestGradient:
 class TestHessian:
     def test_zero_tangent(self):
         inst, point, cache, _ = rand_setup()
-        tv = TangentVector(np.zeros(point.sigma.shape), point)
-        assert manifold.hess_quadratic(inst, point, tv, cache) == 0.0
-        out = manifold._hess_apply_rows(inst, point.sigma, cache.inner, tv.u)
+        zero = np.zeros(point.sigma.shape)
+        assert manifold.hess_quadratic(inst, point, zero, cache) == 0.0
+        out = manifold._hess_apply_rows(inst, point.sigma, cache.inner, zero)
         assert np.array_equal(out, np.zeros(point.sigma.shape))
+
+    def test_non_tangent_rejected(self):
+        inst, point, cache, rng = rand_setup()
+        other = manifold.random_point(point.n, point.r,
+                                      np.random.default_rng(99))
+        for u in (oracles.random_tangent(other, rng), point.sigma):
+            with pytest.raises(ValidationError, match="not tangent"):
+                manifold.hess_quadratic(inst, point, u, cache)
 
     def test_quadratic_matches_second_difference(self):
         t = 1e-4
@@ -221,10 +234,9 @@ class TestHessian:
                                                  inst_seed=seed + 3)
             tv = oracles.random_tangent(point, rng)
             quad = manifold.hess_quadratic(inst, point, tv, cache)
-            neg = TangentVector(-tv.u, point)
             fp = oracles.f_dense(inst, manifold.exp_map(point, tv, t).sigma)
             f0 = oracles.f_dense(inst, point.sigma)
-            fm = oracles.f_dense(inst, manifold.exp_map(point, neg, t).sigma)
+            fm = oracles.f_dense(inst, manifold.exp_map(point, -tv, t).sigma)
             fd = (fp - 2 * f0 + fm) / t**2
             assert quad == pytest.approx(fd, abs=1e-4)
 
@@ -232,8 +244,7 @@ class TestHessian:
                                                  triangle_saddle):
         cache = bmcut.init_cache(triangle, triangle_saddle)
         u = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 0.0]]) / np.sqrt(2.0)
-        tv = TangentVector(u, triangle_saddle)
-        quad = manifold.hess_quadratic(triangle, triangle_saddle, tv, cache)
+        quad = manifold.hess_quadratic(triangle, triangle_saddle, u, cache)
         assert quad > 1.0
         h = oracles.dense_tangent_hessian(triangle, triangle_saddle.sigma)
         assert quad <= np.linalg.eigvalsh(h)[-1] + 1e-10
@@ -243,11 +254,10 @@ class TestHessian:
         for _ in range(100):
             u = oracles.random_tangent(point, rng)
             v = oracles.random_tangent(point, rng)
-            hu = manifold._hess_apply_rows(inst, point.sigma, cache.inner, u.u)
-            hv = manifold._hess_apply_rows(inst, point.sigma, cache.inner, v.u)
-            assert np.sum(v.u * hu) == pytest.approx(np.sum(u.u * hv),
-                                                     abs=1e-10)
-            assert np.sum(u.u * hu) == pytest.approx(
+            hu = manifold._hess_apply_rows(inst, point.sigma, cache.inner, u)
+            hv = manifold._hess_apply_rows(inst, point.sigma, cache.inner, v)
+            assert np.sum(v * hu) == pytest.approx(np.sum(u * hv), abs=1e-10)
+            assert np.sum(u * hu) == pytest.approx(
                 manifold.hess_quadratic(inst, point, u, cache), abs=1e-10)
 
     def test_apply_matches_dense_oracle(self):
@@ -271,7 +281,7 @@ class TestTaylor:
             tv = oracles.random_tangent(point, rng)
             grad = manifold.riemannian_gradient(point, cache)
             quad = manifold.hess_quadratic(inst, point, tv, cache)
-            lin = np.sum(tv.u * grad.u)
+            lin = np.sum(tv * grad)
             f0 = oracles.f_dense(inst, point.sigma)
 
             def remainder(t):

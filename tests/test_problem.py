@@ -280,6 +280,16 @@ class TestLoad:
         with pytest.raises(DimensionError, match=r"wide\.mtx"):
             bmcut.load_instance(str(p), "matrix-market")
 
+    @pytest.mark.parametrize("layout, entry", [
+        ("coordinate", "2 2 1\n1 2 1.0 5.0\n"),
+        ("array", "2 2\n0 0\n1.0 5.0\n1.0 5.0\n0 0\n")])
+    def test_matrix_market_complex_rejected(self, tmp_path, layout, entry):
+        # casting to float64 would drop the imaginary parts
+        p = tmp_path / "cplx.mtx"
+        p.write_text(f"%%MatrixMarket matrix {layout} complex general\n{entry}")
+        with pytest.raises(ParseError, match=r"cplx\.mtx: complex"):
+            bmcut.load_instance(str(p), "matrix-market")
+
     def test_matrix_market_garbage_rejected(self, tmp_path):
         p = tmp_path / "g.mtx"
         p.write_text("not a matrix\n")
