@@ -189,20 +189,21 @@ class SolveTrace:
     def final(self) -> TraceRecord:
         return self.records[-1]
 
-    def write_jsonl(self, path: str, include_timing: bool = False) -> None:
+    def write(self, path: str, include_timing: bool = False) -> None:
+        """Write the trace as CSV when path ends in .csv, otherwise as JSON
+        lines: a header object, then one object per record."""
         with open(path, "w", encoding="utf-8") as fh:
-            head = {"type": "header", "schema": "trace_v1",
-                    "status": self.status, **self.header}
-            fh.write(json.dumps(head, sort_keys=True) + "\n")
-            for rec in self.records:
-                row = {"type": "record", **rec.as_dict(include_timing)}
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-    def write_csv(self, path: str, include_timing: bool = False) -> None:
-        cols = list(TraceRecord._FIELDS)
-        if include_timing:
-            cols.append("wall_time")
-        with open(path, "w", encoding="utf-8") as fh:
+            if not path.endswith(".csv"):
+                head = {"type": "header", "schema": "trace_v1",
+                        "status": self.status, **self.header}
+                fh.write(json.dumps(head, sort_keys=True) + "\n")
+                for rec in self.records:
+                    row = {"type": "record", **rec.as_dict(include_timing)}
+                    fh.write(json.dumps(row, sort_keys=True) + "\n")
+                return
+            cols = list(TraceRecord._FIELDS)
+            if include_timing:
+                cols.append("wall_time")
             fh.write(f"# schema=trace_v1 status={self.status}\n")
             for key in sorted(self.header):
                 fh.write(f"# {key}={self.header[key]}\n")
@@ -218,14 +219,18 @@ def start_point(instance: ProblemInstance, seed: int,
                 initial: FactorPoint | None = None, r: int | None = None):
     """The run's seeded generator and its starting point, as (point, rng).
 
-    The initial point is copied, never mutated; when absent, rows are drawn
-    uniformly at random from the generator.  Every solver needs r >= 2.
+    Takes exactly one of `initial`, which is copied and never mutated, and
+    `r`, the rank of a point whose rows are drawn uniformly at random from
+    the generator.  Every solver needs n >= 1 and r >= 2.
     """
+    if (initial is None) == (r is None):
+        raise ValidationError("a solver run needs exactly one of an initial "
+                              "point and r")
+    if instance.n == 0:
+        raise ValidationError("the solvers need n >= 1, got n = 0")
     rng = np.random.default_rng(seed)
     if initial is not None:
         point = initial.copy()
-    elif r is None:
-        raise ValidationError("a solver run needs either an initial point or r")
     else:
         point = random_point(instance.n, r, rng)
     if point.n != instance.n:
@@ -271,7 +276,7 @@ def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
     t0 = time.perf_counter()
 
     def emit(kind, taken, coords, gain=None, ray=None):
-        metric = grad_metric_sq(point, cache)
+        metric = grad_metric_sq(cache)
         trace.records.append(TraceRecord(
             epoch=steps // n + escapes, kind=kind, f_raw=cache.objective(),
             f_total=cache.objective() + instance.trace_offset,
@@ -292,7 +297,7 @@ def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
         sweep, begun = min(n, left), steps
         for _ in range(sweep):
             if (policy is not None
-                    and grad_metric_sq(point, cache) <= policy.threshold):
+                    and grad_metric_sq(cache) <= policy.threshold):
                 break
             if steps % n == 0 and (steps // n + 1) % REFRESH_PERIOD == 0:
                 refresh_cache(instance, point, cache)

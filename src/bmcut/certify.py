@@ -10,6 +10,7 @@ second-order points the bound is tight.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,13 +88,17 @@ def dual_upper_bound(instance: ProblemInstance, point: FactorPoint,
 
 
 def approx_report(instance: ProblemInstance, point: FactorPoint,
-                  cache: GradientCache, r: int, epsilon: float) -> dict:
-    """Achieved value against the certified bound, with the rank-dependent
-    floors.  The floors assume a positive semidefinite cost matrix and are
-    labeled conditional; the upper bound itself is unconditional.
+                  cache: GradientCache, epsilon: float) -> dict:
+    """Achieved value against the certified bound, with the floors for the
+    point's rank r.  The floors assume a positive semidefinite cost matrix
+    and are labeled conditional; the upper bound itself is unconditional.
     """
+    r = point.r
     if r < 2:
-        raise ValidationError(f"the report needs r >= 2, got {r}")
+        raise ValidationError(f"the report needs r >= 2, got r = {r}")
+    if not (epsilon >= 0.0 and math.isfinite(instance.n * epsilon)):
+        raise ValidationError(
+            f"epsilon must be >= 0 with n * epsilon finite, got {epsilon!r}")
     cert = dual_upper_bound(instance, point, cache)
     f = cache.objective()
     u = cert.upper_bound

@@ -78,13 +78,6 @@ def _rank(args, instance: problem.ProblemInstance) -> int:
     return r
 
 
-def _write_trace(trace: bcm.SolveTrace, path: str, include_timing: bool):
-    if path.endswith(".csv"):
-        trace.write_csv(path, include_timing=include_timing)
-    else:
-        trace.write_jsonl(path, include_timing=include_timing)
-
-
 def cmd_solve(args) -> int:
     instance = _load_from_args(args)
     r = _rank(args, instance)
@@ -101,10 +94,9 @@ def cmd_solve(args) -> int:
     trace.header["git"] = _git_describe()
     trace.header["argv_config"] = _config_echo(args)
     if args.trace:
-        _write_trace(trace, args.trace, args.timings)
+        trace.write(args.trace, include_timing=args.timings)
     if args.point_out:
-        fmt = "csv" if args.point_out.endswith(".csv") else "binary"
-        manifold.save_point(point, args.point_out, fmt=fmt)
+        manifold.save_point(point, args.point_out)
     final = trace.final()
     print(f"method={args.method} status={trace.status} epochs={final.epoch}")
     print(f"f_raw={final.f_raw!r} f_total={final.f_total!r}")
@@ -167,14 +159,14 @@ def cmd_bench(args) -> int:
 
 def cmd_certify(args) -> int:
     instance = _load_from_args(args)
-    fmt = "csv" if args.point.endswith(".csv") else "binary"
-    point = manifold.load_point(args.point, fmt=fmt)
+    point = manifold.load_point(args.point)
     cache = bcm.init_cache(instance, point)
     cert = certify.dual_upper_bound(instance, point, cache)
+    # the report (r >= 2 only) checks epsilon before anything is printed
+    report = (certify.approx_report(instance, point, cache, args.epsilon)
+              if point.r >= 2 else None)
     print(cert.to_json())
-    if point.r >= 2:
-        report = certify.approx_report(instance, point, cache, point.r,
-                                       args.epsilon)
+    if report is not None:
         print(json.dumps(report, sort_keys=True))
     if args.trials:
         rng = np.random.default_rng(args.seed)
@@ -187,10 +179,7 @@ def cmd_certify(args) -> int:
 
 def cmd_gen(args) -> int:
     instance = parse_gen_spec(args.gen)
-    fmt = args.format
-    if fmt is None:
-        fmt = "mtx" if args.out.endswith((".mtx", ".mm")) else "edge-list"
-    if fmt == "mtx":
+    if args.out.endswith((".mtx", ".mm")):
         problem.write_matrix_market(instance, args.out)
     else:
         problem.write_edge_list(instance, args.out)
@@ -247,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gp = sub.add_parser("gen", help="generate an instance file")
     gp.add_argument("--gen", required=True)
-    gp.add_argument("--out", required=True)
-    gp.add_argument("--format", choices=("edge-list", "mtx"), default=None)
+    gp.add_argument("--out", required=True,
+                    help="Matrix Market for .mtx or .mm, else an edge list")
     gp.set_defaults(func=cmd_gen)
     return ap
 

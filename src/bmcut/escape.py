@@ -66,26 +66,23 @@ class LanczosResult:
     iterations: int
 
 
-def _check_epsilon(instance: ProblemInstance, epsilon: float) -> None:
-    """Every escape constant divides by epsilon or |A|_1."""
+def _check_epsilon(instance: ProblemInstance, epsilon: float) -> int:
+    """Refuse an epsilon that leaves an escape constant undefined, and return
+    the epoch cap ceil(675 n |A|_1^2 / eps^2), the cap on a run's combined
+    epochs and so on its Lanczos calls.  Every constant divides by epsilon
+    or |A|_1; the threshold and the ascent floor cube epsilon."""
     if not 0.0 < epsilon < math.inf:   # NaN fails
         raise ValidationError(f"epsilon must be finite and > 0, got {epsilon}")
     if instance.one_norm == 0.0:
         raise TrivialInstanceError("zero cost matrix: every point is optimal")
-
-
-def _epoch_cap(instance: ProblemInstance, epsilon: float) -> int:
-    """ceil(675 n |A|_1^2 / eps^2): the cap on a run's combined epochs, and so
-    on its Lanczos calls.  Rejects an epsilon that leaves it infinite."""
-    _check_epsilon(instance, epsilon)
-    try:
+    try:   # float ** raises OverflowError where * and / give inf
         cap = EPOCH_CAP_NUM * instance.n * instance.one_norm**2 / epsilon**2
+        if epsilon**3 < math.inf and cap < math.inf:
+            return math.ceil(cap)
     except (OverflowError, ZeroDivisionError):
-        cap = math.inf
-    if cap == math.inf:
-        raise ValidationError(
-            f"epsilon = {epsilon!r} gives no finite epoch cap 675 n |A|_1^2/eps^2")
-    return math.ceil(cap)
+        pass
+    raise ValidationError(f"epsilon = {epsilon!r} gives no finite eps^3 or "
+                          "epoch cap 675 n |A|_1^2/eps^2")
 
 
 def escape_threshold(instance: ProblemInstance, epsilon: float) -> float:
@@ -114,7 +111,7 @@ def lanczos_budget(instance: ProblemInstance, epsilon: float, delta: float,
     """
     if not 0.0 < delta < 1.0 or r < 2:
         raise ValidationError("need delta in (0,1), r >= 2")
-    calls = _epoch_cap(instance, epsilon)
+    calls = _check_epsilon(instance, epsilon)
     dim = instance.n * (r - 1)
     ell = math.ceil(
         (0.5 + 2.0 * math.sqrt(instance.one_norm / epsilon))
@@ -223,14 +220,16 @@ def second_order_step(instance: ProblemInstance, point: FactorPoint,
 
 
 def auto_epsilon(instance: ProblemInstance, point: FactorPoint,
-                 cache: GradientCache, r: int) -> float:
+                 cache: GradientCache) -> float:
     """Accuracy target 2 U / (n (r-1)) with U the dual upper bound at the
-    given iterate standing in for the unknown optimum."""
+    given iterate, of rank r, standing in for the unknown optimum."""
+    if point.r < 2:
+        raise ValidationError(f"auto epsilon needs r >= 2, got r = {point.r}")
     cert = dual_upper_bound(instance, point, cache)
     if cert.upper_bound <= 0.0:
         raise ValidationError(
             "auto epsilon needs a positive upper bound; pass epsilon explicitly")
-    return 2.0 * cert.upper_bound / (instance.n * (r - 1))
+    return 2.0 * cert.upper_bound / (instance.n * (point.r - 1))
 
 
 def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
@@ -242,7 +241,7 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
     count as one epoch); below it, a leading curvature direction is computed
     and either stepped along (curvature >= eps/2) or, failing that, the point
     is declared an eps-approximate concave point and the run stops.  A hard
-    cap of _epoch_cap combined epochs applies, on top of the user's
+    cap on combined epochs (see _check_epsilon) applies, on top of the user's
     max_epochs.  The loop itself is bcm.drive with an escape policy;
     solver.rule and solver.grad_tol are not used.
     """
@@ -262,8 +261,8 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
 
     cache = init_cache(instance, point)
     eps = esc.epsilon if esc.epsilon is not None else auto_epsilon(
-        instance, point, cache, rr)
-    cap = _epoch_cap(instance, eps)
+        instance, point, cache)
+    cap = _check_epsilon(instance, eps)
     threshold = escape_threshold(instance, eps)
     budget = lanczos_budget(instance, eps, esc.delta, rr)
     t_step = eps / (STEP_DENOM * instance.one_norm)

@@ -100,7 +100,7 @@ def riemannian_gradient(point: FactorPoint, cache) -> np.ndarray:
     return 2.0 * (cache.g - cache.inner[:, None] * point.sigma)
 
 
-def grad_metric_sq(point: FactorPoint, cache) -> float:
+def grad_metric_sq(cache) -> float:
     """The ascent metric 2 sum_i (|g_i|^2 - <sigma_i, g_i>^2).
 
     This is the quantity the escape threshold and the rate bounds are
@@ -128,35 +128,31 @@ def _hess_apply_rows(instance, sigma: np.ndarray, inner: np.ndarray,
     return _project_rows(sigma, raw)
 
 
-def save_point(point: FactorPoint, path: str, fmt: str = "binary") -> None:
-    """Serialize a point: little-endian (n, r, row-major f64) or CSV."""
-    if fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(np.int64(point.n).astype("<i8").tobytes())
-            fh.write(np.int64(point.r).astype("<i8").tobytes())
-            fh.write(point.sigma.astype("<f8").tobytes())
-    elif fmt == "csv":
+def save_point(point: FactorPoint, path: str) -> None:
+    """Write a point as CSV when path ends in .csv, otherwise as little-endian
+    binary: n, r (int64), then the row-major float64 entries."""
+    if path.endswith(".csv"):
         np.savetxt(path, point.sigma, delimiter=",", fmt="%.17g")
-    else:
-        raise ValidationError(f"unknown point format {fmt!r}")
+        return
+    with open(path, "wb") as fh:
+        fh.write(np.int64(point.n).astype("<i8").tobytes())
+        fh.write(np.int64(point.r).astype("<i8").tobytes())
+        fh.write(point.sigma.astype("<f8").tobytes())
 
 
-def load_point(path: str, fmt: str = "binary") -> FactorPoint:
-    if fmt == "binary":
-        with open(path, "rb") as fh:
-            head = fh.read(16)
-            if len(head) != 16:
-                raise ValidationError(f"{path}: truncated point file")
-            n = int(np.frombuffer(head[:8], dtype="<i8")[0])
-            r = int(np.frombuffer(head[8:], dtype="<i8")[0])
-            body = fh.read()
-        if n < 0 or r < 0:
-            raise ValidationError(f"{path}: negative size n={n}, r={r}")
-        if len(body) != 8 * n * r:
-            raise ValidationError(f"{path}: expected {8 * n * r} payload bytes")
-        sigma = np.frombuffer(body, dtype="<f8").reshape(n, r).copy()
-        return FactorPoint(sigma)
-    if fmt == "csv":
-        sigma = np.loadtxt(path, delimiter=",", ndmin=2)
-        return FactorPoint(sigma)
-    raise ValidationError(f"unknown point format {fmt!r}")
+def load_point(path: str) -> FactorPoint:
+    """Read a point written by save_point; the extension picks the format."""
+    if path.endswith(".csv"):
+        return FactorPoint(np.loadtxt(path, delimiter=",", ndmin=2))
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+        if len(head) != 16:
+            raise ValidationError(f"{path}: truncated point file")
+        n = int(np.frombuffer(head[:8], dtype="<i8")[0])
+        r = int(np.frombuffer(head[8:], dtype="<i8")[0])
+        body = fh.read()
+    if n < 0 or r < 0:
+        raise ValidationError(f"{path}: negative size n={n}, r={r}")
+    if len(body) != 8 * n * r:
+        raise ValidationError(f"{path}: expected {8 * n * r} payload bytes")
+    return FactorPoint(np.frombuffer(body, dtype="<f8").reshape(n, r).copy())

@@ -75,12 +75,13 @@ def _finish(sym: sp.sparray | np.ndarray) -> ProblemInstance:
     entries whose sums overflow.
     """
     coo = sp.coo_array(sym)
-    offset = float(coo.diagonal().sum())
     keep = (coo.row != coo.col) & (coo.data != 0.0)
     mat = sp.coo_array(
         (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape
     ).tocsr()
-    l11 = float(abs(mat.data).sum())
+    with np.errstate(over="ignore"):   # an overflowing sum is refused below
+        offset = float(coo.diagonal().sum())
+        l11 = float(abs(mat.data).sum())
     if not (math.isfinite(l11) and math.isfinite(offset)):
         raise ValidationError("matrix contains non-finite entries or sums")
     n = mat.shape[0]
@@ -272,4 +273,6 @@ def write_edge_list(instance: ProblemInstance, path: str) -> None:
 def write_matrix_market(instance: ProblemInstance, path: str) -> None:
     import scipy.io
 
-    scipy.io.mmwrite(path, sp.coo_matrix(instance.rows), symmetry="symmetric")
+    # through a handle: given a name, mmwrite appends .mtx to any other suffix
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, sp.coo_matrix(instance.rows), symmetry="symmetric")

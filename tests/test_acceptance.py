@@ -126,9 +126,9 @@ def test_criterion_2_greedy_bound_and_envelope(corpus):
             epoch_metrics = []
             epochs = 10
             for e in range(epochs):
-                epoch_metrics.append(manifold.grad_metric_sq(point, cache))
+                epoch_metrics.append(manifold.grad_metric_sq(cache))
                 for s in range(n):
-                    metric = manifold.grad_metric_sq(point, cache)
+                    metric = manifold.grad_metric_sq(cache)
                     i = bcm.select_coordinate("greedy", cache, rng)
                     ascent = bcm.bcm_step(inst, point, cache, i)
                     if inst.one_norm > 0:
@@ -192,7 +192,7 @@ def test_criterion_5_saddle_escape(triangle, saddle_bcm2_trace):
     with criterion(5, "BCM stalls at the triangle saddle, BCM2 escapes"):
         start = FactorPoint(np.tile([1.0, 0.0], (3, 1)))
         cache = bcm.init_cache(triangle, start)
-        assert manifold.grad_metric_sq(start, cache) == 0.0
+        assert manifold.grad_metric_sq(cache) == 0.0
         assert cache.objective() == -6.0
 
         cfg = bcm.SolverConfig(rule="greedy", max_epochs=100, grad_tol=0.0,

@@ -303,7 +303,7 @@ class TestRun:
         point = manifold.random_point(20, 5, rng)
         cache = bcm.init_cache(inst, point)
         for step in range(400):
-            metric = manifold.grad_metric_sq(point, cache)
+            metric = manifold.grad_metric_sq(cache)
             i = bcm.select_coordinate("greedy", cache, rng)
             ascent = bcm.bcm_step(inst, point, cache, i)
             bound = metric / (2 * inst.n * inst.one_norm)
@@ -320,7 +320,7 @@ class TestRun:
             cache = bcm.init_cache(inst, point)
             gains, refs = [], []
             for step in range(300):
-                metric = manifold.grad_metric_sq(point, cache)
+                metric = manifold.grad_metric_sq(cache)
                 i = bcm.select_coordinate(rule, cache, rng)
                 ni, ii = cache.norms[i], cache.inner[i]
                 ascent = bcm.bcm_step(inst, point, cache, i)
@@ -349,6 +349,30 @@ class TestRun:
         cfg = bcm.SolverConfig()
         with pytest.raises(ValidationError):
             bcm.run(triangle, cfg)
+
+    @pytest.mark.parametrize("entry", ["start_point", "bcm", "bcm2"])
+    def test_initial_and_r_rejected(self, triangle, triangle_saddle, entry):
+        # r was silently ignored whenever an initial point was given
+        cfg = bcm.SolverConfig(rule="greedy", max_epochs=2)
+        with pytest.raises(ValidationError, match="exactly one"):
+            if entry == "start_point":
+                bcm.start_point(triangle, 0, triangle_saddle, r=5)
+            elif entry == "bcm":
+                bcm.run(triangle, cfg, initial=triangle_saddle, r=5)
+            else:
+                bmcut.run_bcm2(triangle, cfg, bmcut.EscapeConfig(epsilon=0.1),
+                               initial=triangle_saddle, r=5)
+
+    @pytest.mark.parametrize("method", ["bcm", "bcm2"])
+    def test_empty_instance_rejected(self, method):
+        # bcm divided by n = 0 in drive; bcm2 returned a "trivial" trace
+        inst = bmcut.preprocess(np.zeros((0, 0)))
+        cfg = bcm.SolverConfig(max_epochs=2)
+        with pytest.raises(ValidationError, match="n = 0"):
+            if method == "bcm":
+                bcm.run(inst, cfg, r=2)
+            else:
+                bmcut.run_bcm2(inst, cfg, bmcut.EscapeConfig(), r=2)
 
     @pytest.mark.parametrize("method", ["bcm", "bcm2"])
     @pytest.mark.parametrize("source", ["drawn", "given"])
@@ -385,7 +409,7 @@ class TestTraceIO:
         cfg = bcm.SolverConfig(rule="greedy", max_epochs=20, seed=1)
         _, trace = bcm.run(triangle, cfg, r=2)
         path = str(tmp_path / "t.jsonl")
-        trace.write_jsonl(path)
+        trace.write(path)
         lines = [json.loads(x) for x in open(path)]
         assert lines[0]["type"] == "header"
         assert lines[0]["schema"] == "trace_v1"
@@ -400,7 +424,7 @@ class TestTraceIO:
         cfg = bcm.SolverConfig(rule="greedy", max_epochs=5, seed=1)
         _, trace = bcm.run(triangle, cfg, r=2)
         path = str(tmp_path / "t.jsonl")
-        trace.write_jsonl(path, include_timing=True)
+        trace.write(path, include_timing=True)
         rec = json.loads(open(path).readlines()[1])
         assert "wall_time" in rec
 
@@ -408,7 +432,7 @@ class TestTraceIO:
         cfg = bcm.SolverConfig(rule="cyclic", max_epochs=10, seed=0)
         _, trace = bcm.run(triangle, cfg, r=2)
         path = str(tmp_path / "t.csv")
-        trace.write_csv(path)
+        trace.write(path)
         lines = open(path).read().splitlines()
         data = [x for x in lines if not x.startswith("#")]
         header = data[0].split(",")
@@ -418,7 +442,7 @@ class TestTraceIO:
 
 def trace_digest(path, point, trace) -> str:
     """sha256 of the trace_v1 JSON-lines file plus the final factor bytes."""
-    trace.write_jsonl(str(path))
+    trace.write(str(path))
     h = hashlib.sha256(path.read_bytes())
     h.update(point.sigma.astype("<f8").tobytes())
     return h.hexdigest()

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -102,34 +103,55 @@ class TestDualBound:
         assert len(data["lam"]) == 3
 
 
+def padded(point, r):
+    """The point with zero columns appended up to rank r: the same Gram
+    matrix, so the same cache and bound, at a larger rank."""
+    return FactorPoint(np.pad(point.sigma, ((0, 0), (0, r - point.r))))
+
+
 class TestApproxReport:
     def test_r2_floor_vacuous(self, triangle, triangle_optimum):
         cache = bcm.init_cache(triangle, triangle_optimum)
-        rep = certify.approx_report(triangle, triangle_optimum, cache, r=2,
+        rep = certify.approx_report(triangle, triangle_optimum, cache,
                                     epsilon=0.1)
+        assert rep["r"] == 2
         assert rep["floor_concave_vacuous"] is True
         assert rep["floor_concave"] == pytest.approx(-3 * 0.1 / 2, abs=1e-9)
         assert rep["ratio_vs_bound"] == pytest.approx(1.0, abs=1e-9)
 
     def test_r11_two_sided_factor(self, triangle, triangle_optimum):
-        cache = bcm.init_cache(triangle, triangle_optimum)
-        rep = certify.approx_report(triangle, triangle_optimum, cache, r=11,
-                                    epsilon=0.0)
+        point = padded(triangle_optimum, 11)
+        cache = bcm.init_cache(triangle, point)
+        rep = certify.approx_report(triangle, point, cache, epsilon=0.0)
+        assert rep["r"] == 11
         assert rep["floor_two_sided"] == pytest.approx(0.8 * rep["upper_bound"])
+        assert rep["floor_concave"] == pytest.approx(0.9 * rep["upper_bound"])
 
     def test_labels_present(self, triangle, triangle_optimum):
-        cache = bcm.init_cache(triangle, triangle_optimum)
-        rep = certify.approx_report(triangle, triangle_optimum, cache, r=3,
-                                    epsilon=0.01)
+        point = padded(triangle_optimum, 3)
+        cache = bcm.init_cache(triangle, point)
+        rep = certify.approx_report(triangle, point, cache, epsilon=0.01)
+        assert rep["r"] == 3
+        assert rep["floor_concave_vacuous"] is False
         assert rep["guarantees"] == ["upper_bound"]
         assert "floor_concave" in rep["diagnostics"]
         assert any("positive semidefinite" in n for n in rep["notes"])
 
-    def test_r_below_two_rejected(self, triangle, triangle_optimum):
+    def test_r_below_two_rejected(self, triangle):
+        point = FactorPoint(np.array([[1.0], [-1.0], [1.0]]))
+        cache = bcm.init_cache(triangle, point)
+        with pytest.raises(ValidationError, match="r = 1"):
+            certify.approx_report(triangle, point, cache, epsilon=0.1)
+
+    @pytest.mark.parametrize("epsilon", [-5.0, -1e-300, float("inf"),
+                                         float("nan"), 1e308])
+    def test_bad_epsilon_rejected(self, triangle, triangle_optimum, epsilon):
+        # a negative epsilon raised floor_concave above its epsilon = 0 value;
+        # inf, nan and an overflowing n * epsilon made it non-JSON
         cache = bcm.init_cache(triangle, triangle_optimum)
-        with pytest.raises(ValidationError):
-            certify.approx_report(triangle, triangle_optimum, cache, r=1,
-                                  epsilon=0.1)
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"got {epsilon!r}")):
+            certify.approx_report(triangle, triangle_optimum, cache, epsilon)
 
 
 class TestRounding:

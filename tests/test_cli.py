@@ -61,6 +61,23 @@ class TestSolve:
         point = bmcut.load_point(str(pt))
         assert point.n == 12
 
+    def test_point_output_csv(self, tmp_path):
+        pt = tmp_path / "p.csv"
+        assert run_cli(["solve", "--gen", "gaussian:n=12,seed=2",
+                        "--max-epochs", "5", "--point-out", str(pt)]) == 0
+        sigma = np.loadtxt(pt, delimiter=",")
+        assert sigma.shape == (12, 5)
+        assert np.array_equal(bmcut.load_point(str(pt)).sigma, sigma)
+
+    @pytest.mark.parametrize("method", ["bcm", "bcm2"])
+    def test_empty_instance_is_validation_error(self, tmp_path, method,
+                                                capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# 0 nodes\n")
+        assert run_cli(["solve", "--edge-list", str(empty),
+                        "--method", method]) == 2
+        assert "n = 0" in capsys.readouterr().err
+
     def test_missing_source_is_validation_error(self):
         assert run_cli(["solve", "--method", "bcm"]) == 2
 
@@ -110,7 +127,8 @@ class TestSolve:
                 run_cli(["solve", "--gen", "gaussian:n=6,seed=0", flag])
             assert exc.value.code == 2
 
-    @pytest.mark.parametrize("eps", ["1e-200", "1e-160", "inf", "nan"])
+    @pytest.mark.parametrize("eps", ["1e-200", "1e-160", "inf", "nan",
+                                     "1e103", "1e150"])
     def test_bad_epsilon_is_validation_error(self, eps, capsys):
         assert run_cli(["solve", "--gen", "gaussian:n=6,seed=0",
                         "--method", "bcm2", "--epsilon", eps]) == 2
@@ -197,6 +215,13 @@ class TestBench:
         assert run_cli(["bench", "--gen", "gaussian:n=6,seed=0",
                         "--rules", "cyclic", "--r", r]) == 2
 
+    def test_empty_instance_is_validation_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# 0 nodes\n")
+        assert run_cli(["bench", "--edge-list", str(empty),
+                        "--rules", "cyclic"]) == 2
+        assert "n = 0" in capsys.readouterr().err
+
     def test_unknown_rule_rejected(self):
         assert run_cli(["bench", "--gen", "gaussian:n=10,seed=0",
                         "--rules", "cyclic,warp"]) == 2
@@ -225,7 +250,7 @@ class TestCertify:
         bmcut.write_matrix_market(inst, str(inst_file))
         point = bmcut.random_point(10, 4, np.random.default_rng(0))
         pt = tmp_path / "p.csv"
-        bmcut.save_point(point, str(pt), fmt="csv")
+        bmcut.save_point(point, str(pt))
         code = run_cli(["certify", "--mtx", str(inst_file), "--point", str(pt)])
         assert code == 0
         cert = json.loads(capsys.readouterr().out.splitlines()[0])
@@ -274,6 +299,19 @@ class TestCertify:
                      "--allow-r1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("eps", ["-5", "nan", "inf"])
+    def test_bad_epsilon_is_validation_error(self, tmp_path, capsys, eps,
+                                             triangle_optimum):
+        tri = tmp_path / "tri.txt"
+        tri.write_text("1 2 -1\n1 3 -1\n2 3 -1\n")
+        pt = tmp_path / "opt.bin"
+        bmcut.save_point(triangle_optimum, str(pt))
+        assert run_cli(["certify", "--edge-list", str(tri), "--point", str(pt),
+                        f"--epsilon={eps}"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"got {float(eps)!r}" in out.err
+
     def test_reproducible_cut(self, tmp_path, capsys, triangle_optimum):
         tri = tmp_path / "tri.txt"
         tri.write_text("1 2 -1\n1 3 -1\n2 3 -1\n")
@@ -306,6 +344,22 @@ class TestGen:
         inst = bmcut.load_instance(str(out), "matrix-market")
         ref = bmcut.gen_gaussian(8, 5)
         assert np.allclose(inst.dense(), ref.dense(), atol=1e-14)
+
+    def test_mm_extension_is_matrix_market(self, tmp_path):
+        # the file is written under the name given, not as g.mm.mtx
+        out = tmp_path / "g.mm"
+        assert run_cli(["gen", "--gen", "gaussian:n=8,seed=5",
+                        "--out", str(out)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["g.mm"]
+        inst = bmcut.load_instance(str(out), "matrix-market")
+        assert inst.checksum() == bmcut.gen_gaussian(8, 5).checksum()
+
+    def test_format_flag_removed(self, tmp_path):
+        # the extension of --out picks the format
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["gen", "--gen", "gaussian:n=8,seed=5",
+                     "--out", str(tmp_path / "g.txt"), "--format", "mtx"])
+        assert exc.value.code == 2
 
 
 class TestEntryPoint:

@@ -49,6 +49,13 @@ class TestThreshold:
         with pytest.raises(TrivialInstanceError):
             escape.escape_threshold(inst, 0.5)
 
+    @pytest.mark.parametrize("fn", [escape.escape_threshold,
+                                    escape.escape_ascent_floor])
+    def test_overflowing_cube_rejected(self, triangle, fn):
+        # eps^3 overflows above about 5.6e102, where float ** raises
+        with pytest.raises(ValidationError, match=r"epsilon = 1e\+103"):
+            fn(triangle, 1e103)
+
 
 class TestShiftedApply:
     def test_definition_identity(self):
@@ -415,13 +422,25 @@ class TestRunBcm2:
         cert = bmcut.dual_upper_bound(inst, point, cache)
         assert cache.objective() >= (1 - 2 / (r - 1)) * cert.upper_bound
 
-    @pytest.mark.parametrize("epsilon", [1e-200, 1e-160, math.inf, math.nan])
+    @pytest.mark.parametrize("epsilon", [1e-200, 1e-160, math.inf, math.nan,
+                                         1e103, 1e150])
     def test_bad_epsilon_rejected(self, epsilon):
-        # 1e-200 squares to 0 and 1e-160 gives an infinite epoch cap
+        # 1e-200 squares to 0, 1e-160 gives an infinite epoch cap, and
+        # 1e103 and 1e150 cube to more than the largest float
         cfg = bcm.SolverConfig(rule="greedy", seed=0)
         with pytest.raises(ValidationError, match="epsilon"):
             escape.run_bcm2(bmcut.gen_gaussian(6, seed=0), cfg,
                             escape.EscapeConfig(epsilon=epsilon), r=3)
+
+    def test_auto_epsilon_reads_rank_from_point(self):
+        inst = bmcut.gen_gaussian(6, seed=0)
+        point = manifold.random_point(6, 3, np.random.default_rng(0))
+        cache = bcm.init_cache(inst, point)
+        u = bmcut.dual_upper_bound(inst, point, cache).upper_bound
+        assert escape.auto_epsilon(inst, point, cache) == 2.0 * u / (6 * 2)
+        line = bmcut.FactorPoint(np.ones((6, 1)))   # 1/(r - 1) divides by 0
+        with pytest.raises(ValidationError, match="r = 1"):
+            escape.auto_epsilon(inst, line, bcm.init_cache(inst, line))
 
     def test_tiny_auto_epsilon_rejected(self):
         # entries near 1e-170 make the automatic epsilon square to 0
