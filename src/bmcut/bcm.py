@@ -140,6 +140,8 @@ class SolverConfig:
             raise ValidationError("max_epochs must be >= 1")
         if self.grad_tol is not None and not self.grad_tol >= 0:   # NaN fails
             raise ValidationError(f"grad_tol must be >= 0, got {self.grad_tol}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def default_grad_tol(instance: ProblemInstance) -> float:
@@ -215,20 +217,22 @@ class SolveTrace:
                                   for c in cols) + "\n")
 
 
-def start_point(instance: ProblemInstance, seed: int,
+def start_point(instance: ProblemInstance, method: str, config: SolverConfig,
                 initial: FactorPoint | None = None, r: int | None = None):
-    """The run's seeded generator and its starting point, as (point, rng).
+    """Everything a solver run starts from: (point, rng, cache, trace).
 
     Takes exactly one of `initial`, which is copied and never mutated, and
     `r`, the rank of a point whose rows are drawn uniformly at random from
-    the generator.  Every solver needs n >= 1 and r >= 2.
+    the generator seeded with config.seed.  Every solver needs n >= 1 and
+    r >= 2.  The trace header holds the fields every method writes; each
+    method adds its own.
     """
     if (initial is None) == (r is None):
         raise ValidationError("a solver run needs exactly one of an initial "
                               "point and r")
     if instance.n == 0:
         raise ValidationError("the solvers need n >= 1, got n = 0")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     if initial is not None:
         point = initial.copy()
     else:
@@ -237,7 +241,13 @@ def start_point(instance: ProblemInstance, seed: int,
         raise ValidationError("initial point does not match the instance size")
     if point.r < 2:
         raise ValidationError(f"the solvers need r >= 2, got r = {point.r}")
-    return point, rng
+    trace = SolveTrace(header={
+        "method": method, "n": instance.n, "r": point.r, "seed": config.seed,
+        "max_epochs": config.max_epochs, "refresh_period": REFRESH_PERIOD,
+        "instance_checksum": instance.checksum(),
+        "trace_offset": instance.trace_offset,
+    })
+    return point, rng, init_cache(instance, point), trace
 
 
 @dataclass
@@ -322,15 +332,8 @@ def run(instance: ProblemInstance, config: SolverConfig,
 
     Returns (point, trace); the starting point follows start_point.
     """
-    point, rng = start_point(instance, config.seed, initial, r)
+    point, rng, cache, trace = start_point(instance, "bcm", config, initial, r)
     tol = config.grad_tol if config.grad_tol is not None else default_grad_tol(instance)
-    cache = init_cache(instance, point)
-    trace = SolveTrace(header={
-        "method": "bcm", "n": instance.n, "r": point.r, "rule": config.rule,
-        "max_epochs": config.max_epochs, "grad_tol": tol, "seed": config.seed,
-        "refresh_period": REFRESH_PERIOD,
-        "instance_checksum": instance.checksum(),
-        "trace_offset": instance.trace_offset,
-    })
+    trace.header.update(rule=config.rule, grad_tol=tol)
     trace.status, _, _ = drive(instance, point, cache, rng, trace, config, tol)
     return point, trace

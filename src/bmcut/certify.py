@@ -80,6 +80,8 @@ def _shifted_lambda_max(instance: ProblemInstance, lam: np.ndarray) -> float:
 def dual_upper_bound(instance: ProblemInstance, point: FactorPoint,
                      cache: GradientCache) -> Certificate:
     """Certified upper bound on the relaxation optimum from the current iterate."""
+    if instance.n == 0:
+        raise ValidationError("the dual bound needs n >= 1, got n = 0")
     lam = cache.inner.copy()
     slack = _shifted_lambda_max(instance, lam)
     upper = float(lam.sum() + instance.n * max(slack, 0.0))
@@ -88,10 +90,12 @@ def dual_upper_bound(instance: ProblemInstance, point: FactorPoint,
 
 
 def approx_report(instance: ProblemInstance, point: FactorPoint,
-                  cache: GradientCache, epsilon: float) -> dict:
+                  cert: Certificate, epsilon: float) -> dict:
     """Achieved value against the certified bound, with the floors for the
-    point's rank r.  The floors assume a positive semidefinite cost matrix
-    and are labeled conditional; the upper bound itself is unconditional.
+    point's rank r.  `cert` is the point's `dual_upper_bound`, whose lam
+    also gives the achieved value f = sum(lam).  The floors assume a
+    positive semidefinite cost matrix and are labeled conditional; the upper
+    bound itself is unconditional.
     """
     r = point.r
     if r < 2:
@@ -99,8 +103,7 @@ def approx_report(instance: ProblemInstance, point: FactorPoint,
     if not (epsilon >= 0.0 and math.isfinite(instance.n * epsilon)):
         raise ValidationError(
             f"epsilon must be >= 0 with n * epsilon finite, got {epsilon!r}")
-    cert = dual_upper_bound(instance, point, cache)
-    f = cache.objective()
+    f = float(cert.lam.sum())
     u = cert.upper_bound
     ratio = f / u if u > 0 else None
     factor1 = 1.0 - 1.0 / (r - 1)

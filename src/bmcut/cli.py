@@ -33,7 +33,7 @@ def _git_describe() -> str:
 
 def parse_gen_spec(spec: str) -> problem.ProblemInstance:
     """Build an instance from "gaussian:n=500,seed=1" or
-    "er:n=100,edges=300,sign=-1,seed=2"."""
+    "er:n=100,edges=300,sign=-1,seed=2"; any other key is refused."""
     try:
         kind, _, rest = spec.partition(":")
         kv = {}
@@ -42,14 +42,18 @@ def parse_gen_spec(spec: str) -> problem.ProblemInstance:
                 key, _, val = item.partition("=")
                 kv[key.strip()] = val.strip()
         if kind == "gaussian":
-            return problem.gen_gaussian(int(kv["n"]), int(kv.get("seed", 0)))
-        if kind in ("er", "erdos-renyi"):
-            return problem.gen_erdos_renyi(
-                int(kv["n"]), int(kv["edges"]),
-                int(kv.get("sign", -1)), int(kv.get("seed", 0)))
+            make, vals = problem.gen_gaussian, (kv.pop("n"), kv.pop("seed", 0))
+        elif kind in ("er", "erdos-renyi"):
+            make, vals = problem.gen_erdos_renyi, (
+                kv.pop("n"), kv.pop("edges"), kv.pop("sign", -1),
+                kv.pop("seed", 0))
+        else:
+            raise ValidationError(f"unknown generator {kind!r}")
+        if kv:
+            raise ValidationError(f"{kind} takes no key {min(kv)!r}")
+        return make(*map(int, vals))
     except (KeyError, ValueError) as exc:
         raise ValidationError(f"bad generator spec {spec!r}: {exc}") from None
-    raise ValidationError(f"unknown generator {kind!r} in {spec!r}")
 
 
 def _load_from_args(args) -> problem.ProblemInstance:
@@ -116,21 +120,16 @@ def cmd_bench(args) -> int:
     rules = [x for x in (args.rules or "").split(",") if x]
     if not rules:
         raise ValidationError("bench needs at least one rule via --rules")
-    for rule in rules:
-        if rule not in bcm.RULES:
-            raise ValidationError(f"unknown rule {rule!r}; pick from {bcm.RULES}")
+    configs = [bcm.SolverConfig(rule=rule, max_epochs=args.epochs,
+                                grad_tol=0.0, seed=args.seed) for rule in rules]
     instance = _load_from_args(args)
     r = _rank(args, instance)
     rng = np.random.default_rng(args.seed)
     shared = manifold.random_point(instance.n, r, rng)
     init_checksum = hashlib.sha256(shared.sigma.tobytes()).hexdigest()
 
-    traces = {}
-    for rule in rules:
-        cfg = bcm.SolverConfig(rule=rule, max_epochs=args.epochs, grad_tol=0.0,
-                               seed=args.seed)
-        _, trace = bcm.run(instance, cfg, initial=shared)
-        traces[rule] = trace
+    traces = {cfg.rule: bcm.run(instance, cfg, initial=shared)[1]
+              for cfg in configs}
 
     lines = [f"# schema=bench_v1 git={_git_describe()}",
              f"# instance_checksum={instance.checksum()}",
@@ -158,12 +157,14 @@ def cmd_bench(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    if args.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {args.seed}")
     instance = _load_from_args(args)
     point = manifold.load_point(args.point)
-    cache = bcm.init_cache(instance, point)
-    cert = certify.dual_upper_bound(instance, point, cache)
+    cert = certify.dual_upper_bound(instance, point,
+                                    bcm.init_cache(instance, point))
     # the report (r >= 2 only) checks epsilon before anything is printed
-    report = (certify.approx_report(instance, point, cache, args.epsilon)
+    report = (certify.approx_report(instance, point, cert, args.epsilon)
               if point.r >= 2 else None)
     print(cert.to_json())
     if report is not None:

@@ -17,8 +17,7 @@ import numpy as np
 import scipy.linalg
 
 # bcm_step, select_coordinate, grad_metric_sq: unused, kept for perfbench spans
-from .bcm import (REFRESH_PERIOD, EscapePolicy, GradientCache, SolverConfig,
-                  SolveTrace, TraceRecord, bcm_step, drive, init_cache,
+from .bcm import (EscapePolicy, GradientCache, SolverConfig, bcm_step, drive,
                   refresh_cache, select_coordinate, start_point)
 from .certify import dual_upper_bound
 from .errors import TrivialInstanceError, ValidationError
@@ -45,6 +44,8 @@ class EscapeConfig:
             raise ValidationError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValidationError("delta must be in (0, 1)")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -148,34 +149,33 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     shift = HESS_SHIFT_FACTOR * instance.one_norm
     breakdown_tol = 1e-12 * max(1.0, instance.one_norm)
     basis = np.empty((m, n * r))
-
-    u = _project_rows(sigma, rng.standard_normal((n, r)))
-    u /= np.linalg.norm(u)
-    basis[0] = u.ravel()
-    hu = _shifted_apply_rows(instance, sigma, cache.inner, u)
-    alphas = [float(np.sum(u * hu))]
-    res = hu - alphas[0] * u
+    alphas: list[float] = []
     betas: list[float] = []
     exhausted = False
 
-    for k in range(1, m):
+    res = rng.standard_normal((n, r))   # the start, before projection
+    for k in range(m):
         vec = _project_rows(sigma, res).ravel()
         # CGS2: vec -= basis^T (basis vec), two BLAS matrix-vector products
         # per pass.  One pass leaves rounding errors along the basis; the
         # second removes them ("twice is enough", Giraud et al. 2005).
+        # Against the empty basis at k = 0 both passes subtract exact zeros.
         stored = basis[:k]
         for _ in range(2):
             vec -= (stored @ vec) @ stored
         beta = float(np.linalg.norm(vec))
-        if beta <= breakdown_tol:
-            exhausted = True
-            break
-        betas.append(beta)
+        if k:
+            if beta <= breakdown_tol:
+                exhausted = True
+                break
+            betas.append(beta)
         basis[k] = vec / beta
         u = basis[k].reshape(n, r)
         hu = _shifted_apply_rows(instance, sigma, cache.inner, u)
         alphas.append(float(np.sum(u * hu)))
-        res = hu - alphas[-1] * u - beta * basis[k - 1].reshape(n, r)
+        res = hu - alphas[-1] * u
+        if k:
+            res -= beta * basis[k - 1].reshape(n, r)
 
     k = len(alphas)
     alpha_arr = np.asarray(alphas)
@@ -245,39 +245,25 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
     max_epochs.  The loop itself is bcm.drive with an escape policy;
     solver.rule and solver.grad_tol are not used.
     """
-    point, rng = start_point(instance, solver.seed, initial, r)
-    n, rr = instance.n, point.r
-
+    point, rng, cache, trace = start_point(instance, "bcm2", solver, initial, r)
+    greedy = replace(solver, rule="greedy")
     if instance.one_norm == 0.0:
-        trace = SolveTrace(header={
-            "method": "bcm2", "n": n, "r": rr,
-            "instance_checksum": instance.checksum(),
-            "trace_offset": instance.trace_offset,
-        }, status="trivial")
-        trace.records.append(TraceRecord(
-            epoch=0, kind="bcm", f_raw=0.0, f_total=instance.trace_offset,
-            grad_metric_sq=0.0, steps=0, coords_updated=0, wall_time=0.0))
+        # every metric is exactly 0: drive records epoch 0 and stops
+        drive(instance, point, cache, rng, trace, greedy, 0.0)
+        trace.status = "trivial"
         return point, trace
 
-    cache = init_cache(instance, point)
     eps = esc.epsilon if esc.epsilon is not None else auto_epsilon(
         instance, point, cache)
     cap = _check_epsilon(instance, eps)
     threshold = escape_threshold(instance, eps)
-    budget = lanczos_budget(instance, eps, esc.delta, rr)
+    budget = lanczos_budget(instance, eps, esc.delta, point.r)
     t_step = eps / (STEP_DENOM * instance.one_norm)
     rng_lan = np.random.default_rng(esc.seed)
-
-    trace = SolveTrace(header={
-        "method": "bcm2", "n": n, "r": rr, "epsilon": eps, "delta": esc.delta,
-        "threshold": threshold, "epoch_cap": cap, "lanczos_budget": budget,
-        "step_length": t_step, "retries": 0,
-        "lanczos_reorth": True, "seed": solver.seed,
-        "escape_seed": esc.seed, "max_epochs": solver.max_epochs,
-        "refresh_period": REFRESH_PERIOD,
-        "instance_checksum": instance.checksum(),
-        "trace_offset": instance.trace_offset,
-    })
+    trace.header.update(
+        epsilon=eps, delta=esc.delta, threshold=threshold, epoch_cap=cap,
+        lanczos_budget=budget, step_length=t_step, retries=0,
+        lanczos_reorth=True, escape_seed=esc.seed)
 
     def escape_step():
         res = lanczos_leading(instance, point, cache, budget, rng_lan)
@@ -287,9 +273,8 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
         return second_order_step(instance, point, cache, res.direction, eps), ray
 
     trace.status, steps, escapes = drive(
-        instance, point, cache, rng, trace, replace(solver, rule="greedy"),
-        -math.inf, EscapePolicy(threshold, cap, escape_step))
-    trace.header["bcm_epochs"] = steps / n
-    trace.header["bcm_steps"] = steps
-    trace.header["escape_steps"] = escapes
+        instance, point, cache, rng, trace, greedy, -math.inf,
+        EscapePolicy(threshold, cap, escape_step))
+    trace.header.update(bcm_epochs=steps / instance.n, bcm_steps=steps,
+                        escape_steps=escapes)
     return point, trace

@@ -356,7 +356,7 @@ class TestRun:
         cfg = bcm.SolverConfig(rule="greedy", max_epochs=2)
         with pytest.raises(ValidationError, match="exactly one"):
             if entry == "start_point":
-                bcm.start_point(triangle, 0, triangle_saddle, r=5)
+                bcm.start_point(triangle, "bcm", cfg, triangle_saddle, r=5)
             elif entry == "bcm":
                 bcm.run(triangle, cfg, initial=triangle_saddle, r=5)
             else:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import tracemalloc
@@ -16,6 +17,13 @@ import oracles
 
 
 class TestDualBound:
+    def test_empty_instance_rejected(self):
+        # eigvalsh of a 0 x 0 matrix has no largest eigenvalue: IndexError
+        inst = bmcut.preprocess(np.zeros((0, 0)))
+        point = FactorPoint(np.zeros((0, 3)))
+        with pytest.raises(ValidationError, match="n = 0"):
+            certify.dual_upper_bound(inst, point, bcm.init_cache(inst, point))
+
     def test_single_edge_optimum_tight(self, edge2):
         point = FactorPoint(np.tile([1.0, 0.0], (2, 1)))
         cache = bcm.init_cache(edge2, point)
@@ -109,10 +117,39 @@ def padded(point, r):
     return FactorPoint(np.pad(point.sigma, ((0, 0), (0, r - point.r))))
 
 
+def cert_at(instance, point):
+    return certify.dual_upper_bound(instance, point,
+                                    bcm.init_cache(instance, point))
+
+
 class TestApproxReport:
+    # frozen from the report that ran its own dual bound from the cache
+    DIGESTS = {
+        ("optimum", 2, 0.1):
+            "9dba3366d2934cfd6132bcc7f8accdec2b01625dbda425afb80ec795ff6ad526",
+        ("optimum", 3, 0.01):
+            "033f7e97f91df328051bd05d56a659ea870100d27549dcde1024f042a9595612",
+        ("optimum", 11, 0.0):
+            "ce9218c81665c157293111fc4e48c6f941dfd2bb33cd1b0bc1f59c8968e1b611",
+        ("saddle", 4, 0.05):
+            "3110bbcb72f732275023608b0425073c6be5a73d4449b4c64ce97da8e4bbf398",
+    }
+
+    @pytest.mark.parametrize("start, r, epsilon", list(DIGESTS))
+    def test_report_from_certificate(self, triangle, triangle_optimum,
+                                     triangle_saddle, start, r, epsilon):
+        point = padded(triangle_optimum if start == "optimum"
+                       else triangle_saddle, r)
+        rep = certify.approx_report(triangle, point, cert_at(triangle, point),
+                                    epsilon)
+        assert rep["f_raw"] == bcm.init_cache(triangle, point).objective()
+        text = json.dumps(rep, sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == self.DIGESTS[start, r,
+                                                                epsilon]
+
     def test_r2_floor_vacuous(self, triangle, triangle_optimum):
-        cache = bcm.init_cache(triangle, triangle_optimum)
-        rep = certify.approx_report(triangle, triangle_optimum, cache,
+        cert = cert_at(triangle, triangle_optimum)
+        rep = certify.approx_report(triangle, triangle_optimum, cert,
                                     epsilon=0.1)
         assert rep["r"] == 2
         assert rep["floor_concave_vacuous"] is True
@@ -121,16 +158,16 @@ class TestApproxReport:
 
     def test_r11_two_sided_factor(self, triangle, triangle_optimum):
         point = padded(triangle_optimum, 11)
-        cache = bcm.init_cache(triangle, point)
-        rep = certify.approx_report(triangle, point, cache, epsilon=0.0)
+        cert = cert_at(triangle, point)
+        rep = certify.approx_report(triangle, point, cert, epsilon=0.0)
         assert rep["r"] == 11
         assert rep["floor_two_sided"] == pytest.approx(0.8 * rep["upper_bound"])
         assert rep["floor_concave"] == pytest.approx(0.9 * rep["upper_bound"])
 
     def test_labels_present(self, triangle, triangle_optimum):
         point = padded(triangle_optimum, 3)
-        cache = bcm.init_cache(triangle, point)
-        rep = certify.approx_report(triangle, point, cache, epsilon=0.01)
+        cert = cert_at(triangle, point)
+        rep = certify.approx_report(triangle, point, cert, epsilon=0.01)
         assert rep["r"] == 3
         assert rep["floor_concave_vacuous"] is False
         assert rep["guarantees"] == ["upper_bound"]
@@ -139,19 +176,19 @@ class TestApproxReport:
 
     def test_r_below_two_rejected(self, triangle):
         point = FactorPoint(np.array([[1.0], [-1.0], [1.0]]))
-        cache = bcm.init_cache(triangle, point)
+        cert = cert_at(triangle, point)
         with pytest.raises(ValidationError, match="r = 1"):
-            certify.approx_report(triangle, point, cache, epsilon=0.1)
+            certify.approx_report(triangle, point, cert, epsilon=0.1)
 
     @pytest.mark.parametrize("epsilon", [-5.0, -1e-300, float("inf"),
                                          float("nan"), 1e308])
     def test_bad_epsilon_rejected(self, triangle, triangle_optimum, epsilon):
         # a negative epsilon raised floor_concave above its epsilon = 0 value;
         # inf, nan and an overflowing n * epsilon made it non-JSON
-        cache = bcm.init_cache(triangle, triangle_optimum)
+        cert = cert_at(triangle, triangle_optimum)
         with pytest.raises(ValidationError,
                            match=re.escape(f"got {epsilon!r}")):
-            certify.approx_report(triangle, triangle_optimum, cache, epsilon)
+            certify.approx_report(triangle, triangle_optimum, cert, epsilon)
 
 
 class TestRounding:

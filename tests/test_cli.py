@@ -222,9 +222,10 @@ class TestBench:
                         "--rules", "cyclic"]) == 2
         assert "n = 0" in capsys.readouterr().err
 
-    def test_unknown_rule_rejected(self):
+    def test_unknown_rule_rejected(self, capsys):
         assert run_cli(["bench", "--gen", "gaussian:n=10,seed=0",
                         "--rules", "cyclic,warp"]) == 2
+        assert "unknown rule 'warp'" in capsys.readouterr().err
 
 
 class TestCertify:
@@ -312,6 +313,30 @@ class TestCertify:
         assert out.out == ""
         assert f"got {float(eps)!r}" in out.err
 
+    def test_one_eigensolve(self, tmp_path, capsys, monkeypatch):
+        # the report computed a second dual bound for the same point
+        pt = tmp_path / "p.bin"
+        bmcut.save_point(bmcut.random_point(30, 4, np.random.default_rng(0)),
+                         str(pt))
+        calls = []
+        real = bmcut.certify._shifted_lambda_max
+        monkeypatch.setattr(bmcut.certify, "_shifted_lambda_max",
+                            lambda *a: calls.append(a) or real(*a))
+        assert run_cli(["certify", "--gen", "gaussian:n=30,seed=1",
+                        "--point", str(pt), "--epsilon", "0.01"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert len(calls) == 1
+
+    def test_empty_instance_is_validation_error(self, tmp_path, capsys):
+        # IndexError from the eigensolve, exit 1
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# 0 nodes\n")
+        pt = tmp_path / "p.bin"
+        bmcut.save_point(bmcut.FactorPoint(np.zeros((0, 3))), str(pt))
+        assert run_cli(["certify", "--edge-list", str(empty),
+                        "--point", str(pt)]) == 2
+        assert "n = 0" in capsys.readouterr().err
+
     def test_reproducible_cut(self, tmp_path, capsys, triangle_optimum):
         tri = tmp_path / "tri.txt"
         tri.write_text("1 2 -1\n1 3 -1\n2 3 -1\n")
@@ -360,6 +385,38 @@ class TestGen:
             run_cli(["gen", "--gen", "gaussian:n=8,seed=5",
                      "--out", str(tmp_path / "g.txt"), "--format", "mtx"])
         assert exc.value.code == 2
+
+
+    @pytest.mark.parametrize("spec, key", [
+        ("gaussian:n=6,sed=3", "sed"),
+        ("gaussian:n=6,edges=5", "edges"),
+        ("er:n=6,edges=5,sign=1,seeds=2", "seeds"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, capsys, spec, key):
+        # the key was ignored and the default instance written, exit 0
+        out = tmp_path / "g.txt"
+        assert run_cli(["gen", "--gen", spec, "--out", str(out)]) == 2
+        assert f"takes no key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", ["solve", "solve-bcm2", "bench", "certify",
+                                   "SolverConfig", "EscapeConfig"])
+def test_negative_seed_rejected(tmp_path, capsys, entry):
+    # numpy's default_rng raised ValueError: a traceback and exit 1
+    if entry.endswith("Config"):
+        with pytest.raises(bmcut.ValidationError, match="got -1"):
+            getattr(bmcut, entry)(seed=-1)
+        return
+    pt = tmp_path / "p.bin"
+    bmcut.save_point(bmcut.random_point(6, 3, np.random.default_rng(0)), str(pt))
+    extra = {"solve": [], "solve-bcm2": ["--method", "bcm2"],
+             "bench": ["--rules", "cyclic"],
+             "certify": ["--point", str(pt), "--trials", "3"]}[entry]
+    argv = [entry.split("-")[0], "--gen", "gaussian:n=6,seed=0", *extra,
+            "--seed", "-1"]
+    assert run_cli(argv) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 class TestEntryPoint:

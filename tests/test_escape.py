@@ -312,6 +312,12 @@ class TestRunBcm2:
         assert trace.status == "trivial"
         assert trace.final().f_raw == 0.0
         assert trace.final().epoch == 0
+        # the run starts like every other one: the shared header, one record
+        assert len(trace.records) == 1
+        assert trace.header == {
+            "method": "bcm2", "n": 5, "r": 3, "seed": 0, "max_epochs": 100,
+            "refresh_period": bcm.REFRESH_PERIOD,
+            "instance_checksum": inst.checksum(), "trace_offset": 0.0}
 
     def test_escapes_triangle_saddle(self, triangle, triangle_saddle):
         cfg = bcm.SolverConfig(rule="greedy", max_epochs=10_000, seed=1)
