@@ -21,7 +21,6 @@ from .problem import ProblemInstance
 
 RULES = ("cyclic", "uniform", "importance", "greedy")
 REFRESH_PERIOD = 100   # coordinate epochs between full cache recomputations
-_ZERO = np.zeros(1)
 
 
 @dataclass
@@ -37,26 +36,28 @@ class GradientCache:
         return float(self.inner.sum())
 
 
+def _row_stats(g: np.ndarray, sigma: np.ndarray, norms=None, inner=None):
+    """(|g_i|, <sigma_i, g_i>) for every row: the one formula behind every
+    norm and alignment in the cache.  Writes into norms and inner when they
+    are given."""
+    return (np.sqrt(np.einsum("ij,ij->i", g, g), out=norms),
+            np.einsum("ij,ij->i", sigma, g, out=inner))
+
+
 def init_cache(instance: ProblemInstance, point: FactorPoint) -> GradientCache:
     if point.n != instance.n:
         raise ValidationError(
             f"point has {point.n} rows, instance has {instance.n}"
         )
-    g = instance.matmat(point.sigma)
-    # np.linalg.norm may differ in the last bit from bcm_step's
-    # sqrt(einsum); changing either formula changes the golden digests
-    norms = np.linalg.norm(g, axis=1)
-    inner = np.einsum("ij,ij->i", point.sigma, g)
-    return GradientCache(g=g, norms=norms, inner=inner)
+    g = instance.rows @ point.sigma
+    return GradientCache(g, *_row_stats(g, point.sigma))
 
 
 def refresh_cache(instance: ProblemInstance, point: FactorPoint,
                   cache: GradientCache) -> None:
     """Recompute the cache from scratch, in place, to wash out drift."""
-    fresh = init_cache(instance, point)
-    cache.g[:] = fresh.g
-    cache.norms[:] = fresh.norms
-    cache.inner[:] = fresh.inner
+    cache.g[:] = instance.rows @ point.sigma
+    _row_stats(cache.g, point.sigma, cache.norms, cache.inner)
 
 
 def select_coordinate(rule: str, cache: GradientCache,
@@ -95,34 +96,27 @@ def bcm_step(instance: ProblemInstance, point: FactorPoint,
     if not 0 <= i < instance.n:
         raise ValidationError(f"row index {i} out of range for n={instance.n}")
     ni = cache.norms[i]
-    if ni <= 0.0:
-        return 0.0
     ascent = 2.0 * (ni - cache.inner[i])
-    if ascent <= 0.0:
+    if ni <= 0.0 or ascent <= 0.0:   # |g_i|^2 can underflow while g_i != 0
         return 0.0
     sigma = point.sigma
     new = cache.g[i] / ni
     delta = new - sigma[i]
     sigma[i] = new
-    cache.inner[i] = ni  # g_i is unchanged: A_ii = 0
     cols, vals = instance.row(i)
+    g = cache.g
     if cols.size == instance.n - 1:
-        # full row: one rank-1 update of all of g with the gather path's
-        # bits; sorted cols put the zero coefficient at i, g_i is restored
-        # (g_i + 0*delta turns -0.0 into +0.0), and |g_i| keeps its stored
-        # value (see init_cache)
-        g, gi = cache.g, cache.g[i].copy()
-        g += np.concatenate((vals[:i], _ZERO, vals[i:]))[:, None] * delta
-        g[i] = gi
-        np.sqrt(np.einsum("ij,ij->i", g, g), out=cache.norms)
-        np.einsum("ij,ij->i", g, sigma, out=cache.inner)
-        cache.norms[i] = cache.inner[i] = ni
+        # full row: sorted cols split at i, so two in-place updates cover
+        # every other row with the gather path's bits and leave g_i alone
+        g[:i] += vals[:i, None] * delta
+        g[i + 1:] += vals[i:, None] * delta
+        _row_stats(g, sigma, cache.norms, cache.inner)
     elif cols.size:
-        gc = cache.g[cols]
+        gc = g[cols]
         gc += vals[:, None] * delta[None, :]
-        cache.g[cols] = gc
-        cache.norms[cols] = np.sqrt(np.einsum("ij,ij->i", gc, gc))
-        cache.inner[cols] = np.einsum("ij,ij->i", gc, sigma[cols])
+        g[cols] = gc
+        cache.norms[cols], cache.inner[cols] = _row_stats(gc, sigma[cols])
+    cache.inner[i] = ni  # g_i is unchanged: A_ii = 0
     return float(ascent)
 
 

@@ -75,11 +75,10 @@ def _add_instance_args(p: argparse.ArgumentParser):
 
 
 def _rank(args, instance: problem.ProblemInstance) -> int:
-    """--r, by default ceil(sqrt(2n)); the solvers need r >= 2."""
-    r = args.r if args.r is not None else max(2, math.ceil(math.sqrt(2 * instance.n)))
-    if r < 2:
-        raise ValidationError("r must be >= 2")
-    return r
+    """--r, by default ceil(sqrt(2n)); bcm.start_point checks it."""
+    if args.r is not None:
+        return args.r
+    return max(2, math.ceil(math.sqrt(2 * instance.n)))
 
 
 def cmd_solve(args) -> int:
@@ -120,6 +119,9 @@ def cmd_bench(args) -> int:
     rules = [x for x in (args.rules or "").split(",") if x]
     if not rules:
         raise ValidationError("bench needs at least one rule via --rules")
+    for k, rule in enumerate(rules):
+        if rule in rules[:k]:
+            raise ValidationError(f"--rules names {rule!r} twice")
     configs = [bcm.SolverConfig(rule=rule, max_epochs=args.epochs,
                                 grad_tol=0.0, seed=args.seed) for rule in rules]
     instance = _load_from_args(args)

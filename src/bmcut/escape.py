@@ -1,9 +1,9 @@
-"""Second-order escape: Lanczos on the shifted curvature operator.
+"""Second-order escape: Lanczos on the curvature operator.
 
 When the gradient metric falls below eps^3/(1350 |A|_1), a leading curvature
-direction is extracted with a tridiagonal Lanczos recurrence on
-H[u] = Hess[u] + 4 |A|_1 u (the shift makes H positive semidefinite on the
-tangent space) and a geodesic step of length eps/(15 |A|_1) is taken along it.
+direction is extracted with a tridiagonal Lanczos recurrence on the curvature
+operator Hess[u] itself and a geodesic step of length eps/(15 |A|_1) is taken
+along it.
 The three constants are tied together by the cubic ascent bound
 eps^3/(2700 |A|_1^2); changing one invalidates the others.
 """
@@ -30,7 +30,6 @@ STEP_DENOM = 15.0
 ASCENT_DENOM = 2700.0
 EPOCH_CAP_NUM = 675.0
 LANCZOS_TAIL_CONST = 1.648
-HESS_SHIFT_FACTOR = 4.0
 
 
 @dataclass
@@ -59,7 +58,7 @@ class TridiagonalForm:
 
 @dataclass
 class LanczosResult:
-    estimate: float           # unshifted leading curvature estimate
+    estimate: float           # leading curvature estimate, lambda_max(T)
     direction: np.ndarray     # (n, r) tangent array, unit Frobenius norm
     tri: TridiagonalForm
     exhausted: bool           # stopped at breakdown before max_iters: the
@@ -98,17 +97,18 @@ def escape_ascent_floor(instance: ProblemInstance, epsilon: float) -> float:
     return epsilon**3 / (ASCENT_DENOM * instance.one_norm**2)
 
 
-def _shifted_apply_rows(instance, sigma, inner, u):
-    """H[u] = Hess[u] + 4 |A|_1 u; positive semidefinite on the tangent space."""
-    return (_hess_apply_rows(instance, sigma, inner, u)
-            + (HESS_SHIFT_FACTOR * instance.one_norm) * u)
-
-
 def lanczos_budget(instance: ProblemInstance, epsilon: float, delta: float,
                    r: int) -> int:
     """Iteration count that bounds the failure probability of every Lanczos
     call over the whole run by delta; capped at the tangent dimension n(r-1),
     where the recurrence is exact.
+
+    The bound (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 13(4),
+    1992) is stated for positive semidefinite operators and is applied to
+    Hess + 4 |A|_1 I, which is one on the tangent space.  Krylov spaces do
+    not change under a shift, so Lanczos run on Hess itself finds the same
+    Ritz vectors, with every Ritz value lower by 4 |A|_1, and the budget
+    holds for it unchanged.
     """
     if not 0.0 < delta < 1.0 or r < 2:
         raise ValidationError("need delta in (0,1), r >= 2")
@@ -124,7 +124,7 @@ def lanczos_budget(instance: ProblemInstance, epsilon: float, delta: float,
 def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
                     cache: GradientCache, max_iters: int,
                     rng: np.random.Generator) -> LanczosResult:
-    """Leading curvature eigenpair via the tridiagonal recurrence on H.
+    """Leading curvature eigenpair via the tridiagonal recurrence on Hess.
 
     Starts from a uniformly random unit tangent vector.  The Lanczos vectors
     are the flattened rows of one (m, n r) array allocated up front,
@@ -132,11 +132,10 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     never copied.  Each new vector is reorthogonalised against all stored
     ones by two classical Gram-Schmidt passes (CGS2).  At breakdown
     (beta <= 1e-12 max(1, |A|_1)) the recurrence stops and flags
-    `exhausted`: the Krylov space of the start is then invariant under H,
-    it holds the start's component in every eigenspace, and its top Ritz
-    pair is exact (almost surely, for a random start).
-    Returns the unshifted estimate lambda_max(T) - 4 |A|_1 and the
-    reconstructed unit direction.
+    `exhausted`: the Krylov space of the start is then invariant under
+    Hess, it holds the start's component in every eigenspace, and its top
+    Ritz pair is exact (almost surely, for a random start).
+    Returns the estimate lambda_max(T) and the reconstructed unit direction.
     """
     if max_iters < 1:
         raise ValidationError("max_iters must be >= 1")
@@ -146,7 +145,6 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     if dim == 0:
         raise ValidationError("tangent space is trivial (r = 1)")
     m = min(max_iters, dim)
-    shift = HESS_SHIFT_FACTOR * instance.one_norm
     breakdown_tol = 1e-12 * max(1.0, instance.one_norm)
     basis = np.empty((m, n * r))
     alphas: list[float] = []
@@ -171,7 +169,7 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
             betas.append(beta)
         basis[k] = vec / beta
         u = basis[k].reshape(n, r)
-        hu = _shifted_apply_rows(instance, sigma, cache.inner, u)
+        hu = _hess_apply_rows(instance, sigma, cache.inner, u)
         alphas.append(float(np.sum(u * hu)))
         res = hu - alphas[-1] * u
         if k:
@@ -188,7 +186,7 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
         raise ValidationError("Lanczos produced a null direction")
     direction /= nrm
     return LanczosResult(
-        estimate=float(vals[0] - shift),
+        estimate=float(vals[0]),
         direction=direction,
         tri=TridiagonalForm(alpha=alpha_arr, beta=beta_arr,
                             basis=basis[:k].reshape(k, n, r)),

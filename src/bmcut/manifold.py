@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ParseError, ValidationError
 
 UNIT_TOL = 1e-12
 TANGENT_TOL = 1e-8
@@ -113,18 +113,18 @@ def grad_metric_sq(cache) -> float:
 
 
 def hess_quadratic(instance, point: FactorPoint, u: np.ndarray, cache) -> float:
-    """Curvature quadratic form 2 (<U, A U> - sum_i lambda_i |u_i|^2)."""
+    """Curvature quadratic form <u, Hess[u]> = 2 (<U, A U> - sum_i lambda_i
+    |u_i|^2) for a tangent array u."""
     _check_tangency(point.sigma, u)
-    au = instance.matmat(u)
-    quad = np.sum(u * au) - np.sum(cache.inner * np.einsum("ij,ij->i", u, u))
-    return float(2.0 * quad)
+    return float(np.sum(u * _hess_apply_rows(instance, point.sigma,
+                                             cache.inner, u)))
 
 
 def _hess_apply_rows(instance, sigma: np.ndarray, inner: np.ndarray,
                      u: np.ndarray) -> np.ndarray:
     """Curvature operator on the tangent array u: the tangent projection of
     2 (A U - Lambda U), with Lambda = diag(inner)."""
-    raw = 2.0 * (instance.matmat(u) - inner[:, None] * u)
+    raw = 2.0 * (instance.rows @ u - inner[:, None] * u)
     return _project_rows(sigma, raw)
 
 
@@ -143,7 +143,11 @@ def save_point(point: FactorPoint, path: str) -> None:
 def load_point(path: str) -> FactorPoint:
     """Read a point written by save_point; the extension picks the format."""
     if path.endswith(".csv"):
-        return FactorPoint(np.loadtxt(path, delimiter=",", ndmin=2))
+        try:
+            sigma = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:   # ragged rows or a non-numeric cell
+            raise ParseError(f"{path}: {exc}") from None
+        return FactorPoint(sigma)
     with open(path, "rb") as fh:
         head = fh.read(16)
         if len(head) != 16:

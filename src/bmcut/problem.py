@@ -42,10 +42,6 @@ class ProblemInstance:
         lo, hi = self.rows.indptr[i], self.rows.indptr[i + 1]
         return self.rows.indices[lo:hi], self.rows.data[lo:hi]
 
-    def matmat(self, dense: np.ndarray) -> np.ndarray:
-        """A @ dense for an (n, k) array."""
-        return self.rows @ dense
-
     def dense(self) -> np.ndarray:
         return self.rows.toarray()
 

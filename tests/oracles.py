@@ -120,7 +120,8 @@ def lanczos_reference(instance, point, cache, max_iters, rng):
     reorthogonalised by two modified Gram-Schmidt sweeps of one inner
     product per stored vector, and stacked at the end.  It stops at
     breakdown and flags it as exhausted.  It shares the package's curvature
-    operator; the recurrence, the orthogonalisation and the reconstruction
+    operator, Hess without a shift, and returns lambda_max(T) as its
+    estimate; the recurrence, the orthogonalisation and the reconstruction
     are its own.  Given the same generator it draws the same random numbers
     as lanczos_leading.
     """
@@ -132,11 +133,10 @@ def lanczos_reference(instance, point, cache, max_iters, rng):
     sigma = point.sigma
     n, r = sigma.shape
     m = min(max_iters, n * (r - 1))
-    shift = escape.HESS_SHIFT_FACTOR * instance.one_norm
     breakdown_tol = 1e-12 * max(1.0, instance.one_norm)
 
     def apply(u):
-        return escape._shifted_apply_rows(instance, sigma, cache.inner, u)
+        return manifold._hess_apply_rows(instance, sigma, cache.inner, u)
 
     u = manifold._project_rows(sigma, rng.standard_normal((n, r)))
     u /= np.linalg.norm(u)
@@ -174,7 +174,7 @@ def lanczos_reference(instance, point, cache, max_iters, rng):
     direction = manifold._project_rows(sigma, np.tensordot(y, stack, axes=1))
     direction /= np.linalg.norm(direction)
     return escape.LanczosResult(
-        estimate=float(top - shift),
+        estimate=float(top),
         direction=direction,
         tri=escape.TridiagonalForm(alpha=alpha_arr, beta=beta_arr, basis=stack),
         exhausted=exhausted,

@@ -127,6 +127,18 @@ class TestStep:
         assert bcm.bcm_step(inst, point, cache, 1) == 0.0
         assert np.array_equal(point.sigma, before)
 
+    def test_underflowing_norm_row_skipped(self):
+        # entries near 1e-170: each |g_i|^2 underflows, so |g_i| = 0 while
+        # g_i and <sigma_i, g_i> are not zero; a step would divide by 0
+        inst = bmcut.preprocess(bmcut.gen_gaussian(6, seed=0).dense() * 1e-170)
+        point = manifold.random_point(6, 3, np.random.default_rng(0))
+        cache = bcm.init_cache(inst, point)
+        assert np.all(cache.norms == 0.0) and np.any(cache.inner < 0.0)
+        before = point.sigma.copy()
+        for i in range(6):
+            assert bcm.bcm_step(inst, point, cache, i) == 0.0
+        assert np.array_equal(point.sigma, before)
+
     def test_index_out_of_range(self, edge2):
         point = manifold.random_point(2, 2, np.random.default_rng(0))
         cache = bcm.init_cache(edge2, point)
@@ -230,6 +242,31 @@ class TestFullRowStep:
                                                         ref_cache, i)
         assert _state_bytes(point, cache) == _state_bytes(ref_point,
                                                           ref_cache)
+
+    @pytest.mark.parametrize("rule", bcm.RULES)
+    @pytest.mark.parametrize("make", [
+        lambda: _partial_gaussian(40, 1),
+        lambda: _star_plus_edges(30, 2),
+    ], ids=["partial_gaussian", "star_plus_edges"])
+    def test_norms_follow_one_row_formula(self, make, rule):
+        # init_cache, refresh_cache and both step paths compute |g_i| by one
+        # formula, so the stored norms equal a fresh one bit for bit
+        inst = make()
+        point = manifold.random_point(inst.n, 5, np.random.default_rng(0))
+        cache = bcm.init_cache(inst, point)
+
+        def assert_norms_exact():
+            fresh = np.sqrt(np.einsum("ij,ij->i", cache.g, cache.g))
+            assert np.array_equal(cache.norms, fresh)
+
+        assert_norms_exact()
+        bcm.refresh_cache(inst, point, cache)
+        assert_norms_exact()
+        rng = np.random.default_rng(1)
+        for step in range(4 * inst.n):
+            i = bcm.select_coordinate(rule, cache, rng, step=step)
+            bcm.bcm_step(inst, point, cache, i)
+        assert_norms_exact()
 
     def test_keeps_negative_zero_in_own_row(self, triangle):
         # g_2 = (-2, -0.0) and sigma_2 = (0, -1): delta_2 = (-1, +1), so
@@ -449,28 +486,44 @@ def trace_digest(path, point, trace) -> str:
 
 
 class TestGoldenTraces:
-    """Digests frozen from the two-loop solver that bcm.drive replaced; any
-    change to an iterate, a record or the header shows up here."""
+    """Digests of every iterate, record and header field.  F_RAW pins each
+    case's final objective to 1e-10 relative, so a renewed digest must come
+    with iterates that moved only in their last bits."""
 
     BCM = {
-        "cyclic": "fa712ce526d2cdb5696662324ff3ebbc23cfb16ac0e71c51c6e85367a64b517e",
-        "uniform": "157967085a5a4ef3b9066b6abd390979eeebf5f4c4c9e98587127c7689c31fa2",
-        "importance": "ceadd5c0e4dcd9f32d6328071ab6f562b1ed0c622c61eb69b5bc9b1d3b9e92b6",
-        "greedy": "2f38e882c0aacf3c5bb8833896e5c49e2635e36fb810fa0da353efaf3b169830",
+        "cyclic": "957917112e0cdd1af4c7ce007316341195a59bd360bde2811b0b962c8370179b",
+        "uniform": "da7d086fac4e8d5ddfc57c4abca4af8aa2684682ed7bd5e2ad17e270924ec278",
+        "importance": "41b41670fb6888126333f58b9addfc8a75b9bcf522cc4239eb9b185f82070a7f",
+        "greedy": "55a2f859a97e4ce778eceeacd76f4fa9bb6feaa57d0a31201d8bc93c7929171d",
     }
     BCM2 = "73544051bc39ddfcd43a38673cf13ae260eef1f36a70e5e15e65788babccea8b"
-    # computed on the preallocated-basis CGS2 Lanczos; it pins the rounding of
-    # the escape directions, which test_bcm2 (no escape step) does not
-    BCM2_ESCAPES = "325e82c5d8f644f5725e4d816d8e9b36c08762dafff8842e0651db42de31a4e3"
+    # it pins the rounding of the escape directions, which test_bcm2 (no
+    # escape step) does not
+    BCM2_ESCAPES = "91ee220be64a908d2d53ccceef03943fff5e2f7e24e4cdae4339b1f483bf98d1"
 
-    # every row of these is full: bcm_step's in-place path; computed on the
-    # gather/scatter step before that path existed
+    # every row of these is full: bcm_step's in-place path; the cyclic
+    # digest was computed on the gather/scatter step before that path existed
     BCM_DENSE = {
         (240, 0, 22, "cyclic"):
             "436a3cb7915adb7c1afbf297c5d3d33410ec26e2ba1594dc58b093ca941a99ab",
         (61, 2, 5, "greedy"):
-            "3658c58b8bed9739392ccbf1d8d5de7371dece9fbdb361ea7fc00987ea16b005",
+            "2ef07aa2f6f7005c5b16503a75cc190f039f2f863cbf2cabe32dbb0ecf468bd7",
     }
+
+    F_RAW = {
+        "cyclic": 1252.959426783742,
+        "uniform": 1252.9591382374608,
+        "importance": 1252.9488896508808,
+        "greedy": 1252.9604518470378,
+        (240, 0, 22, "cyclic"): 38.80530387753638,
+        (61, 2, 5, "greedy"): 18.648429893815027,
+        "bcm2": 14.384915723469149,
+        "bcm2_escapes": 9.694098844035516,
+    }
+
+    def assert_final_f(self, trace, case):
+        assert trace.final().f_raw == pytest.approx(self.F_RAW[case],
+                                                    rel=1e-10)
 
     @pytest.mark.parametrize("rule", bcm.RULES)
     def test_bcm_rule(self, tmp_path, rule):
@@ -478,6 +531,7 @@ class TestGoldenTraces:
         inst = bmcut.gen_erdos_renyi(300, 900, -1, 3)
         cfg = bcm.SolverConfig(rule=rule, max_epochs=250, grad_tol=0.0, seed=5)
         point, trace = bcm.run(inst, cfg, r=8)
+        self.assert_final_f(trace, rule)
         assert trace_digest(tmp_path / "t.jsonl", point, trace) == self.BCM[rule]
 
     @pytest.mark.parametrize("n, seed, r, rule", list(BCM_DENSE))
@@ -485,6 +539,7 @@ class TestGoldenTraces:
         inst = bmcut.gen_gaussian(n, seed)
         cfg = bcm.SolverConfig(rule=rule, max_epochs=30, grad_tol=0.0, seed=0)
         point, trace = bcm.run(inst, cfg, r=r)
+        self.assert_final_f(trace, (n, seed, r, rule))
         assert (trace_digest(tmp_path / "t.jsonl", point, trace)
                 == self.BCM_DENSE[n, seed, r, rule])
 
@@ -493,6 +548,7 @@ class TestGoldenTraces:
         cfg = bcm.SolverConfig(rule="greedy", seed=2)
         esc = bmcut.EscapeConfig(epsilon=0.01, seed=3)
         point, trace = bmcut.run_bcm2(inst, cfg, esc, r=5)
+        self.assert_final_f(trace, "bcm2")
         assert trace_digest(tmp_path / "t.jsonl", point, trace) == self.BCM2
 
     def test_bcm2_escapes(self, tmp_path):
@@ -504,5 +560,6 @@ class TestGoldenTraces:
         esc = bmcut.EscapeConfig(epsilon=0.01, seed=2)
         point, trace = bmcut.run_bcm2(inst, cfg, esc, initial=FactorPoint(start))
         assert trace.header["escape_steps"] >= 2
+        self.assert_final_f(trace, "bcm2_escapes")
         assert (trace_digest(tmp_path / "t.jsonl", point, trace)
                 == self.BCM2_ESCAPES)

@@ -117,7 +117,7 @@ class TestSolve:
         assert run_cli(["solve", "--gen", "gaussian:n=6,seed=0",
                         "--method", method, "--r", "1"]) == 2
         err = capsys.readouterr().err
-        assert "r must be >= 2" in err
+        assert "the solvers need r >= 2, got r = 1" in err
         assert "allow-r1" not in err   # the message names no removed flag
 
     def test_removed_flags_rejected(self):
@@ -215,6 +215,14 @@ class TestBench:
         assert run_cli(["bench", "--gen", "gaussian:n=6,seed=0",
                         "--rules", "cyclic", "--r", r]) == 2
 
+    def test_repeated_rule_rejected(self, capsys):
+        # each rule used to be solved once per mention, its columns repeated
+        assert run_cli(["bench", "--gen", "gaussian:n=10,seed=0",
+                        "--rules", "cyclic,greedy,cyclic", "--epochs", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "--rules names 'cyclic' twice" in captured.err
+        assert captured.out == ""
+
     def test_empty_instance_is_validation_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("# 0 nodes\n")
@@ -282,6 +290,17 @@ class TestCertify:
         pt.write_text("nan,0\n1,0\n0,1\n")
         assert run_cli(["certify", "--edge-list", str(tri),
                         "--point", str(pt)]) == 2
+
+    @pytest.mark.parametrize("text", ["1,0\n0\n", "a,b\n"],
+                             ids=["ragged", "non_numeric"])
+    def test_malformed_csv_point_is_parse_error(self, tmp_path, capsys, text):
+        tri = tmp_path / "tri.txt"
+        tri.write_text("1 2 -1\n1 3 -1\n2 3 -1\n")
+        pt = tmp_path / "bad.csv"
+        pt.write_text(text)
+        assert run_cli(["certify", "--edge-list", str(tri),
+                        "--point", str(pt)]) == 3
+        assert f"error: {pt}: " in capsys.readouterr().err
 
     def test_rank_one_point(self, tmp_path, capsys):
         # no flag: certificate and rounding, and no report (it needs r >= 2)
