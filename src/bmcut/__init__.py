@@ -9,8 +9,8 @@ to sign vectors by random hyperplanes.
 from .bcm import (GradientCache, SolveTrace, SolverConfig, TraceRecord,
                   bcm_step, default_grad_tol, init_cache, refresh_cache, run,
                   select_coordinate)
-from .certify import (Certificate, Cut, approx_report, brute_force_best_cut,
-                      cut_value, dual_upper_bound, round_cut)
+from .certify import (Certificate, Cut, approx_report, cut_value,
+                      dual_upper_bound, round_cut)
 from .errors import (DimensionError, NumericalError, ParseError,
                      TrivialInstanceError, ValidationError)
 from .escape import (EscapeConfig, LanczosResult, TridiagonalForm,

@@ -217,15 +217,22 @@ def start_point(instance: ProblemInstance, method: str, config: SolverConfig,
 
     Takes exactly one of `initial`, which is copied and never mutated, and
     `r`, the rank of a point whose rows are drawn uniformly at random from
-    the generator seeded with config.seed.  Every solver needs n >= 1 and
-    r >= 2.  The trace header holds the fields every method writes; each
-    method adds its own.
+    the generator seeded with config.seed.  Every solver needs n >= 1,
+    r >= 2, and |A|_1 = 0 or |A|_1^2 a normal float.  The trace header holds
+    the fields every method writes; each method adds its own.
     """
     if (initial is None) == (r is None):
         raise ValidationError("a solver run needs exactly one of an initial "
                               "point and r")
     if instance.n == 0:
         raise ValidationError("the solvers need n >= 1, got n = 0")
+    square = instance.one_norm * instance.one_norm
+    if instance.one_norm and not np.finfo(float).tiny <= square < np.inf:
+        # grad_tol and the epoch caps square |A|_1, and the metric's terms
+        # |g_i|^2 lose their digits below the normal range
+        raise ValidationError(
+            f"|A|_1 = {instance.one_norm!r} squares outside the normal float "
+            "range; rescale A")
     rng = np.random.default_rng(config.seed)
     if initial is not None:
         point = initial.copy()

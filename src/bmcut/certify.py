@@ -24,7 +24,6 @@ from .problem import ProblemInstance
 
 DENSE_EIG_LIMIT = 200
 ROUND_CHUNK = 32        # rounding trials scored per sparse matmat
-BRUTE_FORCE_LIMIT = 24
 
 
 @dataclass
@@ -186,33 +185,3 @@ def round_cut(instance: ProblemInstance, point: FactorPoint, trials: int,
         if value > best_value:
             best_signs, best_value = signs, value
     return Cut(signs=best_signs, value=best_value)
-
-
-def brute_force_best_cut(instance: ProblemInstance) -> Cut:
-    """Exhaustive sign enumeration (first entry pinned to +1); n <= 24 only."""
-    n = instance.n
-    if n > BRUTE_FORCE_LIMIT:
-        raise ValidationError(
-            f"exhaustive enumeration refused for n={n} > {BRUTE_FORCE_LIMIT}")
-    a = instance.dense()
-    total = 1 << max(0, n - 1)
-    chunk = 1 << 15
-    bit_cols = np.arange(max(0, n - 1), dtype=np.uint32)
-    best_value = -np.inf
-    best_k = 0
-    for start in range(0, total, chunk):
-        ks = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        x = np.empty((ks.size, n))
-        x[:, 0] = 1.0
-        if n > 1:
-            x[:, 1:] = (((ks[:, None] >> bit_cols[None, :]) & 1) * 2.0) - 1.0
-        energies = np.einsum("bi,bi->b", x @ a, x)
-        j = int(np.argmax(energies))
-        if energies[j] > best_value:
-            best_value = float(energies[j])
-            best_k = int(ks[j])
-    signs = np.empty(n)
-    signs[0] = 1.0
-    if n > 1:
-        signs[1:] = (((best_k >> bit_cols) & 1) * 2.0) - 1.0
-    return Cut(signs=signs, value=best_value)

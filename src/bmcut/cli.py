@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import bcm, certify, escape, manifold, problem
-from .errors import NumericalError, ParseError, TrivialInstanceError, ValidationError
+from .errors import NumericalError, ParseError, ValidationError
 
 
 def _git_describe() -> str:
@@ -250,9 +250,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except TrivialInstanceError as exc:
-        print(f"note: {exc}", file=sys.stderr)
-        return 0
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

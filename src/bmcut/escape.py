@@ -129,12 +129,15 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     Starts from a uniformly random unit tangent vector.  The Lanczos vectors
     are the flattened rows of one (m, n r) array allocated up front,
     m = min(max_iters, n (r-1)), so the basis costs m n r 8 bytes and is
-    never copied.  Each new vector is reorthogonalised against all stored
-    ones by two classical Gram-Schmidt passes (CGS2).  At breakdown
-    (beta <= 1e-12 max(1, |A|_1)) the recurrence stops and flags
-    `exhausted`: the Krylov space of the start is then invariant under
-    Hess, it holds the start's component in every eigenspace, and its top
-    Ritz pair is exact (almost surely, for a random start).
+    never copied.  Each image Hess[q_k], tangent by construction, is
+    orthogonalised against all stored vectors by two classical Gram-Schmidt
+    passes (CGS2) and nothing else: in exact arithmetic that removes just
+    the alpha_k q_k and beta_k q_{k-1} terms of the three-term recurrence.
+    At breakdown (beta <= 1e-12 |A|_1, which scales with Hess) the
+    recurrence stops and flags `exhausted`: the Krylov space of the start
+    is then invariant under Hess, it holds the start's component in every
+    eigenspace, and its top Ritz pair is exact (almost surely, for a random
+    start).
     Returns the estimate lambda_max(T) and the reconstructed unit direction.
     """
     if max_iters < 1:
@@ -145,15 +148,15 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     if dim == 0:
         raise ValidationError("tangent space is trivial (r = 1)")
     m = min(max_iters, dim)
-    breakdown_tol = 1e-12 * max(1.0, instance.one_norm)
+    breakdown_tol = 1e-12 * instance.one_norm
     basis = np.empty((m, n * r))
     alphas: list[float] = []
     betas: list[float] = []
     exhausted = False
 
-    res = rng.standard_normal((n, r))   # the start, before projection
+    res = _project_rows(sigma, rng.standard_normal((n, r)))   # the start
     for k in range(m):
-        vec = _project_rows(sigma, res).ravel()
+        vec = res.ravel()
         # CGS2: vec -= basis^T (basis vec), two BLAS matrix-vector products
         # per pass.  One pass leaves rounding errors along the basis; the
         # second removes them ("twice is enough", Giraud et al. 2005).
@@ -169,11 +172,8 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
             betas.append(beta)
         basis[k] = vec / beta
         u = basis[k].reshape(n, r)
-        hu = _hess_apply_rows(instance, sigma, cache.inner, u)
-        alphas.append(float(np.sum(u * hu)))
-        res = hu - alphas[-1] * u
-        if k:
-            res -= beta * basis[k - 1].reshape(n, r)
+        res = _hess_apply_rows(instance, sigma, cache.inner, u)
+        alphas.append(float(np.sum(u * res)))
 
     k = len(alphas)
     alpha_arr = np.asarray(alphas)
@@ -181,10 +181,7 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     vals, vecs = scipy.linalg.eigh_tridiagonal(
         alpha_arr, beta_arr, select="i", select_range=(k - 1, k - 1))
     direction = _project_rows(sigma, (vecs[:, 0] @ basis[:k]).reshape(n, r))
-    nrm = float(np.linalg.norm(direction))
-    if nrm == 0.0:
-        raise ValidationError("Lanczos produced a null direction")
-    direction /= nrm
+    direction /= np.linalg.norm(direction)
     return LanczosResult(
         estimate=float(vals[0]),
         direction=direction,

@@ -16,7 +16,6 @@ from .errors import DimensionError, ParseError, ValidationError
 
 UNIT_TOL = 1e-12
 TANGENT_TOL = 1e-8
-ZERO_ROW_TOL = 1e-14
 
 
 @dataclass
@@ -77,22 +76,16 @@ def random_point(n: int, r: int, rng: np.random.Generator) -> FactorPoint:
 
 
 def exp_map(point: FactorPoint, u: np.ndarray, t: float) -> FactorPoint:
-    """Geodesic step: row i moves to sigma_i cos(|u_i| t) + (u_i/|u_i|) sin(|u_i| t).
-
-    Rows with |u_i| below the zero-motion tolerance are returned unchanged.
-    """
+    """Geodesic step: row i moves to sigma_i cos(theta_i) + u_i t
+    sinc(theta_i/pi), theta_i = |u_i| t.  That is sigma_i cos(theta_i) +
+    (u_i/|u_i|) sin(theta_i) without the division, so a row with u_i = 0
+    stays where it is."""
     if t < 0:
         raise ValidationError(f"step length must be >= 0, got {t}")
     _check_tangency(point.sigma, u)
-    sigma = point.sigma
-    row_norms = np.linalg.norm(u, axis=1)
-    moving = row_norms > ZERO_ROW_TOL
-    out = sigma.copy()
-    if moving.any():
-        nr = row_norms[moving][:, None]
-        theta = nr * t
-        out[moving] = sigma[moving] * np.cos(theta) + (u[moving] / nr) * np.sin(theta)
-    return FactorPoint(out)
+    theta = np.linalg.norm(u, axis=1, keepdims=True) * t
+    return FactorPoint(point.sigma * np.cos(theta)
+                       + u * (t * np.sinc(theta / np.pi)))
 
 
 def riemannian_gradient(point: FactorPoint, cache) -> np.ndarray:

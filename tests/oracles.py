@@ -8,7 +8,9 @@ disagree when one of them is wrong.
 import numpy as np
 import scipy.linalg
 
-from bmcut import certify, escape, manifold
+from bmcut import ValidationError, certify, escape, manifold
+
+BRUTE_FORCE_LIMIT = 24
 
 
 def f_dense(instance, sigma: np.ndarray) -> float:
@@ -115,6 +117,36 @@ def exhaustive_best_cut(instance) -> float:
     return best
 
 
+def brute_force_best_cut(instance) -> certify.Cut:
+    """Exhaustive sign enumeration (first entry pinned to +1); n <= 24 only."""
+    n = instance.n
+    if n > BRUTE_FORCE_LIMIT:
+        raise ValidationError(
+            f"exhaustive enumeration refused for n={n} > {BRUTE_FORCE_LIMIT}")
+    a = instance.dense()
+    total = 1 << max(0, n - 1)
+    chunk = 1 << 15
+    bit_cols = np.arange(max(0, n - 1), dtype=np.uint32)
+    best_value = -np.inf
+    best_k = 0
+    for start in range(0, total, chunk):
+        ks = np.arange(start, min(start + chunk, total), dtype=np.uint32)
+        x = np.empty((ks.size, n))
+        x[:, 0] = 1.0
+        if n > 1:
+            x[:, 1:] = (((ks[:, None] >> bit_cols[None, :]) & 1) * 2.0) - 1.0
+        energies = np.einsum("bi,bi->b", x @ a, x)
+        j = int(np.argmax(energies))
+        if energies[j] > best_value:
+            best_value = float(energies[j])
+            best_k = int(ks[j])
+    signs = np.empty(n)
+    signs[0] = 1.0
+    if n > 1:
+        signs[1:] = (((best_k >> bit_cols) & 1) * 2.0) - 1.0
+    return certify.Cut(signs=signs, value=best_value)
+
+
 def lanczos_reference(instance, point, cache, max_iters, rng):
     """Per-vector Lanczos: the basis is a list of (n, r) arrays,
     reorthogonalised by two modified Gram-Schmidt sweeps of one inner
@@ -133,7 +165,7 @@ def lanczos_reference(instance, point, cache, max_iters, rng):
     sigma = point.sigma
     n, r = sigma.shape
     m = min(max_iters, n * (r - 1))
-    breakdown_tol = 1e-12 * max(1.0, instance.one_norm)
+    breakdown_tol = 1e-12 * instance.one_norm
 
     def apply(u):
         return manifold._hess_apply_rows(instance, sigma, cache.inner, u)

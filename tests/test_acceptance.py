@@ -269,7 +269,7 @@ def test_criterion_8_rounding_sandwich():
             point, _ = bcm.run(inst, cfg, r=default_rank(n))
             cache = bcm.init_cache(inst, point)
             cert = certify.dual_upper_bound(inst, point, cache)
-            brute = certify.brute_force_best_cut(inst)
+            brute = oracles.brute_force_best_cut(inst)
             cut = certify.round_cut(inst, point, 1000,
                                     np.random.default_rng(900 + k))
             assert cut.value <= brute.value + 1e-9

@@ -432,6 +432,26 @@ class TestRun:
         with pytest.raises(ValidationError, match="r >= 1"):
             bcm.run(bmcut.gen_gaussian(6, seed=0), cfg, r=r)
 
+    @pytest.mark.parametrize("method", ["bcm", "bcm2"])
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160])
+    def test_unnormal_square_norm_rejected(self, method, scale):
+        # |A|_1^2 underflows to 0, is subnormal, or overflows: bcm reported
+        # "converged" at its random start (1e-170) or at a 1% dual gap
+        # (1e-160), and default_grad_tol raised OverflowError (1e160)
+        inst = bmcut.preprocess(bmcut.gen_gaussian(6, seed=0).dense() * scale)
+        cfg = bcm.SolverConfig(max_epochs=100)
+        with pytest.raises(ValidationError, match="rescale A"):
+            if method == "bcm":
+                bcm.run(inst, cfg, r=3)
+            else:
+                bmcut.run_bcm2(inst, cfg, bmcut.EscapeConfig(), r=3)
+
+    def test_zero_instance_runs(self):
+        inst = bmcut.preprocess(np.zeros((4, 4)))
+        _, trace = bcm.run(inst, bcm.SolverConfig(max_epochs=5), r=2)
+        assert trace.status == "converged"
+        assert trace.final().f_raw == 0.0
+
     def test_deterministic_runs(self):
         inst = bmcut.gen_gaussian(18, seed=2)
         cfg = bcm.SolverConfig(rule="uniform", max_epochs=50, seed=33)
@@ -499,7 +519,7 @@ class TestGoldenTraces:
     BCM2 = "73544051bc39ddfcd43a38673cf13ae260eef1f36a70e5e15e65788babccea8b"
     # it pins the rounding of the escape directions, which test_bcm2 (no
     # escape step) does not
-    BCM2_ESCAPES = "91ee220be64a908d2d53ccceef03943fff5e2f7e24e4cdae4339b1f483bf98d1"
+    BCM2_ESCAPES = "adf8273fb7d7a93c1685122af7a3ca27e53e685b065689f490bce10b51485005"
 
     # every row of these is full: bcm_step's in-place path; the cyclic
     # digest was computed on the gather/scatter step before that path existed

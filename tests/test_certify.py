@@ -347,7 +347,7 @@ class TestRoundingSandwich:
         point, _ = bcm.run(inst, cfg, r=3)
         cert = certify.dual_upper_bound(inst, point,
                                         bcm.init_cache(inst, point))
-        brute = certify.brute_force_best_cut(inst)
+        brute = oracles.brute_force_best_cut(inst)
         cut = certify.round_cut(inst, point, 64, np.random.default_rng(seed))
         assert cut.value <= brute.value
         assert brute.value <= cert.upper_bound + 1e-9 * inst.n
@@ -356,19 +356,19 @@ class TestRoundingSandwich:
 
 class TestBruteForce:
     def test_triangle(self, triangle):
-        cut = certify.brute_force_best_cut(triangle)
+        cut = oracles.brute_force_best_cut(triangle)
         assert cut.value == 2.0
         assert cut.signs[0] == 1.0
 
     def test_single_edge(self, edge2):
-        cut = certify.brute_force_best_cut(edge2)
+        cut = oracles.brute_force_best_cut(edge2)
         assert cut.value == 2.0
         assert np.array_equal(cut.signs, [1.0, 1.0])
 
     def test_matches_plain_enumeration(self):
         for seed in range(5):
             inst = bmcut.gen_erdos_renyi(9, 14, sign=-1, seed=seed)
-            fast = certify.brute_force_best_cut(inst)
+            fast = oracles.brute_force_best_cut(inst)
             assert fast.value == pytest.approx(
                 oracles.exhaustive_best_cut(inst), abs=1e-10)
             assert certify.cut_value(inst, fast.signs) == pytest.approx(
@@ -377,7 +377,7 @@ class TestBruteForce:
     def test_size_cap(self):
         inst = bmcut.gen_erdos_renyi(25, 30, sign=-1, seed=0)
         with pytest.raises(ValidationError):
-            certify.brute_force_best_cut(inst)
+            oracles.brute_force_best_cut(inst)
 
     def test_below_dual_bound(self):
         rng = np.random.default_rng(2)
@@ -386,7 +386,7 @@ class TestBruteForce:
             point = manifold.random_point(10, 4, rng)
             cache = bcm.init_cache(inst, point)
             cert = certify.dual_upper_bound(inst, point, cache)
-            brute = certify.brute_force_best_cut(inst)
+            brute = oracles.brute_force_best_cut(inst)
             assert brute.value <= cert.upper_bound + 1e-8
 
 

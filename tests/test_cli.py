@@ -101,6 +101,17 @@ class TestSolve:
         assert run_cli(["solve", "--edge-list", str(big), "--method", "bcm2",
                         "--epsilon", "0.1", "--r", "2"]) == 2
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160])
+    def test_unnormal_square_norm_is_validation_error(self, tmp_path, capsys,
+                                                      scale):
+        # exit 0 with "converged" (1e-170, 1e-160) or an OverflowError
+        # traceback (1e160) before
+        inst = bmcut.preprocess(bmcut.gen_gaussian(6, seed=0).dense() * scale)
+        mm = tmp_path / "scaled.mtx"
+        bmcut.write_matrix_market(inst, str(mm))
+        assert run_cli(["solve", "--mtx", str(mm), "--r", "3"]) == 2
+        assert "rescale A" in capsys.readouterr().err
+
     def test_bad_gen_spec_is_validation_error(self):
         assert run_cli(["solve", "--gen", "gaussian:n=oops"]) == 2
         assert run_cli(["solve", "--gen", "wat:n=5"]) == 2

@@ -156,6 +156,19 @@ class TestLanczos:
         assert np.abs(gram - np.eye(k)).max() < 1e-10
         assert np.all(res.tri.beta > 0.0)
 
+    def test_basis_orthonormal_to_rounding(self):
+        # 90 iterations at n = 30, r = 4: one Gram-Schmidt pass drifts to
+        # 4e-15..5e-13 from I, the second pass holds it under 8e-16
+        for seed in range(4):
+            inst, point, cache, _ = rand_setup(n=30, r=4, seed=seed,
+                                               inst_seed=1 + seed)
+            res = escape.lanczos_leading(inst, point, cache, 90,
+                                         np.random.default_rng(2))
+            assert res.iterations == 90
+            gram = np.einsum("aij,bij->ab", res.tri.basis, res.tri.basis)
+            assert (np.abs(gram - np.eye(90)).max()
+                    <= 10 * np.finfo(float).eps)
+
     @pytest.mark.parametrize("n, r", [(3, 2), (5, 3), (8, 4)])
     def test_breakdown_at_complete_graph_saddle(self, n, r):
         # all rows equal on K_n: the curvature operator has few distinct
@@ -431,10 +444,11 @@ class TestRunBcm2:
             escape.auto_epsilon(inst, line, bcm.init_cache(inst, line))
 
     def test_tiny_auto_epsilon_rejected(self):
-        # entries near 1e-170 make the automatic epsilon square to 0
+        # entries near 1e-170 make |A|_1^2, and so the automatic epsilon's
+        # square, underflow: the run is refused before epsilon is picked
         inst = bmcut.preprocess(bmcut.gen_gaussian(6, seed=0).dense() * 1e-170)
         cfg = bcm.SolverConfig(rule="greedy", seed=0)
-        with pytest.raises(ValidationError, match="epoch cap"):
+        with pytest.raises(ValidationError, match="rescale A"):
             escape.run_bcm2(inst, cfg, escape.EscapeConfig(), r=3)
 
     def test_retries_config(self):

@@ -114,6 +114,21 @@ class TestExpMap:
         out = manifold.exp_map(point, u, 0.7)
         assert np.array_equal(out.sigma[2], point.sigma[2])
 
+    def test_short_rows_follow_the_geodesic(self):
+        # a row of norm 1e-15 and a step of 1e12 turn row 1 by
+        # theta = |u_1| t = 1e-3; the rows with u_i = 0 stay
+        _, point, _, rng = rand_setup()
+        u = np.zeros_like(point.sigma)
+        u[1] = oracles.random_tangent(point, rng)[1]
+        u[1] *= 1e-15 / np.linalg.norm(u[1])
+        t = 1e12
+        out = manifold.exp_map(point, u, t).sigma
+        want = (point.sigma[1] * np.cos(1e-3)
+                + u[1] * 1e15 * np.sin(1e-3))
+        assert np.allclose(out[1], want, rtol=0.0, atol=1e-15)
+        assert np.linalg.norm(out[1] - point.sigma[1]) > 9e-4
+        assert np.array_equal(out[2], point.sigma[2])
+
     def test_non_tangent_rejected(self):
         _, point, _, rng = rand_setup()
         other = manifold.random_point(point.n, point.r,
