@@ -3,7 +3,7 @@
 Each step replaces one row sigma_i by its exact maximizer g_i/|g_i|, where
 g_i = sum_{j != i} A_ij sigma_j is kept incrementally up to date.  The ascent
 per step equals 2 (|g_i| - <sigma_i, g_i>) and is never negative, so the
-objective trace is monotone.
+objective trace is monotone.  block_sweep delays the update of g by BLOCK steps.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .problem import ProblemInstance
 
 RULES = ("cyclic", "uniform", "importance", "greedy")
 REFRESH_PERIOD = 100   # coordinate epochs between full cache recomputations
+BLOCK = 32             # steps per delayed update of g in block_sweep
 
 
 @dataclass
@@ -118,6 +119,40 @@ def bcm_step(instance: ProblemInstance, point: FactorPoint,
         cache.norms[cols], cache.inner[cols] = _row_stats(gc, sigma[cols])
     cache.inner[i] = ni  # g_i is unchanged: A_ii = 0
     return float(ascent)
+
+
+def block_sweep(instance: ProblemInstance, point: FactorPoint,
+                cache: GradientCache, rows) -> np.ndarray:
+    """bcm_step on each of `rows` in turn, every row of A being full, with
+    the update of g delayed; returns the per-step ascents.
+
+    Step t of a block J of BLOCK rows adds A[i, J[:t]] @ D[:t], the block's
+    row changes D so far, to g_i; it steps and skips as bcm_step does, also
+    a row drawn again before another moves, marked by inner_i = |g_i|.  One
+    product g += A[J, :]^T D ends a block; A[J, :] is dense for it only.
+    """
+    sigma, g, n = point.sigma, cache.g, instance.n
+    rows, ascents = np.asarray(rows), np.zeros(len(rows))
+    last = rows[0] if cache.inner[rows[0]] == cache.norms[rows[0]] else -1
+    for lo in range(0, rows.size, BLOCK):
+        block = rows[lo:lo + BLOCK]
+        off = np.arange(n) != block[:, None]   # A[J, :] is 0 only at A_ii
+        a = np.zeros(off.shape)
+        a[off] = instance.rows.data.reshape(n, n - 1)[block].ravel()
+        coupling, d = a[:, block], np.zeros((block.size, sigma.shape[1]))
+        for t, i in enumerate(block):
+            gi = g[i] + coupling[t, :t] @ d[:t]
+            (ni,), (inner,) = _row_stats(gi[None], sigma[i][None])
+            ascent = 2.0 * (ni - inner)
+            if i == last or ni <= 0.0 or ascent <= 0.0:
+                continue
+            new = gi / ni
+            d[t], sigma[i], ascents[lo + t], last = new - sigma[i], new, ascent, i
+        g += a.T @ d
+    _row_stats(g, sigma, cache.norms, cache.inner)
+    if last >= 0:
+        cache.inner[last] = cache.norms[last]
+    return ascents
 
 
 @dataclass
@@ -284,6 +319,8 @@ def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
         limit, at_limit = policy.epoch_cap, "epoch_cap"
     steps = escapes = 0
     touched = np.zeros(n, dtype=bool)
+    blocked = (policy is None and config.rule in ("cyclic", "uniform")
+               and instance.nnz == n * (n - 1))
     t0 = time.perf_counter()
 
     def emit(kind, taken, coords, gain=None, ray=None):
@@ -305,7 +342,7 @@ def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
         if left <= 0:
             return at_limit, steps, escapes
         touched[:] = False
-        sweep, begun = min(n, left), steps
+        sweep, begun, rows = min(n, left), steps, []
         for _ in range(sweep):
             if (policy is not None
                     and grad_metric_sq(cache) <= policy.threshold):
@@ -313,9 +350,13 @@ def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
             if steps % n == 0 and (steps // n + 1) % REFRESH_PERIOD == 0:
                 refresh_cache(instance, point, cache)
             i = select_coordinate(config.rule, cache, rng, step=steps)
-            if bcm_step(instance, point, cache, i) > 0.0:
+            rows.append(i)
+            if not blocked and bcm_step(instance, point, cache, i) > 0.0:
                 touched[i] = True
             steps += 1
+        if blocked and rows:
+            ascents = block_sweep(instance, point, cache, rows)
+            touched[np.asarray(rows)[ascents > 0.0]] = True
         if steps > begun:
             metric = emit("bcm", steps - begun, int(touched.sum()))
         if steps - begun < sweep:   # the metric fell to the escape threshold

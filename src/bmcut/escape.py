@@ -70,31 +70,32 @@ def _check_epsilon(instance: ProblemInstance, epsilon: float) -> int:
     """Refuse an epsilon that leaves an escape constant undefined, and return
     the epoch cap ceil(675 n |A|_1^2 / eps^2), the cap on a run's combined
     epochs and so on its Lanczos calls.  Every constant divides by epsilon
-    or |A|_1; the threshold and the ascent floor cube epsilon."""
+    or |A|_1; the threshold and the ascent floor cube eps/|A|_1."""
     if not 0.0 < epsilon < math.inf:   # NaN fails
         raise ValidationError(f"epsilon must be finite and > 0, got {epsilon}")
     if instance.one_norm == 0.0:
         raise TrivialInstanceError("zero cost matrix: every point is optimal")
     try:   # float ** raises OverflowError where * and / give inf
         cap = EPOCH_CAP_NUM * instance.n * instance.one_norm**2 / epsilon**2
-        if epsilon**3 < math.inf and cap < math.inf:
+        cube = (epsilon / instance.one_norm)**3   # free of the units of A
+        if max(cap, cube * instance.one_norm, cube * instance.one_norm**2) < math.inf:
             return math.ceil(cap)
     except (OverflowError, ZeroDivisionError):
         pass
-    raise ValidationError(f"epsilon = {epsilon!r} gives no finite eps^3 or "
-                          "epoch cap 675 n |A|_1^2/eps^2")
+    raise ValidationError(f"epsilon = {epsilon!r} gives no finite escape "
+                          "constant or epoch cap 675 n |A|_1^2/eps^2")
 
 
 def escape_threshold(instance: ProblemInstance, epsilon: float) -> float:
     """Gradient-metric level below which the second-order branch engages."""
     _check_epsilon(instance, epsilon)
-    return epsilon**3 / (THRESHOLD_DENOM * instance.one_norm)
+    return (epsilon / instance.one_norm)**3 * instance.one_norm**2 / THRESHOLD_DENOM
 
 
 def escape_ascent_floor(instance: ProblemInstance, epsilon: float) -> float:
     """Guaranteed objective gain of one accepted escape step."""
     _check_epsilon(instance, epsilon)
-    return epsilon**3 / (ASCENT_DENOM * instance.one_norm**2)
+    return (epsilon / instance.one_norm)**3 * instance.one_norm / ASCENT_DENOM
 
 
 def lanczos_budget(instance: ProblemInstance, epsilon: float, delta: float,
@@ -178,12 +179,14 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     k = len(alphas)
     alpha_arr = np.asarray(alphas)
     beta_arr = np.asarray(betas)
+    # T in units of 2^j <= |A|_1 < 2^(j+1), the same at every scale of A
+    unit = math.ldexp(1.0, math.frexp(instance.one_norm)[1] - 1)
     vals, vecs = scipy.linalg.eigh_tridiagonal(
-        alpha_arr, beta_arr, select="i", select_range=(k - 1, k - 1))
+        alpha_arr / unit, beta_arr / unit, select="i", select_range=(k - 1, k - 1))
     direction = _project_rows(sigma, (vecs[:, 0] @ basis[:k]).reshape(n, r))
     direction /= np.linalg.norm(direction)
     return LanczosResult(
-        estimate=float(vals[0]),
+        estimate=float(vals[0]) * unit,
         direction=direction,
         tri=TridiagonalForm(alpha=alpha_arr, beta=beta_arr,
                             basis=basis[:k].reshape(k, n, r)),

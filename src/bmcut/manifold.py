@@ -50,10 +50,10 @@ def _check_tangency(sigma: np.ndarray, u: np.ndarray, tol: float = TANGENT_TOL):
     if u.shape != sigma.shape:
         raise DimensionError(f"tangent shape {u.shape} != point shape {sigma.shape}")
     dots = np.abs(np.einsum("ij,ij->i", sigma, u))
-    scale = 1.0 + np.linalg.norm(u, axis=1)
-    worst = (dots / scale).max() if dots.size else 0.0
-    if not worst <= tol:  # NaN fails
-        raise ValidationError(f"matrix is not tangent to the point (error {worst:g})")
+    # relative to |u_i|, which hypot forms without underflow; NaN fails
+    if not np.all(dots <= tol * np.hypot.reduce(u, axis=1)):
+        raise ValidationError(f"matrix is not tangent to the point "
+                              f"(|<s_i, u_i>| > {tol:g} |u_i| in some row)")
 
 
 def _project_rows(sigma: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -262,6 +262,13 @@ def bcm_step_reference(instance, point, cache, i: int) -> float:
     return float(ascent)
 
 
+def block_sweep_reference(instance, point, cache, rows) -> np.ndarray:
+    """bcm_step_reference on each of rows in turn: the step-by-step sweep
+    that bcm.block_sweep delays, returning the same per-step ascents."""
+    return np.asarray([bcm_step_reference(instance, point, cache, i)
+                       for i in rows])
+
+
 def align_procrustes(p: np.ndarray, q: np.ndarray):
     """Orthogonal Q minimizing ||p - q Q||_F, plus the minimized residual:
     the distance between two factors up to the orthogonal symmetry of the

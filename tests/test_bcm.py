@@ -297,6 +297,93 @@ class TestFullRowStep:
         assert peak < n * n * 8 / 4
 
 
+def run_both(inst, rule, r, epochs=20):
+    """bcm.run through block_sweep and through the step-by-step reference.
+
+    The runs stop at the default grad_tol.  Far below it, a row that sits
+    d away from its maximizer has the ascent |g_i| d^2, under the rounding
+    level of |g_i| once d < 1e-8, so whether it is stepped depends on the
+    last bits of g_i: n = 3 runs that go on to 20 epochs end 3e-9 apart."""
+    cfg = bcm.SolverConfig(rule=rule, max_epochs=epochs, seed=4)
+    blocked = bcm.run(inst, cfg, r=r)
+    saved = bcm.block_sweep
+    bcm.block_sweep = oracles.block_sweep_reference
+    try:
+        return blocked, bcm.run(inst, cfg, r=r)
+    finally:
+        bcm.block_sweep = saved
+
+
+class TestBlockSweep:
+    """block_sweep delays the update of g by up to BLOCK steps but keeps
+    every step exact, so it must follow the step-by-step sweep to rounding."""
+
+    @pytest.mark.parametrize("rule", ["cyclic", "uniform"])
+    @pytest.mark.parametrize("r", [2, 5, 22])
+    @pytest.mark.parametrize("n", [2, 3, 61, 240])
+    def test_matches_step_by_step(self, n, r, rule):
+        (point, trace), (ref_point, ref) = run_both(bmcut.gen_gaussian(n, 6),
+                                                    rule, r)
+        assert trace.status == ref.status
+        assert np.abs(point.sigma - ref_point.sigma).max() <= 1e-12
+        assert ([rec.coords_updated for rec in trace.records]
+                == [rec.coords_updated for rec in ref.records])
+        assert np.all(np.diff(trace.f_values()) >= 0.0)
+
+    def run_rows(self, inst, rows, r=5):
+        point = manifold.random_point(inst.n, r, np.random.default_rng(1))
+        cache = bcm.init_cache(inst, point)
+        ref_point, ref_cache = point.copy(), copy.deepcopy(cache)
+        f0 = cache.objective()
+        ascents = bcm.block_sweep(inst, point, cache, rows)
+        ref = oracles.block_sweep_reference(inst, ref_point, ref_cache, rows)
+        assert np.abs(point.sigma - ref_point.sigma).max() <= 1e-12
+        assert np.allclose(ascents, ref, rtol=1e-10, atol=1e-12)
+        for got, want in ((cache.g, ref_cache.g), (cache.norms, ref_cache.norms),
+                          (cache.inner, ref_cache.inner)):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        return f0, ascents, cache
+
+    def test_uniform_block_repeats_row(self):
+        # uniform can draw a row twice within one block: its second step
+        # must see the first one's change to its own row, and none from A_ii
+        inst = bmcut.gen_gaussian(61, 2)
+        rows = np.random.default_rng(3).integers(61, size=3 * 61)
+        assert any(np.unique(rows[lo:lo + bcm.BLOCK]).size < bcm.BLOCK
+                   for lo in range(0, rows.size, bcm.BLOCK))
+        _, ascents, _ = self.run_rows(inst, [7, 7, 9, 7] + rows.tolist())
+        # as in bcm_step, row 7 is at its maximizer until row 9 moves
+        assert ascents[0] > 0.0 and ascents[1] == 0.0 and ascents[3] > 0.0
+
+    def test_partial_last_block(self):
+        n = 2 * bcm.BLOCK + 5
+        assert n % bcm.BLOCK
+        self.run_rows(bmcut.gen_gaussian(n, 4), list(range(n)) * 2)
+
+    def test_sweep_ascent_identity(self):
+        # frozen: the per-step ascents add up to the sweep's objective gain
+        inst = bmcut.gen_gaussian(90, 5)
+        f0, ascents, cache = self.run_rows(inst, list(range(90)) * 3, r=9)
+        gain = cache.objective() - f0
+        assert gain > 0.0
+        assert abs(ascents.sum() - gain) <= 1e-12 * gain
+
+    def test_complete_instances_skip_bcm_step(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return step(*args)
+
+        step = bcm.bcm_step
+        monkeypatch.setattr(bcm, "bcm_step", counted)
+        cfg = bcm.SolverConfig(rule="cyclic", max_epochs=3, seed=0)
+        bcm.run(bmcut.gen_gaussian(40, 1), cfg, r=4)
+        assert calls == []   # a refactor must not drop the blocked path
+        bcm.run(bmcut.gen_erdos_renyi(40, 120, -1, 1), cfg, r=4)
+        assert len(calls) == 3 * 40   # nor may a sparse instance take it
+
+
 class TestRun:
     def test_single_edge_one_epoch(self, edge2):
         # exactly representable start: the terminal metric is exactly zero
@@ -516,18 +603,31 @@ class TestGoldenTraces:
         "importance": "41b41670fb6888126333f58b9addfc8a75b9bcf522cc4239eb9b185f82070a7f",
         "greedy": "55a2f859a97e4ce778eceeacd76f4fa9bb6feaa57d0a31201d8bc93c7929171d",
     }
-    BCM2 = "73544051bc39ddfcd43a38673cf13ae260eef1f36a70e5e15e65788babccea8b"
+    # renewed when the escape threshold came to be formed from eps/|A|_1:
+    # only the header's threshold moved, in its last bits
+    BCM2 = "f39a38b91c4b6ac9cee6400a1e96ce1c82954bf1c5a273d88ed9f2b5f3d8adcb"
     # it pins the rounding of the escape directions, which test_bcm2 (no
     # escape step) does not
-    BCM2_ESCAPES = "adf8273fb7d7a93c1685122af7a3ca27e53e685b065689f490bce10b51485005"
+    BCM2_ESCAPES = "3269081292d9013b5547923ddea555158ddd13cfb3c56995691cf32658d8348d"
 
-    # every row of these is full: bcm_step's in-place path; the cyclic
-    # digest was computed on the gather/scatter step before that path existed
+    # every row of these is full: bcm_step's in-place path, and the cyclic
+    # sweeps run through the step-by-step reference in place of block_sweep;
+    # the cyclic digest was computed on the gather/scatter step before the
+    # in-place path existed
     BCM_DENSE = {
         (240, 0, 22, "cyclic"):
             "436a3cb7915adb7c1afbf297c5d3d33410ec26e2ba1594dc58b093ca941a99ab",
         (61, 2, 5, "greedy"):
             "2ef07aa2f6f7005c5b16503a75cc190f039f2f863cbf2cabe32dbb0ecf468bd7",
+    }
+
+    # the same cyclic case, and a uniform one, through block_sweep itself;
+    # sigma is within 2.6e-14 and 7.2e-15 of the step-by-step sweep's
+    BCM_BLOCKED = {
+        (240, 0, 22, "cyclic"):
+            "900aa09c7dcb8a664fc05368d994e87210295ea7caf2a0115e7d483962b7bf78",
+        (61, 2, 5, "uniform"):
+            "c662261c7a33a483b731d0d6cc87c40bbd05ef7d9d5f1057a4f350e5fbc04063",
     }
 
     F_RAW = {
@@ -537,6 +637,8 @@ class TestGoldenTraces:
         "greedy": 1252.9604518470378,
         (240, 0, 22, "cyclic"): 38.80530387753638,
         (61, 2, 5, "greedy"): 18.648429893815027,
+        ("blocked", 240, 0, 22, "cyclic"): 38.80530387753638,
+        ("blocked", 61, 2, 5, "uniform"): 18.640048254479638,
         "bcm2": 14.384915723469149,
         "bcm2_escapes": 9.694098844035516,
     }
@@ -554,14 +656,26 @@ class TestGoldenTraces:
         self.assert_final_f(trace, rule)
         assert trace_digest(tmp_path / "t.jsonl", point, trace) == self.BCM[rule]
 
-    @pytest.mark.parametrize("n, seed, r, rule", list(BCM_DENSE))
-    def test_bcm_dense(self, tmp_path, n, seed, r, rule):
+    @staticmethod
+    def dense_run(n, seed, r, rule):
         inst = bmcut.gen_gaussian(n, seed)
         cfg = bcm.SolverConfig(rule=rule, max_epochs=30, grad_tol=0.0, seed=0)
-        point, trace = bcm.run(inst, cfg, r=r)
+        return bcm.run(inst, cfg, r=r)
+
+    @pytest.mark.parametrize("n, seed, r, rule", list(BCM_DENSE))
+    def test_bcm_dense(self, tmp_path, monkeypatch, n, seed, r, rule):
+        monkeypatch.setattr(bcm, "block_sweep", oracles.block_sweep_reference)
+        point, trace = self.dense_run(n, seed, r, rule)
         self.assert_final_f(trace, (n, seed, r, rule))
         assert (trace_digest(tmp_path / "t.jsonl", point, trace)
                 == self.BCM_DENSE[n, seed, r, rule])
+
+    @pytest.mark.parametrize("n, seed, r, rule", list(BCM_BLOCKED))
+    def test_bcm_blocked(self, tmp_path, n, seed, r, rule):
+        point, trace = self.dense_run(n, seed, r, rule)
+        self.assert_final_f(trace, ("blocked", n, seed, r, rule))
+        assert (trace_digest(tmp_path / "t.jsonl", point, trace)
+                == self.BCM_BLOCKED[n, seed, r, rule])
 
     def test_bcm2(self, tmp_path):
         inst = bmcut.gen_gaussian(40, 1)

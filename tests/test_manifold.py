@@ -137,6 +137,22 @@ class TestExpMap:
         with pytest.raises(ValidationError, match="not tangent"):
             manifold.exp_map(point, tv, 0.1)
 
+    def test_short_rows_judged_by_angle(self):
+        # |<s_i, u_i>| <= 1e-8 (1 + |u_i|) let rows of size 2^-300 through
+        # at any angle; the test is now relative to |u_i|
+        # (2^-540: sqrt(sum u^2) would underflow to 0)
+        inst, point, cache, rng = rand_setup()
+        for scale in (2.0**-300, 2.0**-540):
+            tangent = oracles.random_tangent(point, rng) * scale
+            tangent[3] = 0.0
+            moved = manifold.exp_map(point, tangent, 0.1)
+            assert np.array_equal(moved.sigma, point.sigma)
+            slanted = tangent + point.sigma * scale
+            with pytest.raises(ValidationError, match="not tangent"):
+                manifold.exp_map(point, slanted, 0.1)
+            with pytest.raises(ValidationError, match="not tangent"):
+                manifold.hess_quadratic(inst, point, slanted, cache)
+
     def test_negative_t_rejected(self):
         _, point, _, rng = rand_setup()
         tv = oracles.random_tangent(point, rng)
