@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .manifold import FactorPoint, grad_metric_sq, random_point
+from .manifold import FactorPoint, grad_metric_sq, metric_term, random_point
 from .problem import ProblemInstance
 
 RULES = ("cyclic", "uniform", "importance", "greedy")
@@ -309,7 +309,11 @@ def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
     An epoch is n coordinate steps or one escape step.  The epoch-0 record
     comes first; the cache is refreshed before coordinate epoch e whenever
     e % REFRESH_PERIOD == 0.  No coordinate step is taken past the epoch
-    caps; with a policy, the escape threshold is checked before every step;
+    caps; with a policy, the escape threshold is checked before every step:
+    before the refresh at a refresh, else after the pick, where the picked
+    row's own metric term settles it unless that is at or under the
+    threshold.  A pick dropped at the threshold has still drawn from rng
+    under uniform and importance; run_bcm2's greedy rule draws nothing.
     tol is checked after every sweep.  Mutates point, cache and trace;
     returns (status, coordinate steps, escape steps).
     """
@@ -344,12 +348,20 @@ def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
         touched[:] = False
         sweep, begun, rows = min(n, left), steps, []
         for _ in range(sweep):
-            if (policy is not None
-                    and grad_metric_sq(cache) <= policy.threshold):
-                break
-            if steps % n == 0 and (steps // n + 1) % REFRESH_PERIOD == 0:
+            refresh = steps % n == 0 and (steps // n + 1) % REFRESH_PERIOD == 0
+            if refresh:
+                if (policy is not None
+                        and grad_metric_sq(cache) <= policy.threshold):
+                    break
                 refresh_cache(instance, point, cache)
             i = select_coordinate(config.rule, cache, rng, step=steps)
+            # the metric is at least twice row i's term, so only a pick
+            # whose own term is at or under the threshold needs the exact sum
+            if (policy is not None and not refresh
+                    and 2.0 * metric_term(cache.norms[i], cache.inner[i])
+                    <= policy.threshold
+                    and grad_metric_sq(cache) <= policy.threshold):
+                break
             rows.append(i)
             if not blocked and bcm_step(instance, point, cache, i) > 0.0:
                 touched[i] = True

@@ -53,27 +53,34 @@ class Cut:
         return {"signs": self.signs.astype(int).tolist(), "value": self.value}
 
 
-def _shifted_lambda_max(instance: ProblemInstance, lam: np.ndarray) -> float:
-    """lambda_max(A - Diag(lam)); dense for small n, Lanczos otherwise."""
+def leading_pair(instance: ProblemInstance,
+                 lam: np.ndarray) -> tuple[float, np.ndarray]:
+    """The top eigenpair (theta, v) of A - Diag(lam), |v| = 1.
+
+    Up to DENSE_EIG_LIMIT rows, LAPACK's value for the matrix divided by
+    `instance.unit`, times that unit, so theta and v are the same numbers at
+    every scale of A; above it, seeded ARPACK's estimate and Ritz vector.
+    """
     n = instance.n
     if n <= DENSE_EIG_LIMIT:
         m = instance.dense()
         m[np.diag_indices(n)] -= lam
-        return float(scipy.linalg.eigvalsh(m)[-1])
+        unit = instance.unit
+        vals, vecs = scipy.linalg.eigh(m / unit, subset_by_index=[n - 1, n - 1])
+        return float(vals[0]) * unit, vecs[:, 0]
     op = scipy.sparse.linalg.LinearOperator(
         (n, n), matvec=lambda v: instance.rows @ v - lam * v, dtype=np.float64)
     # ARPACK's own start vector is unseeded; a fixed one from a local
-    # generator makes the bound a function of the iterate alone
+    # generator makes the pair a function of the iterate alone
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        vals = scipy.sparse.linalg.eigsh(
-            op, k=1, which="LA", tol=1e-8, maxiter=200 * n, v0=v0,
-            return_eigenvectors=False)
+        vals, vecs = scipy.sparse.linalg.eigsh(
+            op, k=1, which="LA", tol=1e-8, maxiter=200 * n, v0=v0)
     except scipy.sparse.linalg.ArpackNoConvergence as exc:
         # a partially converged Ritz value can sit below lambda_max, and a
         # bound built on it would be too low
         raise NumericalError("eigenvalue estimation did not converge") from exc
-    return float(vals[0])
+    return float(vals[0]), vecs[:, 0]
 
 
 def dual_upper_bound(instance: ProblemInstance, point: FactorPoint,
@@ -82,7 +89,7 @@ def dual_upper_bound(instance: ProblemInstance, point: FactorPoint,
     if instance.n == 0:
         raise ValidationError("the dual bound needs n >= 1, got n = 0")
     lam = cache.inner.copy()
-    slack = _shifted_lambda_max(instance, lam)
+    slack, _ = leading_pair(instance, lam)
     upper = float(lam.sum() + instance.n * max(slack, 0.0))
     return Certificate(lam=lam, upper_bound=upper, slack=slack,
                        gap=upper - cache.objective())

@@ -1,9 +1,14 @@
-"""Second-order escape: Lanczos on the curvature operator.
+"""Second-order escape: the leading pair of A - Lambda, Lanczos as fallback.
 
-When the gradient metric falls below eps^3/(1350 |A|_1), a leading curvature
-direction is extracted with a tridiagonal Lanczos recurrence on the curvature
-operator Hess[u] itself and a geodesic step of length eps/(15 |A|_1) is taken
-along it.
+When the gradient metric falls below eps^3/(1350 |A|_1), the solver looks for
+a tangent direction of curvature >= eps/2 and takes a geodesic step of length
+eps/(15 |A|_1) along it.  For a tangent U, <U, Hess[U]> = 2 tr(U^T (A -
+Lambda) U) with Lambda = diag(<sigma_i, g_i>), so twice the top eigenvalue of
+A - Lambda, the dual certificate's own eigenproblem, bounds the curvature,
+and at a rank-deficient point v z^T (v its top eigenvector, S z = 0) attains
+the bound (Journee, Bach, Absil & Sepulchre, SIAM J. Optim. 20(5), 2010).
+Only where that direction falls short does a tridiagonal Lanczos recurrence
+on the curvature operator Hess[u] itself run.
 The three constants are tied together by the cubic ascent bound
 eps^3/(2700 |A|_1^2); changing one invalidates the others.
 """
@@ -19,7 +24,7 @@ import scipy.linalg
 # bcm_step, select_coordinate, grad_metric_sq: unused, kept for perfbench spans
 from .bcm import (EscapePolicy, GradientCache, SolverConfig, bcm_step, drive,
                   refresh_cache, select_coordinate, start_point)
-from .certify import dual_upper_bound
+from .certify import DENSE_EIG_LIMIT, dual_upper_bound, leading_pair
 from .errors import TrivialInstanceError, ValidationError
 from .manifold import (FactorPoint, _hess_apply_rows, _project_rows, exp_map,
                        grad_metric_sq, hess_quadratic, riemannian_gradient)
@@ -179,8 +184,7 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     k = len(alphas)
     alpha_arr = np.asarray(alphas)
     beta_arr = np.asarray(betas)
-    # T in units of 2^j <= |A|_1 < 2^(j+1), the same at every scale of A
-    unit = math.ldexp(1.0, math.frexp(instance.one_norm)[1] - 1)
+    unit = instance.unit   # T in these units is the same at every scale of A
     vals, vecs = scipy.linalg.eigh_tridiagonal(
         alpha_arr / unit, beta_arr / unit, select="i", select_range=(k - 1, k - 1))
     direction = _project_rows(sigma, (vecs[:, 0] @ basis[:k]).reshape(n, r))
@@ -233,12 +237,21 @@ def auto_epsilon(instance: ProblemInstance, point: FactorPoint,
 def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
              esc: EscapeConfig, initial: FactorPoint | None = None,
              r: int | None = None):
-    """Greedy coordinate ascent interleaved with Lanczos escape steps.
+    """Greedy coordinate ascent interleaved with escape steps.
 
     Above the threshold the greedy rule takes single-row steps (n of them
-    count as one epoch); below it, a leading curvature direction is computed
-    and either stepped along (curvature >= eps/2) or, failing that, the point
-    is declared an eps-approximate concave point and the run stops.  A hard
+    count as one epoch).  Below it, an escape step
+      (a) computes the top pair (theta, v) of A - Lambda (certify.leading_pair);
+      (b) up to DENSE_EIG_LIMIT rows, where theta is LAPACK's value, declares
+          the point eps-approximate concave if 2 theta < eps/2, which bounds
+          every curvature below eps/2 and the dual gap by n eps/4; ARPACK's
+          estimate above the limit has no proven margin, so this is skipped;
+      (c) steps along U = proj(v z^T), normalised, with z the last right
+          singular vector of S, if its curvature is >= eps/2;
+      (d) else runs Lanczos on the curvature operator and steps along its
+          direction if that curvature is >= eps/2, or stops the run with the
+          concave verdict.
+    The header's lanczos_calls counts the steps that reached (d).  A hard
     cap on combined epochs (see _check_epsilon) applies, on top of the user's
     max_epochs.  The loop itself is bcm.drive with an escape policy;
     solver.rule and solver.grad_tol are not used.
@@ -263,16 +276,32 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
         lanczos_budget=budget, step_length=t_step, retries=0,
         lanczos_reorth=True, escape_seed=esc.seed)
 
+    lanczos_calls = 0
+
     def escape_step():
-        res = lanczos_leading(instance, point, cache, budget, rng_lan)
-        ray = hess_quadratic(instance, point, res.direction, cache)
-        if ray < eps / 2.0:
+        nonlocal lanczos_calls
+        theta, v = leading_pair(instance, cache.inner)
+        if instance.n <= DENSE_EIG_LIMIT and 2.0 * theta < eps / 2.0:
             return None
-        return second_order_step(instance, point, cache, res.direction, eps), ray
+        z = np.linalg.svd(point.sigma, full_matrices=instance.n < point.r)[2][-1]
+        # a second projection keeps each row tangent relative to its own
+        # length, also where v_i z is nearly parallel to sigma_i
+        u = _project_rows(point.sigma, _project_rows(point.sigma, np.outer(v, z)))
+        nrm = float(np.linalg.norm(u))
+        if nrm > 0.0:
+            u /= nrm   # else u = 0, whose curvature 0 sends it to Lanczos
+        ray = hess_quadratic(instance, point, u, cache)
+        if ray < eps / 2.0:
+            lanczos_calls += 1
+            u = lanczos_leading(instance, point, cache, budget, rng_lan).direction
+            ray = hess_quadratic(instance, point, u, cache)
+            if ray < eps / 2.0:
+                return None
+        return second_order_step(instance, point, cache, u, eps), ray
 
     trace.status, steps, escapes = drive(
         instance, point, cache, rng, trace, greedy, -math.inf,
         EscapePolicy(threshold, cap, escape_step))
     trace.header.update(bcm_epochs=steps / instance.n, bcm_steps=steps,
-                        escape_steps=escapes)
+                        escape_steps=escapes, lanczos_calls=lanczos_calls)
     return point, trace

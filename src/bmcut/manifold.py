@@ -101,8 +101,17 @@ def grad_metric_sq(cache) -> float:
     riemannian_gradient.  Per-row terms are clamped at zero, which only
     absorbs last-bit cancellation noise.
     """
-    terms = cache.norms**2 - cache.inner**2
+    terms = metric_term(cache.norms, cache.inner)
     return float(2.0 * np.sum(np.maximum(terms, 0.0)))
+
+
+def metric_term(norm, inner):
+    """|g_i|^2 - <sigma_i, g_i>^2, a row's term of grad_metric_sq before its
+    clamp at zero, for one row's two scalars or for arrays of rows.  Each is
+    a correctly rounded square and difference, so a row's term has the same
+    bits either way; the metric, a rounded sum of clamped terms, is never
+    below twice any one of them."""
+    return norm * norm - inner * inner
 
 
 def hess_quadratic(instance, point: FactorPoint, u: np.ndarray, cache) -> float:

@@ -49,6 +49,13 @@ class ProblemInstance:
     def nnz(self) -> int:
         return int(self.rows.nnz)
 
+    @property
+    def unit(self) -> float:
+        """The power of two 2^j with 2^j <= |A|_1 < 2^(j+1) (1/2 for A = 0).
+        Eigensolvers take matrices divided by it, which is exact, and so see
+        the same numbers at every scale of A."""
+        return math.ldexp(1.0, math.frexp(self.one_norm)[1] - 1)
+
     def checksum(self) -> str:
         """SHA-256 over the canonical storage, for trace headers."""
         h = hashlib.sha256()

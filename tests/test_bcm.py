@@ -603,12 +603,14 @@ class TestGoldenTraces:
         "importance": "41b41670fb6888126333f58b9addfc8a75b9bcf522cc4239eb9b185f82070a7f",
         "greedy": "55a2f859a97e4ce778eceeacd76f4fa9bb6feaa57d0a31201d8bc93c7929171d",
     }
-    # renewed when the escape threshold came to be formed from eps/|A|_1:
-    # only the header's threshold moved, in its last bits
-    BCM2 = "f39a38b91c4b6ac9cee6400a1e96ce1c82954bf1c5a273d88ed9f2b5f3d8adcb"
+    # renewed when the header gained lanczos_calls (0 here); without that
+    # field the file and the iterates are the earlier ones, byte for byte
+    BCM2 = "03735ed6e460336c5c85f6f2dd5dbbb8bd0786c70a9c7bc5cb40c9cfef44c042"
     # it pins the rounding of the escape directions, which test_bcm2 (no
-    # escape step) does not
-    BCM2_ESCAPES = "3269081292d9013b5547923ddea555158ddd13cfb3c56995691cf32658d8348d"
+    # escape step) does not; renewed when they came from the leading pair
+    # of A - Lambda in place of tangent Lanczos: the same 6 escapes and 151
+    # records, final f_raw 2.8e-11 relative from the Lanczos run's
+    BCM2_ESCAPES = "eb83dbf2dd708a4b946c7f09b000c71a66108638cb0199c36c4174d8d1d16028"
 
     # every row of these is full: bcm_step's in-place path, and the cyclic
     # sweeps run through the step-by-step reference in place of block_sweep;

@@ -27,23 +27,30 @@ def test_trace_targets_resolve_to_callables():
 
 
 def test_info_callbacks_on_real_calls():
-    # the all-equal start is stationary, so this bcm2 run calls both
-    # bcm_step and lanczos_leading from their real call sites
+    # the all-equal start is stationary, so the first bcm2 run calls bcm_step
+    # and takes escape steps; the second, at r = 2 from a random start, ends
+    # at a full-rank point where the escape falls through to lanczos_leading
     n, r = 20, 4
     inst = bmcut.gen_gaussian(n, 8)
     start = np.zeros((n, r))
     start[:, 0] = 1.0
     targets = bench.trace_targets(bmcut)
     rec = spans.Recorder()
+    cfg = bmcut.SolverConfig(rule="greedy", seed=1)
+    esc = bmcut.EscapeConfig(epsilon=0.01, seed=2)
     with spans.instrumented(rec, targets):
-        _, trace = bmcut.run_bcm2(
-            inst, bmcut.SolverConfig(rule="greedy", seed=1),
-            bmcut.EscapeConfig(epsilon=0.01, seed=2),
-            initial=bmcut.FactorPoint(start))
+        rec.run = r   # each span records the rank of its run
+        _, trace = bmcut.run_bcm2(inst, cfg, esc,
+                                  initial=bmcut.FactorPoint(start))
+        rec.run = 2
+        _, fallback = bmcut.run_bcm2(inst, cfg, esc, r=2)
     assert trace.header["escape_steps"] >= 1
-    infos = {}
+    assert fallback.status == "concave"
+    assert fallback.header["lanczos_calls"] >= 1
+    infos, ranks = {}, {}
     for row in rec.rows:
         infos.setdefault(row[spans.NAME], []).append(row[spans.INFO])
+        ranks.setdefault(row[spans.NAME], []).append(row[spans.RUN])
     for _module, _attr, span, info in targets:
         if info is not None:
             assert infos.get(span), f"span {span} was never recorded"
@@ -52,7 +59,8 @@ def test_info_callbacks_on_real_calls():
     for i, accepted in infos["bcm.step"]:
         assert 0 <= i < n and isinstance(accepted, bool)
     assert any(accepted for _, accepted in infos["bcm.step"])
-    for iterations, exhausted, nbytes in infos["escape.lanczos"]:
-        assert 1 <= iterations <= n * (r - 1)
+    for (iterations, exhausted, nbytes), rank in zip(infos["escape.lanczos"],
+                                                     ranks["escape.lanczos"]):
+        assert 1 <= iterations <= n * (rank - 1)
         assert isinstance(exhausted, bool)
-        assert nbytes == iterations * n * r * 8
+        assert nbytes == iterations * n * rank * 8

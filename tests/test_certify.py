@@ -111,6 +111,49 @@ class TestDualBound:
         assert len(data["lam"]) == 3
 
 
+class TestLeadingPair:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 9), r=st.integers(2, 4), seed=st.integers(0, 2**16),
+           deficient=st.booleans(), gaussian=st.booleans())
+    def test_bounds_tangent_hessian(self, n, r, seed, deficient, gaussian):
+        # <U, Hess[U]> = 2 tr(U^T (A - Lambda) U), so 2 theta bounds the
+        # curvature; at a rank-deficient point v z^T is tangent and attains it
+        rng = np.random.default_rng(seed)
+        inst = (bmcut.gen_gaussian(n, seed) if gaussian else
+                bmcut.gen_erdos_renyi(n, n * (n - 1) // 3 + 1, -1, seed))
+        if deficient:   # rows in a random (r-1)-dimensional subspace
+            rows = manifold.random_point(n, r - 1, rng).sigma
+            q = np.linalg.qr(rng.standard_normal((r, r)))[0]
+            point = FactorPoint(np.pad(rows, ((0, 0), (0, 1))) @ q)
+            z = q[-1]
+        else:
+            point = manifold.random_point(n, r, rng)
+        cache = bcm.init_cache(inst, point)
+        theta, v = certify.leading_pair(inst, cache.inner)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        top = np.linalg.eigvalsh(oracles.dense_tangent_hessian(inst,
+                                                               point.sigma))[-1]
+        tol = 1e-10 * max(1.0, inst.one_norm)
+        assert 2.0 * theta >= top - tol
+        if deficient:
+            assert 2.0 * theta == pytest.approx(top, abs=tol)
+            u = manifold._project_rows(point.sigma, np.outer(v, z))
+            assert manifold.hess_quadratic(inst, point, u, cache) \
+                == pytest.approx(2.0 * theta, abs=tol)
+
+    @pytest.mark.parametrize("inst, r", [
+        (bmcut.gen_gaussian(30, seed=2), 4),
+        (bmcut.gen_erdos_renyi(250, 750, sign=-1, seed=5), 5),
+    ], ids=["dense-eigh", "arpack"])
+    def test_slack_is_theta(self, inst, r):
+        # the certificate and the escape read one eigensolve
+        point = manifold.random_point(inst.n, r, np.random.default_rng(3))
+        cache = bcm.init_cache(inst, point)
+        cert = certify.dual_upper_bound(inst, point, cache)
+        theta, _ = certify.leading_pair(inst, cache.inner)
+        assert cert.slack == theta
+
+
 def padded(point, r):
     """The point with zero columns appended up to rank r: the same Gram
     matrix, so the same cache and bound, at a larger rank."""
@@ -123,16 +166,19 @@ def cert_at(instance, point):
 
 
 class TestApproxReport:
-    # frozen from the report that ran its own dual bound from the cache
+    # frozen from the report that ran its own dual bound from the cache;
+    # renewed when the dense eigensolve came to run on A - Diag(lam) over
+    # its power-of-two unit: slack moved by 1.2e-17 at the optimum and by
+    # one ulp of 3.0 at the saddle
     DIGESTS = {
         ("optimum", 2, 0.1):
-            "9dba3366d2934cfd6132bcc7f8accdec2b01625dbda425afb80ec795ff6ad526",
+            "720e25effc6c0a47083ebc6d9202d6a1d1da8dd2ff3be4afe099eef03618f826",
         ("optimum", 3, 0.01):
-            "033f7e97f91df328051bd05d56a659ea870100d27549dcde1024f042a9595612",
+            "735e0abe491bdccfc6d5ab3276437eab8f7d661542b2850309bd4b85b5d93f8e",
         ("optimum", 11, 0.0):
-            "ce9218c81665c157293111fc4e48c6f941dfd2bb33cd1b0bc1f59c8968e1b611",
+            "ac8a49b26b35cbd2de69038dd468216b60f131eb06540f0b2492b5b041ca075f",
         ("saddle", 4, 0.05):
-            "3110bbcb72f732275023608b0425073c6be5a73d4449b4c64ce97da8e4bbf398",
+            "01a043d03a95fd9559b6cb754c125296438c2c87a61fbd43f5cdef4959f13825",
     }
 
     @pytest.mark.parametrize("start, r, epsilon", list(DIGESTS))

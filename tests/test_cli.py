@@ -349,8 +349,8 @@ class TestCertify:
         bmcut.save_point(bmcut.random_point(30, 4, np.random.default_rng(0)),
                          str(pt))
         calls = []
-        real = bmcut.certify._shifted_lambda_max
-        monkeypatch.setattr(bmcut.certify, "_shifted_lambda_max",
+        real = bmcut.certify.leading_pair
+        monkeypatch.setattr(bmcut.certify, "leading_pair",
                             lambda *a: calls.append(a) or real(*a))
         assert run_cli(["certify", "--gen", "gaussian:n=30,seed=1",
                         "--point", str(pt), "--epsilon", "0.01"]) == 0

@@ -352,6 +352,52 @@ class TestRunBcm2:
         h = oracles.dense_tangent_hessian(inst, point.sigma)
         assert np.linalg.eigvalsh(h)[-1] <= eps + 1e-6
 
+    @pytest.mark.parametrize("seed, r", [(8, 4), (3, 4), (5, 5)])
+    def test_dense_concave_verdict_bounds_gap(self, seed, r):
+        # without a Lanczos call, the verdict is 2 theta < eps/2 for the
+        # exact top eigenvalue theta of A - Lambda, so the certificate at the
+        # final point has gap n max(theta, 0) <= n eps/4
+        n, eps = 20, 0.01
+        inst = bmcut.gen_gaussian(n, seed)
+        start = np.zeros((n, r))
+        start[:, 0] = 1.0
+        cfg = bcm.SolverConfig(rule="greedy", seed=1)
+        esc = escape.EscapeConfig(epsilon=eps, seed=2)
+        point, trace = escape.run_bcm2(inst, cfg, esc,
+                                       initial=bmcut.FactorPoint(start))
+        assert trace.status == "concave"
+        assert trace.header["escape_steps"] >= 1
+        assert trace.header["lanczos_calls"] == 0
+        cert = bmcut.dual_upper_bound(inst, point, bcm.init_cache(inst, point))
+        assert cert.gap <= n * eps / 4 + 1e-9 * n * inst.one_norm
+
+    def test_row_term_test_keeps_every_decision(self, monkeypatch):
+        # the metric is never below twice the picked row's term, so testing
+        # that term first changes no decision; defeated, every step sums
+        # the whole metric
+        inst = bmcut.gen_gaussian(20, 8)
+        start = np.zeros((20, 4))
+        start[:, 0] = 1.0
+        real = manifold.grad_metric_sq
+
+        def solve():
+            calls = []
+            monkeypatch.setattr(bcm, "grad_metric_sq",
+                                lambda cache: calls.append(1) or real(cache))
+            point, trace = escape.run_bcm2(
+                inst, bcm.SolverConfig(rule="greedy", seed=1),
+                escape.EscapeConfig(epsilon=0.01, seed=2),
+                initial=bmcut.FactorPoint(start))
+            recs = [rec.as_dict() for rec in trace.records]
+            return point.sigma.tobytes(), recs, len(calls)
+
+        sigma, recs, calls = solve()
+        monkeypatch.setattr(bcm, "metric_term", lambda norm, inner: -math.inf)
+        exact_sigma, exact_recs, exact_calls = solve()
+        assert sigma == exact_sigma
+        assert recs == exact_recs
+        assert calls * 4 < exact_calls
+
     def test_no_step_past_max_epochs(self, triangle):
         # rows 0-2: a triangle at its saddle, whose escape waits until the
         # second triangle (rows 3-5) has converged partway through a sweep
