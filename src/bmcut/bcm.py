@@ -20,7 +20,7 @@ from .manifold import FactorPoint, grad_metric_sq, metric_term, random_point
 from .problem import ProblemInstance
 
 RULES = ("cyclic", "uniform", "importance", "greedy")
-REFRESH_PERIOD = 100   # coordinate epochs between full cache recomputations
+REFRESH_PERIOD = 100   # trace records between full cache recomputations
 BLOCK = 32             # steps per delayed update of g in block_sweep
 
 
@@ -307,13 +307,12 @@ def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
     """The solver loop: sweeps of up to n coordinate steps, one record each.
 
     An epoch is n coordinate steps or one escape step.  The epoch-0 record
-    comes first; the cache is refreshed before coordinate epoch e whenever
-    e % REFRESH_PERIOD == 0.  No coordinate step is taken past the epoch
-    caps; with a policy, the escape threshold is checked before every step:
-    before the refresh at a refresh, else after the pick, where the picked
-    row's own metric term settles it unless that is at or under the
-    threshold.  A pick dropped at the threshold has still drawn from rng
-    under uniform and importance; run_bcm2's greedy rule draws nothing.
+    comes first; a sweep starts with a cache refresh when the trace holds a
+    multiple of REFRESH_PERIOD records.  No coordinate step is taken past
+    the epoch caps; with a policy, the escape threshold is checked after
+    every pick, by the picked row's own metric term unless that is at or
+    under it, then by the exact metric.  A pick dropped at the threshold has
+    drawn from rng under uniform and importance; greedy draws nothing.
     tol is checked after every sweep.  Mutates point, cache and trace;
     returns (status, coordinate steps, escape steps).
     """
@@ -345,19 +344,15 @@ def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
         left = (limit - escapes) * n - steps
         if left <= 0:
             return at_limit, steps, escapes
+        if len(trace.records) % REFRESH_PERIOD == 0:
+            refresh_cache(instance, point, cache)
         touched[:] = False
         sweep, begun, rows = min(n, left), steps, []
         for _ in range(sweep):
-            refresh = steps % n == 0 and (steps // n + 1) % REFRESH_PERIOD == 0
-            if refresh:
-                if (policy is not None
-                        and grad_metric_sq(cache) <= policy.threshold):
-                    break
-                refresh_cache(instance, point, cache)
             i = select_coordinate(config.rule, cache, rng, step=steps)
             # the metric is at least twice row i's term, so only a pick
             # whose own term is at or under the threshold needs the exact sum
-            if (policy is not None and not refresh
+            if (policy is not None
                     and 2.0 * metric_term(cache.norms[i], cache.inner[i])
                     <= policy.threshold
                     and grad_metric_sq(cache) <= policy.threshold):

@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -23,7 +24,8 @@ def _git_describe() -> str:
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5)
+            capture_output=True, text=True, timeout=5,
+            cwd=os.path.dirname(__file__))   # bmcut's, not the caller's
         if out.returncode == 0:
             return out.stdout.strip()
     except OSError:

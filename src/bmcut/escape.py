@@ -240,17 +240,16 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
     """Greedy coordinate ascent interleaved with escape steps.
 
     Above the threshold the greedy rule takes single-row steps (n of them
-    count as one epoch).  Below it, an escape step
-      (a) computes the top pair (theta, v) of A - Lambda (certify.leading_pair);
-      (b) up to DENSE_EIG_LIMIT rows, where theta is LAPACK's value, declares
-          the point eps-approximate concave if 2 theta < eps/2, which bounds
-          every curvature below eps/2 and the dual gap by n eps/4; ARPACK's
-          estimate above the limit has no proven margin, so this is skipped;
+    count as one epoch).  Below it, an escape step on n <= DENSE_EIG_LIMIT
+      (a) computes LAPACK's top pair (theta, v) of A - Lambda (leading_pair);
+      (b) declares the point eps-approximate concave if 2 theta < eps/2,
+          which bounds every curvature below eps/2 and the gap by n eps/4;
       (c) steps along U = proj(v z^T), normalised, with z the last right
           singular vector of S, if its curvature is >= eps/2;
-      (d) else runs Lanczos on the curvature operator and steps along its
-          direction if that curvature is >= eps/2, or stops the run with the
-          concave verdict.
+      (d) else, and always above the limit (ARPACK's theta has no proven
+          margin, and U raises the rank of S by one per escape), runs
+          Lanczos on the curvature operator and steps along its direction
+          if that curvature is >= eps/2, or stops with the concave verdict.
     The header's lanczos_calls counts the steps that reached (d).  A hard
     cap on combined epochs (see _check_epsilon) applies, on top of the user's
     max_epochs.  The loop itself is bcm.drive with an escape policy;
@@ -280,17 +279,18 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
 
     def escape_step():
         nonlocal lanczos_calls
-        theta, v = leading_pair(instance, cache.inner)
-        if instance.n <= DENSE_EIG_LIMIT and 2.0 * theta < eps / 2.0:
-            return None
-        z = np.linalg.svd(point.sigma, full_matrices=instance.n < point.r)[2][-1]
-        # a second projection keeps each row tangent relative to its own
-        # length, also where v_i z is nearly parallel to sigma_i
-        u = _project_rows(point.sigma, _project_rows(point.sigma, np.outer(v, z)))
-        nrm = float(np.linalg.norm(u))
-        if nrm > 0.0:
-            u /= nrm   # else u = 0, whose curvature 0 sends it to Lanczos
-        ray = hess_quadratic(instance, point, u, cache)
+        ray = -math.inf   # above the limit Lanczos alone gives the direction
+        if instance.n <= DENSE_EIG_LIMIT:
+            theta, v = leading_pair(instance, cache.inner)
+            if 2.0 * theta < eps / 2.0:
+                return None
+            z = np.linalg.svd(point.sigma, full_matrices=instance.n < point.r)[2][-1]
+            # a second projection keeps each row tangent relative to its own
+            # length, also where v_i z is nearly parallel to sigma_i
+            u = _project_rows(point.sigma,
+                              _project_rows(point.sigma, np.outer(v, z)))
+            u /= np.linalg.norm(u) or 1.0   # u = 0 has curvature 0: Lanczos
+            ray = hess_quadratic(instance, point, u, cache)
         if ray < eps / 2.0:
             lanczos_calls += 1
             u = lanczos_leading(instance, point, cache, budget, rng_lan).direction

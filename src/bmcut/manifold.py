@@ -76,16 +76,16 @@ def random_point(n: int, r: int, rng: np.random.Generator) -> FactorPoint:
 
 
 def exp_map(point: FactorPoint, u: np.ndarray, t: float) -> FactorPoint:
-    """Geodesic step: row i moves to sigma_i cos(theta_i) + u_i t
-    sinc(theta_i/pi), theta_i = |u_i| t.  That is sigma_i cos(theta_i) +
-    (u_i/|u_i|) sin(theta_i) without the division, so a row with u_i = 0
-    stays where it is."""
+    """Geodesic step: row i moves to sigma_i cos(pi x_i) + u_i t sinc(x_i),
+    x_i = |u_i| t/pi: sigma_i cos(theta) + (u_i/|u_i|) sin(theta) without the
+    division, so a row with u_i = 0 stays; cos and sinc see one rounded
+    angle pi x_i, so rows stay unit at any t."""
     if t < 0:
         raise ValidationError(f"step length must be >= 0, got {t}")
     _check_tangency(point.sigma, u)
-    theta = np.linalg.norm(u, axis=1, keepdims=True) * t
-    return FactorPoint(point.sigma * np.cos(theta)
-                       + u * (t * np.sinc(theta / np.pi)))
+    x = np.linalg.norm(u, axis=1, keepdims=True) * t / np.pi
+    return FactorPoint(point.sigma * np.cos(np.pi * x)
+                       + u * (t * np.sinc(x)))
 
 
 def riemannian_gradient(point: FactorPoint, cache) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import bmcut
-from bmcut import FactorPoint, ValidationError, bcm, manifold
+from bmcut import FactorPoint, ValidationError, bcm, escape, manifold
 
 import oracles
 from conftest import small_corpus
@@ -547,6 +547,38 @@ class TestRun:
         assert np.array_equal(p1.sigma, p2.sigma)
         assert t1.f_values().tolist() == t2.f_values().tolist()
 
+    def test_refresh_at_sweep_starts(self, monkeypatch):
+        # drive refreshes the cache only as a sweep starts with a multiple
+        # of REFRESH_PERIOD records; bcm2's escape steps refresh on their own
+        traces, at = [], []
+        real_drive, real_refresh = bcm.drive, bcm.refresh_cache
+
+        def drive(instance, point, cache, rng, trace, *rest):
+            traces.append(trace)
+            return real_drive(instance, point, cache, rng, trace, *rest)
+
+        def refresh(*args):
+            at.append(len(traces[-1].records))
+            real_refresh(*args)
+
+        monkeypatch.setattr(bcm, "drive", drive)
+        monkeypatch.setattr(escape, "drive", drive)
+        monkeypatch.setattr(bcm, "refresh_cache", refresh)
+        inst = bmcut.gen_erdos_renyi(60, 180, -1, 1)
+        cfg = bcm.SolverConfig(rule="cyclic", max_epochs=250, grad_tol=0.0)
+        _, trace = bcm.run(inst, cfg, r=8)
+        assert len(trace.records) == 251
+        assert at == [100, 200]
+
+        at.clear()
+        start = np.zeros((20, 4))
+        start[:, 0] = 1.0
+        _, trace = bmcut.run_bcm2(
+            bmcut.gen_gaussian(20, 8), bcm.SolverConfig(rule="greedy", seed=1),
+            bmcut.EscapeConfig(epsilon=0.01, seed=2), initial=FactorPoint(start))
+        assert len(trace.records) == 151
+        assert at == [100]   # not mid-sweep, at coordinate epoch 100
+
 
 class TestTraceIO:
     def test_jsonl_roundtrip_and_schema(self, tmp_path, triangle):
@@ -608,9 +640,11 @@ class TestGoldenTraces:
     BCM2 = "03735ed6e460336c5c85f6f2dd5dbbb8bd0786c70a9c7bc5cb40c9cfef44c042"
     # it pins the rounding of the escape directions, which test_bcm2 (no
     # escape step) does not; renewed when they came from the leading pair
-    # of A - Lambda in place of tangent Lanczos: the same 6 escapes and 151
-    # records, final f_raw 2.8e-11 relative from the Lanczos run's
-    BCM2_ESCAPES = "eb83dbf2dd708a4b946c7f09b000c71a66108638cb0199c36c4174d8d1d16028"
+    # of A - Lambda in place of tangent Lanczos (the same 6 escapes and 151
+    # records, final f_raw 2.8e-11 relative from the Lanczos run's), and
+    # again when the refresh moved to a sweep start and exp_map gave cos
+    # and sinc one angle (sigma within 5.9e-15, final f_raw bit-identical)
+    BCM2_ESCAPES = "4d8dac5e5bf2bd53b90791242e2325e7c81c5648d0050258eca87cd5b3c36858"
 
     # every row of these is full: bcm_step's in-place path, and the cyclic
     # sweeps run through the step-by-step reference in place of block_sweep;

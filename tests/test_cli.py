@@ -449,6 +449,19 @@ def test_negative_seed_rejected(tmp_path, capsys, entry):
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
+def test_git_describe_ignores_working_directory(tmp_path, monkeypatch):
+    # run from another checkout, it still describes bmcut's own source
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C",
+           str(tmp_path)]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"],
+                   check=True)
+    other = subprocess.run(git + ["describe", "--always", "--dirty"],
+                           capture_output=True, text=True, check=True)
+    monkeypatch.chdir(tmp_path)
+    assert cli._git_describe() != other.stdout.strip()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

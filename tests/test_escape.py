@@ -371,6 +371,25 @@ class TestRunBcm2:
         cert = bmcut.dual_upper_bound(inst, point, bcm.init_cache(inst, point))
         assert cert.gap <= n * eps / 4 + 1e-9 * n * inst.one_norm
 
+    def test_lanczos_alone_above_dense_limit(self, monkeypatch):
+        # above the limit no leading pair is computed: every escape step,
+        # and the concave verdict, come from Lanczos
+        calls, real = [], escape.leading_pair
+        monkeypatch.setattr(escape, "leading_pair",
+                            lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(escape, "DENSE_EIG_LIMIT", 10)
+        start = np.zeros((20, 4))
+        start[:, 0] = 1.0
+        _, trace = escape.run_bcm2(
+            bmcut.gen_gaussian(20, 8), bcm.SolverConfig(rule="greedy", seed=1),
+            escape.EscapeConfig(epsilon=0.01, seed=2),
+            initial=bmcut.FactorPoint(start))
+        assert calls == []
+        assert trace.status == "concave"
+        assert trace.header["escape_steps"] >= 1
+        assert (trace.header["lanczos_calls"]
+                == trace.header["escape_steps"] + 1)
+
     def test_row_term_test_keeps_every_decision(self, monkeypatch):
         # the metric is never below twice the picked row's term, so testing
         # that term first changes no decision; defeated, every step sums

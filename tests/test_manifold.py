@@ -107,6 +107,15 @@ class TestExpMap:
             out = manifold.exp_map(point, tv, t)
             assert np.allclose(np.linalg.norm(out.sigma, axis=1), 1.0, atol=1e-12)
 
+    def test_rows_stay_unit_at_huge_steps(self):
+        # cos and sinc take one rounded angle: with cos(theta) against
+        # sin(pi (theta/pi)), rows left the sphere by 1.1e-7 at t = 1e9
+        point = manifold.random_point(50, 3, np.random.default_rng(0))
+        u = oracles.random_tangent(point, np.random.default_rng(1))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        out = manifold.exp_map(point, u, 1e9)
+        assert np.allclose(np.linalg.norm(out.sigma, axis=1), 1.0, atol=1e-12)
+
     def test_zero_rows_unmoved(self):
         _, point, _, rng = rand_setup()
         u = oracles.random_tangent(point, rng)
