@@ -46,10 +46,7 @@ def _row_stats(g: np.ndarray, sigma: np.ndarray, norms=None, inner=None):
 
 
 def init_cache(instance: ProblemInstance, point: FactorPoint) -> GradientCache:
-    if point.n != instance.n:
-        raise ValidationError(
-            f"point has {point.n} rows, instance has {instance.n}"
-        )
+    instance.check_rows(point.n)
     g = instance.rows @ point.sigma
     return GradientCache(g, *_row_stats(g, point.sigma))
 
@@ -123,8 +120,9 @@ def bcm_step(instance: ProblemInstance, point: FactorPoint,
 
 def block_sweep(instance: ProblemInstance, point: FactorPoint,
                 cache: GradientCache, rows) -> np.ndarray:
-    """bcm_step on each of `rows` in turn, every row of A being full, with
-    the update of g delayed; returns the per-step ascents.
+    """bcm_step on each of `rows` in turn, with the update of g delayed;
+    returns the per-step ascents.  Needs `instance.complete`: rows.data is
+    read as an (n, n - 1) array.
 
     Step t of a block J of BLOCK rows adds A[i, J[:t]] @ D[:t], the block's
     row changes D so far, to g_i; it steps and skips as bcm_step does, also
@@ -273,8 +271,7 @@ def start_point(instance: ProblemInstance, method: str, config: SolverConfig,
         point = initial.copy()
     else:
         point = random_point(instance.n, r, rng)
-    if point.n != instance.n:
-        raise ValidationError("initial point does not match the instance size")
+    instance.check_rows(point.n)
     if point.r < 2:
         raise ValidationError(f"the solvers need r >= 2, got r = {point.r}")
     trace = SolveTrace(header={
@@ -323,7 +320,7 @@ def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
     steps = escapes = 0
     touched = np.zeros(n, dtype=bool)
     blocked = (policy is None and config.rule in ("cyclic", "uniform")
-               and instance.nnz == n * (n - 1))
+               and instance.complete)
     t0 = time.perf_counter()
 
     def emit(kind, taken, coords, gain=None, ray=None):

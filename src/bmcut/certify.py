@@ -23,7 +23,7 @@ from .manifold import FactorPoint
 from .problem import ProblemInstance
 
 DENSE_EIG_LIMIT = 200
-ROUND_CHUNK = 32        # rounding trials scored per sparse matmat
+ROUND_CHUNK = 32        # rounding trials scored per matrix product
 
 
 @dataclass
@@ -144,18 +144,22 @@ def approx_report(instance: ProblemInstance, point: FactorPoint,
 def cut_value(instance: ProblemInstance, signs: np.ndarray) -> float:
     """<A, x x^T> for a sign vector x, trace offset excluded."""
     x = np.asarray(signs, dtype=np.float64)
+    instance.check_rows(len(x))
     return float(x @ (instance.rows @ x))
 
 
-def _chunk_winner(instance: ProblemInstance, sigma: np.ndarray,
-                  z: np.ndarray) -> np.ndarray:
+def _chunk_winner(a, sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Signs of the first best trial among the unit directions in z's rows.
 
-    The (n, k) sign block is scored by one sparse matmat; every temporary
-    dies on return, so a chunk holds about 2 n k doubles at a time.
+    The (n, k) sign block is scored by one product with a, the instance's
+    rows or their dense copy; every temporary dies on return, so a chunk
+    holds about 2 n k doubles at a time.
     """
-    x = np.where(sigma @ z.T >= 0.0, 1.0, -1.0)
-    v = np.einsum("ij,ij->j", x, instance.rows @ x)
+    # {0, 1} to {-1, +1} in place: no third (n, k) float block is held
+    x = (sigma @ z.T >= 0.0).astype(np.float64)
+    x *= 2.0
+    x -= 1.0
+    v = np.einsum("ij,ij->j", x, a @ x)
     return x[:, int(np.argmax(v))].copy()
 
 
@@ -167,15 +171,19 @@ def round_cut(instance: ProblemInstance, point: FactorPoint, trials: int,
     signs, with sign(0) := +1.  Trials run in chunks of ROUND_CHUNK = 32: a
     chunk draws its k directions as one (k, r) block, which leaves the
     generator where k single draws of r would, and scores its k sign vectors
-    with one sparse matmat.  The first strictly best trial wins.  Chunk
-    winners are compared by `cut_value`, which also gives the reported value,
-    so a cut drawn again in a later chunk ties exactly; inside a chunk the
-    matmat's scores, which can differ from `cut_value` in the last bits,
-    order the trials.  Working memory is about 2 n ROUND_CHUNK doubles.
-    Deterministic per generator state.
+    with one matrix product: by a dense copy of A, made once per call, when
+    the instance is complete, else by the sparse rows.  The first strictly
+    best trial wins.  Chunk winners are compared by `cut_value`, which also
+    gives the reported value, so a cut drawn again in a later chunk ties
+    exactly; inside a chunk the product's scores, which can differ from
+    `cut_value` in the last bits, order the trials.  Working memory is about
+    2 n ROUND_CHUNK doubles, plus n^2 for the dense copy.  Deterministic per
+    generator state.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    instance.check_rows(point.n)
+    a = instance.dense() if instance.complete else instance.rows
     sigma = point.sigma
     best_signs = None
     best_value = -np.inf
@@ -187,7 +195,7 @@ def round_cut(instance: ProblemInstance, point: FactorPoint, trials: int,
         z[zero, 0] = 1.0
         nz[zero] = 1.0
         z /= nz[:, None]
-        signs = _chunk_winner(instance, sigma, z)
+        signs = _chunk_winner(a, sigma, z)
         value = cut_value(instance, signs)
         if value > best_value:
             best_signs, best_value = signs, value

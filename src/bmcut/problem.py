@@ -50,6 +50,17 @@ class ProblemInstance:
         return int(self.rows.nnz)
 
     @property
+    def complete(self) -> bool:
+        """Every row holds all n - 1 off-diagonal entries, so rows.data
+        reshapes to (n, n - 1)."""
+        return self.nnz == self.n * (self.n - 1)
+
+    def check_rows(self, m: int) -> None:
+        """Refuse a point or sign vector of m rows."""
+        if m != self.n:
+            raise ValidationError(f"point has {m} rows, instance has {self.n}")
+
+    @property
     def unit(self) -> float:
         """The power of two 2^j with 2^j <= |A|_1 < 2^(j+1) (1/2 for A = 0).
         Eigensolvers take matrices divided by it, which is exact, and so see

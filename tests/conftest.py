@@ -39,3 +39,11 @@ def small_corpus(sizes=(10, 50, 200), seeds=(0, 1)):
             sign = -1 if s % 2 == 0 else 1
             out.append(bmcut.gen_erdos_renyi(n, edges, sign, seed=200 * n + s))
     return out
+
+
+def gaussian_pair_zeroed(n, seed):
+    """A Gaussian instance with the pair (0, 1) zeroed: rows 0 and 1 are
+    partial, so the instance is not complete."""
+    a = bmcut.gen_gaussian(n, seed).dense()
+    a[0, 1] = a[1, 0] = 0.0
+    return bmcut.preprocess(a)

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import re
@@ -14,6 +15,7 @@ from bmcut import (FactorPoint, NumericalError, ValidationError, bcm, certify,
                    cli, manifold)
 
 import oracles
+from conftest import gaussian_pair_zeroed
 
 
 class TestDualBound:
@@ -277,6 +279,43 @@ class TestRounding:
         cut = certify.round_cut(inst, point, 5, np.random.default_rng(0))
         assert cut.total_value(inst) == cut.value + 2.0
 
+    @pytest.mark.parametrize("inst", [
+        bmcut.gen_gaussian(10, seed=0),
+        bmcut.gen_erdos_renyi(10, 15, sign=-1, seed=0),
+    ], ids=["complete", "csr"])
+    def test_size_mismatch_refused_before_drawing(self, inst):
+        point = manifold.random_point(12, 3, np.random.default_rng(0))
+        rng = np.random.default_rng(5)
+        state = copy.deepcopy(rng.bit_generator.state)
+        with pytest.raises(ValidationError,
+                           match="point has 12 rows, instance has 10"):
+            certify.round_cut(inst, point, 40, rng)
+        assert rng.bit_generator.state == state
+
+    def test_cut_value_size_mismatch(self):
+        inst = bmcut.gen_gaussian(10, seed=0)
+        with pytest.raises(ValidationError,
+                           match="point has 7 rows, instance has 10"):
+            certify.cut_value(inst, np.ones(7))
+
+    def test_dense_copy_once_on_complete_instances(self, monkeypatch):
+        calls = []
+        dense = bmcut.ProblemInstance.dense
+
+        def counted(self):
+            calls.append(self.n)
+            return dense(self)
+
+        monkeypatch.setattr(bmcut.ProblemInstance, "dense", counted)
+        point = manifold.random_point(30, 3, np.random.default_rng(0))
+        certify.round_cut(bmcut.gen_gaussian(30, seed=0), point, 100,
+                          np.random.default_rng(1))
+        assert calls == [30]
+        calls.clear()
+        certify.round_cut(bmcut.gen_erdos_renyi(30, 60, sign=-1, seed=0),
+                          point, 100, np.random.default_rng(1))
+        assert calls == []
+
 
 class DrawQueue:
     """Stands in for a Generator: hands out fixed normals in draw order,
@@ -347,6 +386,20 @@ class TestRoundingMatchesReference:
         assert fast.value == 2.0
         assert fast_rng.pos == ref_rng.pos == len(draws)
 
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    @pytest.mark.parametrize("trials", [1, 33, 1000])
+    @pytest.mark.parametrize("inst", [
+        gaussian_pair_zeroed(30, seed=8),
+        bmcut.preprocess(np.zeros((1, 1))),
+    ], ids=["csr_path", "single_node"])
+    def test_signs_value_and_stream_other_paths(self, inst, trials, r):
+        point = manifold.random_point(inst.n, r, np.random.default_rng(r))
+        fast_rng, ref_rng = (np.random.default_rng(11) for _ in range(2))
+        fast = certify.round_cut(inst, point, trials, fast_rng)
+        ref = oracles.round_cut_reference(inst, point, trials, ref_rng)
+        assert_same_cut(fast, ref)
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_working_memory_bounded_by_chunk(self):
         # a chunk holds about 2 n k doubles for k = 32 trials: 0.5 MB here,
         # under the ~0.7 MB that rounding adds at most to a solve of this size
@@ -361,6 +414,21 @@ class TestRoundingMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * inst.n * 32 * 8
+
+    def test_working_memory_dense_copy_and_chunk(self):
+        # on a complete instance the chunks are scored by one n x n dense
+        # copy of A, made once per call, on top of the 2 n k doubles a
+        # chunk holds
+        inst = bmcut.gen_gaussian(240, seed=0)
+        point = manifold.random_point(240, 22, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            certify.round_cut(inst, point, 1000, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * inst.n**2 + 2.5 * inst.n * 32 * 8
 
 
 @st.composite

@@ -8,6 +8,8 @@ from hypothesis.extra.numpy import arrays
 import bmcut
 from bmcut import DimensionError, ParseError, ValidationError
 
+from conftest import gaussian_pair_zeroed
+
 
 def recompute_norms(inst):
     a = np.abs(inst.dense())
@@ -165,6 +167,24 @@ class TestErdosRenyi:
                 one, l11 = recompute_norms(inst)
                 assert inst.one_norm == pytest.approx(one, rel=1e-12)
                 assert inst.l11_norm == pytest.approx(l11, rel=1e-12)
+
+
+class TestComplete:
+    @pytest.mark.parametrize("inst", [
+        bmcut.gen_gaussian(2, seed=0),
+        bmcut.gen_gaussian(30, seed=1),
+        bmcut.preprocess(np.zeros((1, 1))),
+    ], ids=["gaussian2", "gaussian30", "zero1"])
+    def test_complete(self, inst):
+        assert inst.complete
+
+    @pytest.mark.parametrize("inst", [
+        bmcut.gen_erdos_renyi(30, 60, sign=-1, seed=0),
+        gaussian_pair_zeroed(30, seed=1),
+        bmcut.preprocess(np.zeros((3, 3))),
+    ], ids=["erdos_renyi", "gaussian_pair_zeroed", "zero3"])
+    def test_not_complete(self, inst):
+        assert not inst.complete
 
 
 class TestLoad:
