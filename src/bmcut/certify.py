@@ -22,6 +22,9 @@ from .errors import NumericalError, ValidationError
 from .manifold import FactorPoint
 from .problem import ProblemInstance
 
+# rows up to which every instance takes the dense eigensolve; above it the
+# limit binds only incomplete instances here, and run_bcm2's escape, which
+# tests n alone
 DENSE_EIG_LIMIT = 200
 ROUND_CHUNK = 32        # rounding trials scored per matrix product
 
@@ -57,16 +60,26 @@ def leading_pair(instance: ProblemInstance,
                  lam: np.ndarray) -> tuple[float, np.ndarray]:
     """The top eigenpair (theta, v) of A - Diag(lam), |v| = 1.
 
-    Up to DENSE_EIG_LIMIT rows, LAPACK's value for the matrix divided by
-    `instance.unit`, times that unit, so theta and v are the same numbers at
-    every scale of A; above it, seeded ARPACK's estimate and Ritz vector.
+    Up to DENSE_EIG_LIMIT rows, and on complete instances of any size,
+    LAPACK's value for the matrix divided by `instance.unit`, times that
+    unit, so theta and v are the same numbers at every scale of A; the
+    division and the solve run in place on one n x n dense copy.  Incomplete
+    instances above the limit take seeded ARPACK's estimate and Ritz vector.
+    Either solver's failure raises NumericalError.
     """
     n = instance.n
-    if n <= DENSE_EIG_LIMIT:
+    if n <= DENSE_EIG_LIMIT or instance.complete:
         m = instance.dense()
         m[np.diag_indices(n)] -= lam
         unit = instance.unit
-        vals, vecs = scipy.linalg.eigh(m / unit, subset_by_index=[n - 1, n - 1])
+        m /= unit   # exact: unit is a power of two
+        try:
+            # m.T is the same symmetric matrix in Fortran order, which LAPACK
+            # overwrites without making a copy
+            vals, vecs = scipy.linalg.eigh(
+                m.T, subset_by_index=[n - 1, n - 1], overwrite_a=True)
+        except scipy.linalg.LinAlgError as exc:
+            raise NumericalError("dense eigensolve did not converge") from exc
         return float(vals[0]) * unit, vecs[:, 0]
     op = scipy.sparse.linalg.LinearOperator(
         (n, n), matvec=lambda v: instance.rows @ v - lam * v, dtype=np.float64)

@@ -250,6 +250,11 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
           margin, and U raises the rank of S by one per escape), runs
           Lanczos on the curvature operator and steps along its direction
           if that curvature is >= eps/2, or stops with the concave verdict.
+    The limit tests n, not instance.complete, although leading_pair is
+    LAPACK's on complete instances of any size: on Gaussian n = 300, r = 4,
+    eps = 0.05, seeds 3-8 from the all-equal start, (a)-(c) above the limit
+    saved only 6% in total (23.1 -> 21.7 s), and seed 5 got slower
+    (1.93 -> 2.47 s, with 2 escapes becoming 3).
     The header's lanczos_calls counts the steps that reached (d).  A hard
     cap on combined epochs (see _check_epsilon) applies, on top of the user's
     max_epochs.  The loop itself is bcm.drive with an escape policy;

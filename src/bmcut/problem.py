@@ -52,7 +52,9 @@ class ProblemInstance:
     @property
     def complete(self) -> bool:
         """Every row holds all n - 1 off-diagonal entries, so rows.data
-        reshapes to (n, n - 1)."""
+        reshapes to (n, n - 1).  Read by `bcm.drive` (blocked sweeps),
+        `certify.round_cut` (dense scoring) and `certify.leading_pair`
+        (dense eigensolve at any n)."""
         return self.nnz == self.n * (self.n - 1)
 
     def check_rows(self, m: int) -> None:

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +98,74 @@ class TestDualBound:
         assert cli.main(["certify", "--edge-list", str(graph),
                          "--point", str(pt)]) == 4
 
+    def test_complete_above_limit_takes_dense_eigh(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("eigsh called on a complete instance")
+
+        monkeypatch.setattr(certify.scipy.sparse.linalg, "eigsh", refused)
+        inst = bmcut.gen_gaussian(240, seed=1)
+        assert inst.n > certify.DENSE_EIG_LIMIT and inst.complete
+        point = manifold.random_point(240, 22, np.random.default_rng(2))
+        cert = certify.dual_upper_bound(inst, point,
+                                        bcm.init_cache(inst, point))
+        m = inst.dense()
+        m[np.diag_indices(240)] -= cert.lam
+        assert (abs(cert.slack - np.linalg.eigvalsh(m)[-1])
+                <= 1e-12 * inst.one_norm)
+
+    def test_incomplete_above_limit_takes_arpack(self, monkeypatch):
+        inst = gaussian_pair_zeroed(240, 1)
+        assert not inst.complete
+        point = manifold.random_point(240, 22, np.random.default_rng(2))
+        cache = bcm.init_cache(inst, point)
+        dense_calls, eigsh_calls = [], []
+        dense, eigsh = bmcut.ProblemInstance.dense, scipy.sparse.linalg.eigsh
+
+        def counted_eigsh(*args, **kwargs):
+            eigsh_calls.append(1)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(bmcut.ProblemInstance, "dense",
+                            lambda self: dense_calls.append(1) or dense(self))
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted_eigsh)
+        certify.dual_upper_bound(inst, point, cache)
+        assert eigsh_calls == [1]
+        assert dense_calls == []
+
+    def test_dense_eigh_failure_raises(self, tmp_path, monkeypatch):
+        # LAPACK's failure is refused like ARPACK's, not let through as a
+        # LinAlgError
+        def failed(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("no convergence")
+
+        inst = bmcut.gen_gaussian(30, seed=0)
+        point = manifold.random_point(30, 4, np.random.default_rng(1))
+        cache = bcm.init_cache(inst, point)
+        monkeypatch.setattr(scipy.linalg, "eigh", failed)
+        with pytest.raises(NumericalError):
+            certify.dual_upper_bound(inst, point, cache)
+
+        graph, pt = tmp_path / "g.txt", tmp_path / "p.bin"
+        bmcut.write_edge_list(inst, str(graph))
+        bmcut.save_point(point, str(pt))
+        assert cli.main(["certify", "--edge-list", str(graph),
+                         "--point", str(pt)]) == 4
+
+    def test_dense_path_working_memory(self):
+        # A - Lambda is scaled and solved in place in one n x n copy; an
+        # out-of-place quotient or a Fortran copy for LAPACK would each add
+        # n^2 doubles
+        inst = bmcut.gen_gaussian(400, seed=0)
+        point = manifold.random_point(400, 8, np.random.default_rng(0))
+        cache = bcm.init_cache(inst, point)
+        tracemalloc.start()
+        try:
+            certify.dual_upper_bound(inst, point, cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 8 * inst.n**2
+
     def test_fixed_point_lambda_equals_norms(self):
         inst = bmcut.gen_gaussian(15, seed=4)
         cfg = bcm.SolverConfig(rule="greedy", max_epochs=3000, seed=2)
@@ -146,7 +215,8 @@ class TestLeadingPair:
     @pytest.mark.parametrize("inst, r", [
         (bmcut.gen_gaussian(30, seed=2), 4),
         (bmcut.gen_erdos_renyi(250, 750, sign=-1, seed=5), 5),
-    ], ids=["dense-eigh", "arpack"])
+        (bmcut.gen_gaussian(240, seed=4), 22),
+    ], ids=["dense-eigh", "arpack", "dense-eigh-above-limit"])
     def test_slack_is_theta(self, inst, r):
         # the certificate and the escape read one eigensolve
         point = manifold.random_point(inst.n, r, np.random.default_rng(3))

@@ -124,3 +124,21 @@ def test_certificate_and_rounding_scale(k):
     assert abs(bound * 2.0**-k - ref_bound) <= 1e-12 * abs(ref_bound)
     assert np.array_equal(cut.signs, ref_cut.signs)
     assert cut.value * 2.0**-k == ref_cut.value
+
+
+@functools.cache
+def complete_slack(k):
+    inst = scaled(bmcut.gen_gaussian(240, 6), k)
+    point = manifold.random_point(240, 22, np.random.default_rng(8))
+    return certify.dual_upper_bound(inst, point,
+                                    bcm.init_cache(inst, point)).slack
+
+
+@settings(max_examples=5, deadline=None)
+@given(k=POWERS)
+@example(k=-300)
+@example(k=300)
+def test_complete_slack_scales_exactly_above_dense_limit(k):
+    # a complete instance takes LAPACK above DENSE_EIG_LIMIT too, on A -
+    # Lambda over its power-of-two unit: the same numbers at every k
+    assert complete_slack(k) == complete_slack(0) * 2.0**k
