@@ -101,15 +101,15 @@ def bcm_step(instance: ProblemInstance, point: FactorPoint,
     new = cache.g[i] / ni
     delta = new - sigma[i]
     sigma[i] = new
-    cols, vals = instance.row(i)
     g = cache.g
-    if cols.size == instance.n - 1:
-        # full row: sorted cols split at i, so two in-place updates cover
-        # every other row with the gather path's bits and leave g_i alone
-        g[:i] += vals[:i, None] * delta
-        g[i + 1:] += vals[i:, None] * delta
+    if instance.complete:
+        # two in-place updates cover every other row with the gather path's
+        # bits and leave g_i alone
+        g[:i] += instance.rows[i, :i, None] * delta
+        g[i + 1:] += instance.rows[i, i + 1:, None] * delta
         _row_stats(g, sigma, cache.norms, cache.inner)
-    elif cols.size:
+    else:
+        cols, vals = instance.row(i)
         gc = g[cols]
         gc += vals[:, None] * delta[None, :]
         g[cols] = gc
@@ -121,22 +121,20 @@ def bcm_step(instance: ProblemInstance, point: FactorPoint,
 def block_sweep(instance: ProblemInstance, point: FactorPoint,
                 cache: GradientCache, rows) -> np.ndarray:
     """bcm_step on each of `rows` in turn, with the update of g delayed;
-    returns the per-step ascents.  Needs `instance.complete`: rows.data is
-    read as an (n, n - 1) array.
+    returns the per-step ascents.  Needs `instance.complete`: A[J, :] is
+    read from the dense array.
 
     Step t of a block J of BLOCK rows adds A[i, J[:t]] @ D[:t], the block's
     row changes D so far, to g_i; it steps and skips as bcm_step does, also
     a row drawn again before another moves, marked by inner_i = |g_i|.  One
-    product g += A[J, :]^T D ends a block; A[J, :] is dense for it only.
+    product g += A[J, :]^T D ends a block.
     """
-    sigma, g, n = point.sigma, cache.g, instance.n
+    sigma, g = point.sigma, cache.g
     rows, ascents = np.asarray(rows), np.zeros(len(rows))
     last = rows[0] if cache.inner[rows[0]] == cache.norms[rows[0]] else -1
     for lo in range(0, rows.size, BLOCK):
         block = rows[lo:lo + BLOCK]
-        off = np.arange(n) != block[:, None]   # A[J, :] is 0 only at A_ii
-        a = np.zeros(off.shape)
-        a[off] = instance.rows.data.reshape(n, n - 1)[block].ravel()
+        a = instance.rows[block]
         coupling, d = a[:, block], np.zeros((block.size, sigma.shape[1]))
         for t, i in enumerate(block):
             gi = g[i] + coupling[t, :t] @ d[:t]

@@ -101,6 +101,7 @@ def dual_upper_bound(instance: ProblemInstance, point: FactorPoint,
     """Certified upper bound on the relaxation optimum from the current iterate."""
     if instance.n == 0:
         raise ValidationError("the dual bound needs n >= 1, got n = 0")
+    instance.check_rows(cache.inner.size)
     lam = cache.inner.copy()
     slack, _ = leading_pair(instance, lam)
     upper = float(lam.sum() + instance.n * max(slack, 0.0))
@@ -165,7 +166,7 @@ def _chunk_winner(a, sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Signs of the first best trial among the unit directions in z's rows.
 
     The (n, k) sign block is scored by one product with a, the instance's
-    rows or their dense copy; every temporary dies on return, so a chunk
+    rows in either storage; every temporary dies on return, so a chunk
     holds about 2 n k doubles at a time.
     """
     # {0, 1} to {-1, +1} in place: no third (n, k) float block is held
@@ -184,19 +185,16 @@ def round_cut(instance: ProblemInstance, point: FactorPoint, trials: int,
     signs, with sign(0) := +1.  Trials run in chunks of ROUND_CHUNK = 32: a
     chunk draws its k directions as one (k, r) block, which leaves the
     generator where k single draws of r would, and scores its k sign vectors
-    with one matrix product: by a dense copy of A, made once per call, when
-    the instance is complete, else by the sparse rows.  The first strictly
-    best trial wins.  Chunk winners are compared by `cut_value`, which also
+    with one product with the instance's rows.  The first strictly best
+    trial wins.  Chunk winners are compared by `cut_value`, which also
     gives the reported value, so a cut drawn again in a later chunk ties
     exactly; inside a chunk the product's scores, which can differ from
     `cut_value` in the last bits, order the trials.  Working memory is about
-    2 n ROUND_CHUNK doubles, plus n^2 for the dense copy.  Deterministic per
-    generator state.
+    2 n ROUND_CHUNK doubles.  Deterministic per generator state.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     instance.check_rows(point.n)
-    a = instance.dense() if instance.complete else instance.rows
     sigma = point.sigma
     best_signs = None
     best_value = -np.inf
@@ -208,7 +206,7 @@ def round_cut(instance: ProblemInstance, point: FactorPoint, trials: int,
         z[zero, 0] = 1.0
         nz[zero] = 1.0
         z /= nz[:, None]
-        signs = _chunk_winner(a, sigma, z)
+        signs = _chunk_winner(instance.rows, sigma, z)
         value = cut_value(instance, signs)
         if value > best_value:
             best_signs, best_value = signs, value

@@ -26,36 +26,38 @@ from .errors import DimensionError, ParseError, ValidationError
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Symmetric cost matrix with zero diagonal, row-accessible sparse storage.
-
-    Immutable after construction; safe to share across concurrent solver runs.
+    """Symmetric cost matrix with zero diagonal: one (n, n) array if every
+    off-diagonal entry is nonzero (complete), else CSR rows.  Read-only, so
+    it is safe to share across concurrent solver runs.
     """
 
     n: int
-    rows: sp.csr_array      # symmetric, zero diagonal, sorted column indices
+    rows: sp.csr_array | np.ndarray   # zero diagonal; CSR columns sorted
     trace_offset: float     # trace of the symmetrized input, reported additively
     one_norm: float         # max_j sum_i |A_ij|
     l11_norm: float         # sum_ij |A_ij|
 
     def row(self, i: int):
-        """Column indices and values of row i (the diagonal is never stored)."""
+        """Column indices and values of row i's off-diagonal entries."""
+        if self.complete:
+            cols = np.delete(np.arange(self.n), i)
+            return cols, self.rows[i, cols]
         lo, hi = self.rows.indptr[i], self.rows.indptr[i + 1]
         return self.rows.indices[lo:hi], self.rows.data[lo:hi]
 
     def dense(self) -> np.ndarray:
-        return self.rows.toarray()
+        """A writable n x n copy of A."""
+        return self.rows.copy() if self.complete else self.rows.toarray()
 
     @property
     def nnz(self) -> int:
-        return int(self.rows.nnz)
+        return self.n * (self.n - 1) if self.complete else int(self.rows.nnz)
 
     @property
     def complete(self) -> bool:
-        """Every row holds all n - 1 off-diagonal entries, so rows.data
-        reshapes to (n, n - 1).  Read by `bcm.drive` (blocked sweeps),
-        `certify.round_cut` (dense scoring) and `certify.leading_pair`
-        (dense eigensolve at any n)."""
-        return self.nnz == self.n * (self.n - 1)
+        """Stored dense, as `_finish` does when every off-diagonal entry is
+        nonzero; `bcm.drive`, `bcm_step` and `leading_pair` branch on it."""
+        return isinstance(self.rows, np.ndarray)
 
     def check_rows(self, m: int) -> None:
         """Refuse a point or sign vector of m rows."""
@@ -70,12 +72,15 @@ class ProblemInstance:
         return math.ldexp(1.0, math.frexp(self.one_norm)[1] - 1)
 
     def checksum(self) -> str:
-        """SHA-256 over the canonical storage, for trace headers."""
+        """SHA-256 over the CSR arrays of A, for trace headers."""
+        n, a = self.n, self.rows
+        csr = (a.indptr, a.indices, a.data) if not self.complete else (
+            np.arange(n + 1) * (n - 1),
+            np.broadcast_to(np.arange(n), a.shape)[a != 0.0], a[a != 0.0])
         h = hashlib.sha256()
-        h.update(np.int64(self.n).tobytes())
-        h.update(np.asarray(self.rows.indptr, dtype="<i8").tobytes())
-        h.update(np.asarray(self.rows.indices, dtype="<i8").tobytes())
-        h.update(np.asarray(self.rows.data, dtype="<f8").tobytes())
+        h.update(np.int64(n).tobytes())
+        for part, dtype in zip(csr, ("<i8", "<i8", "<f8")):
+            h.update(np.asarray(part, dtype=dtype).tobytes())
         h.update(np.float64(self.trace_offset).tobytes())
         return h.hexdigest()
 
@@ -86,9 +91,9 @@ def _finish(sym: sp.sparray | np.ndarray) -> ProblemInstance:
     ``sym`` is a dense array or a sparse matrix whose repeated coordinates are
     already summed.  Strips the diagonal into trace_offset, drops explicit
     zeros (including cancellations produced by symmetrization), sorts column
-    indices and caches the norms.  Rejects the matrix when trace_offset or
-    l11_norm is not finite: that covers every NaN or inf entry, and finite
-    entries whose sums overflow.
+    indices, caches the norms, densifies a complete A and makes it read-only.
+    Rejects the matrix when trace_offset or l11_norm is not finite: that
+    covers every NaN or inf entry, and finite entries whose sums overflow.
     """
     coo = sp.coo_array(sym)
     keep = (coo.row != coo.col) & (coo.data != 0.0)
@@ -101,8 +106,14 @@ def _finish(sym: sp.sparray | np.ndarray) -> ProblemInstance:
     if not (math.isfinite(l11) and math.isfinite(offset)):
         raise ValidationError("matrix contains non-finite entries or sums")
     n = mat.shape[0]
-    col_abs = abs(mat).sum(axis=0)
-    one_norm = float(col_abs.max()) if n else 0.0
+    one_norm = float(abs(mat).sum(axis=0).max()) if n else 0.0
+    if mat.nnz == n * (n - 1):
+        mat = mat.toarray()
+        parts = (mat,)
+    else:
+        parts = (mat.data, mat.indices, mat.indptr)
+    for part in parts:
+        part.flags.writeable = False
     return ProblemInstance(n=n, rows=mat, trace_offset=offset,
                            one_norm=one_norm, l11_norm=l11)
 

@@ -27,6 +27,14 @@ class TestDualBound:
         with pytest.raises(ValidationError, match="n = 0"):
             certify.dual_upper_bound(inst, point, bcm.init_cache(inst, point))
 
+    def test_size_mismatch(self):
+        point = manifold.random_point(12, 3, np.random.default_rng(0))
+        cache = bcm.init_cache(bmcut.gen_gaussian(12, seed=0), point)
+        with pytest.raises(ValidationError,
+                           match="has 12 rows, instance has 10"):
+            certify.dual_upper_bound(bmcut.gen_gaussian(10, seed=0), point,
+                                     cache)
+
     def test_single_edge_optimum_tight(self, edge2):
         point = FactorPoint(np.tile([1.0, 0.0], (2, 1)))
         cache = bcm.init_cache(edge2, point)
@@ -368,23 +376,26 @@ class TestRounding:
                            match="point has 7 rows, instance has 10"):
             certify.cut_value(inst, np.ones(7))
 
-    def test_dense_copy_once_on_complete_instances(self, monkeypatch):
-        calls = []
-        dense = bmcut.ProblemInstance.dense
+    @pytest.mark.parametrize("inst", [
+        bmcut.gen_gaussian(240, seed=0),
+        bmcut.gen_erdos_renyi(240, 720, sign=-1, seed=0),
+    ], ids=["complete", "csr"])
+    def test_scores_by_the_stored_rows(self, monkeypatch, inst):
+        # either storage scores the chunks as it is: no dense copy of A,
+        # whose 8 n^2 bytes would triple the 2 n k doubles of a chunk of
+        # k = 32 trials at n = 240
+        def copy_of_a(self):
+            raise AssertionError("round_cut made a dense copy of A")
 
-        def counted(self):
-            calls.append(self.n)
-            return dense(self)
-
-        monkeypatch.setattr(bmcut.ProblemInstance, "dense", counted)
-        point = manifold.random_point(30, 3, np.random.default_rng(0))
-        certify.round_cut(bmcut.gen_gaussian(30, seed=0), point, 100,
-                          np.random.default_rng(1))
-        assert calls == [30]
-        calls.clear()
-        certify.round_cut(bmcut.gen_erdos_renyi(30, 60, sign=-1, seed=0),
-                          point, 100, np.random.default_rng(1))
-        assert calls == []
+        monkeypatch.setattr(bmcut.ProblemInstance, "dense", copy_of_a)
+        point = manifold.random_point(240, 22, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            certify.round_cut(inst, point, 1000, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * inst.n * 32 * 8
 
 
 class DrawQueue:
@@ -484,21 +495,6 @@ class TestRoundingMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * inst.n * 32 * 8
-
-    def test_working_memory_dense_copy_and_chunk(self):
-        # on a complete instance the chunks are scored by one n x n dense
-        # copy of A, made once per call, on top of the 2 n k doubles a
-        # chunk holds
-        inst = bmcut.gen_gaussian(240, seed=0)
-        point = manifold.random_point(240, 22, np.random.default_rng(0))
-        rng = np.random.default_rng(1)
-        tracemalloc.start()
-        try:
-            certify.round_cut(inst, point, 1000, rng)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * inst.n**2 + 2.5 * inst.n * 32 * 8
 
 
 @st.composite

@@ -267,6 +267,15 @@ class TestHessian:
             with pytest.raises(ValidationError, match="not tangent"):
                 manifold.hess_quadratic(inst, point, u, cache)
 
+    def test_size_mismatch(self):
+        point = manifold.random_point(12, 3, np.random.default_rng(0))
+        cache = bmcut.init_cache(bmcut.gen_gaussian(12, seed=0), point)
+        u = oracles.random_tangent(point, np.random.default_rng(1))
+        with pytest.raises(ValidationError,
+                           match="has 12 rows, instance has 10"):
+            manifold.hess_quadratic(bmcut.gen_gaussian(10, seed=0), point, u,
+                                    cache)
+
     def test_quadratic_matches_second_difference(self):
         t = 1e-4
         for seed in range(20):
