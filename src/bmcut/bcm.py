@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .manifold import FactorPoint, grad_metric_sq, metric_term, random_point
 from .problem import ProblemInstance
 
@@ -46,7 +46,7 @@ def _row_stats(g: np.ndarray, sigma: np.ndarray, norms=None, inner=None):
 
 
 def init_cache(instance: ProblemInstance, point: FactorPoint) -> GradientCache:
-    instance.check_rows(point.n)
+    instance.check_rows(point.n, "point")
     g = instance.rows @ point.sigma
     return GradientCache(g, *_row_stats(g, point.sigma))
 
@@ -161,12 +161,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.rule not in RULES:
             raise ValidationError(f"unknown rule {self.rule!r}; pick from {RULES}")
-        if self.max_epochs < 1:
-            raise ValidationError("max_epochs must be >= 1")
+        self.max_epochs = check_count("max_epochs", self.max_epochs, 1)
         if self.grad_tol is not None and not self.grad_tol >= 0:   # NaN fails
             raise ValidationError(f"grad_tol must be >= 0, got {self.grad_tol}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        self.seed = check_count("seed", self.seed, 0)
 
 
 def default_grad_tol(instance: ProblemInstance) -> float:
@@ -269,7 +267,7 @@ def start_point(instance: ProblemInstance, method: str, config: SolverConfig,
         point = initial.copy()
     else:
         point = random_point(instance.n, r, rng)
-    instance.check_rows(point.n)
+    instance.check_rows(point.n, "point")
     if point.r < 2:
         raise ValidationError(f"the solvers need r >= 2, got r = {point.r}")
     trace = SolveTrace(header={

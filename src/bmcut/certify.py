@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .bcm import GradientCache
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_count
 from .manifold import FactorPoint
 from .problem import ProblemInstance
 
@@ -101,7 +101,7 @@ def dual_upper_bound(instance: ProblemInstance, point: FactorPoint,
     """Certified upper bound on the relaxation optimum from the current iterate."""
     if instance.n == 0:
         raise ValidationError("the dual bound needs n >= 1, got n = 0")
-    instance.check_rows(cache.inner.size)
+    instance.check_rows(cache.inner.size, "cache")
     lam = cache.inner.copy()
     slack, _ = leading_pair(instance, lam)
     upper = float(lam.sum() + instance.n * max(slack, 0.0))
@@ -158,7 +158,7 @@ def approx_report(instance: ProblemInstance, point: FactorPoint,
 def cut_value(instance: ProblemInstance, signs: np.ndarray) -> float:
     """<A, x x^T> for a sign vector x, trace offset excluded."""
     x = np.asarray(signs, dtype=np.float64)
-    instance.check_rows(len(x))
+    instance.check_rows(len(x), "sign vector")
     return float(x @ (instance.rows @ x))
 
 
@@ -192,9 +192,8 @@ def round_cut(instance: ProblemInstance, point: FactorPoint, trials: int,
     `cut_value` in the last bits, order the trials.  Working memory is about
     2 n ROUND_CHUNK doubles.  Deterministic per generator state.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    instance.check_rows(point.n)
+    check_count("trials", trials, 1)
+    instance.check_rows(point.n, "point")
     sigma = point.sigma
     best_signs = None
     best_value = -np.inf

@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import bcm, certify, escape, manifold, problem
-from .errors import NumericalError, ParseError, ValidationError
+from .errors import NumericalError, ParseError, ValidationError, check_count
 
 
 def _git_describe() -> str:
@@ -161,8 +161,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {args.seed}")
+    check_count("seed", args.seed, 0)
     instance = _load_from_args(args)
     point = manifold.load_point(args.point)
     cert = certify.dual_upper_bound(instance, point,

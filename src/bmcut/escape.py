@@ -25,7 +25,7 @@ import scipy.linalg
 from .bcm import (EscapePolicy, GradientCache, SolverConfig, bcm_step, drive,
                   refresh_cache, select_coordinate, start_point)
 from .certify import DENSE_EIG_LIMIT, dual_upper_bound, leading_pair
-from .errors import TrivialInstanceError, ValidationError
+from .errors import TrivialInstanceError, ValidationError, check_count
 from .manifold import (FactorPoint, _hess_apply_rows, _project_rows, exp_map,
                        grad_metric_sq, hess_quadratic, riemannian_gradient)
 from .problem import ProblemInstance
@@ -48,8 +48,7 @@ class EscapeConfig:
             raise ValidationError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValidationError("delta must be in (0, 1)")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        self.seed = check_count("seed", self.seed, 0)
 
 
 @dataclass
@@ -146,8 +145,7 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     start).
     Returns the estimate lambda_max(T) and the reconstructed unit direction.
     """
-    if max_iters < 1:
-        raise ValidationError("max_iters must be >= 1")
+    check_count("max_iters", max_iters, 1)
     sigma = point.sigma
     n, r = sigma.shape
     dim = n * (r - 1)

@@ -118,8 +118,8 @@ def hess_quadratic(instance, point: FactorPoint, u: np.ndarray, cache) -> float:
     """Curvature quadratic form <u, Hess[u]> = 2 (<U, A U> - sum_i lambda_i
     |u_i|^2) for a tangent array u."""
     _check_tangency(point.sigma, u)
-    instance.check_rows(point.n)
-    instance.check_rows(cache.inner.size)
+    instance.check_rows(point.n, "point")
+    instance.check_rows(cache.inner.size, "cache")
     return float(np.sum(u * _hess_apply_rows(instance, point.sigma,
                                              cache.inner, u)))
 

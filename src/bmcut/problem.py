@@ -36,6 +36,7 @@ class ProblemInstance:
     trace_offset: float     # trace of the symmetrized input, reported additively
     one_norm: float         # max_j sum_i |A_ij|
     l11_norm: float         # sum_ij |A_ij|
+    digest: str             # checksum(), taken by _finish
 
     def row(self, i: int):
         """Column indices and values of row i's off-diagonal entries."""
@@ -59,10 +60,10 @@ class ProblemInstance:
         nonzero; `bcm.drive`, `bcm_step` and `leading_pair` branch on it."""
         return isinstance(self.rows, np.ndarray)
 
-    def check_rows(self, m: int) -> None:
-        """Refuse a point or sign vector of m rows."""
+    def check_rows(self, m: int, what: str) -> None:
+        """Refuse the caller's `what` (point, cache, sign vector) of m rows."""
         if m != self.n:
-            raise ValidationError(f"point has {m} rows, instance has {self.n}")
+            raise ValidationError(f"{what} has {m} rows, instance has {self.n}")
 
     @property
     def unit(self) -> float:
@@ -72,41 +73,37 @@ class ProblemInstance:
         return math.ldexp(1.0, math.frexp(self.one_norm)[1] - 1)
 
     def checksum(self) -> str:
-        """SHA-256 over the CSR arrays of A, for trace headers."""
-        n, a = self.n, self.rows
-        csr = (a.indptr, a.indices, a.data) if not self.complete else (
-            np.arange(n + 1) * (n - 1),
-            np.broadcast_to(np.arange(n), a.shape)[a != 0.0], a[a != 0.0])
-        h = hashlib.sha256()
-        h.update(np.int64(n).tobytes())
-        for part, dtype in zip(csr, ("<i8", "<i8", "<f8")):
-            h.update(np.asarray(part, dtype=dtype).tobytes())
-        h.update(np.float64(self.trace_offset).tobytes())
-        return h.hexdigest()
+        """SHA-256 over int64 n, A's CSR indptr and indices (int64) and data,
+        and trace_offset, for trace headers; `_finish` hashed them once."""
+        return self.digest
 
 
 def _finish(sym: sp.sparray | np.ndarray) -> ProblemInstance:
     """Build an instance from an exactly symmetric matrix (diagonal included).
 
-    ``sym`` is a dense array or a sparse matrix whose repeated coordinates are
-    already summed.  Strips the diagonal into trace_offset, drops explicit
-    zeros (including cancellations produced by symmetrization), sorts column
-    indices, caches the norms, densifies a complete A and makes it read-only.
-    Rejects the matrix when trace_offset or l11_norm is not finite: that
-    covers every NaN or inf entry, and finite entries whose sums overflow.
+    ``sym`` is a dense array or a sparse matrix with no repeated coordinates,
+    built by the caller for this call, so a sparse ``sym`` is edited in place.
+    Here the instance's only CSR image is filtered (diagonal into trace_offset,
+    explicit zeros and symmetrization's cancellations dropped, columns
+    sorted) and gives the norms and checksum; then a complete A is densified
+    and the storage made read-only.  Rejects a non-finite trace_offset or
+    l11_norm: every NaN or inf entry, and finite entries whose sums overflow.
     """
-    coo = sp.coo_array(sym)
-    keep = (coo.row != coo.col) & (coo.data != 0.0)
-    mat = sp.coo_array(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape
-    ).tocsr()
+    mat = sp.csr_array(sym)
+    mat.sum_duplicates()   # sorts the columns of a non-canonical sum
+    n = mat.shape[0]
+    rows = np.repeat(np.arange(n, dtype=mat.indices.dtype), np.diff(mat.indptr))
     with np.errstate(over="ignore"):   # an overflowing sum is refused below
-        offset = float(coo.diagonal().sum())
+        offset = float(mat.diagonal().sum())
+        mat.data[mat.indices == rows] = 0.0
+        mat.eliminate_zeros()
         l11 = float(abs(mat.data).sum())
     if not (math.isfinite(l11) and math.isfinite(offset)):
         raise ValidationError("matrix contains non-finite entries or sums")
-    n = mat.shape[0]
     one_norm = float(abs(mat).sum(axis=0).max()) if n else 0.0
+    h = hashlib.sha256(np.concatenate(([n], mat.indptr, mat.indices)).astype("<i8"))
+    h.update(mat.data)
+    h.update(np.float64(offset))
     if mat.nnz == n * (n - 1):
         mat = mat.toarray()
         parts = (mat,)
@@ -115,7 +112,7 @@ def _finish(sym: sp.sparray | np.ndarray) -> ProblemInstance:
     for part in parts:
         part.flags.writeable = False
     return ProblemInstance(n=n, rows=mat, trace_offset=offset,
-                           one_norm=one_norm, l11_norm=l11)
+                           one_norm=one_norm, l11_norm=l11, digest=h.hexdigest())
 
 
 def _from_edges(n: int, i, j, w) -> ProblemInstance:
@@ -136,10 +133,12 @@ def _from_edges(n: int, i, j, w) -> ProblemInstance:
 def preprocess(raw_matrix) -> ProblemInstance:
     """Symmetrize a square matrix, zero its diagonal, and cache norms.
 
-    ``raw_matrix`` is array-like or scipy-sparse.  The returned instance
-    stores (raw + raw.T)/2 off the diagonal; trace_offset records the trace
-    removed from the diagonal.
+    ``raw_matrix`` is array-like or scipy-sparse, with real entries.  The
+    returned instance stores (raw + raw.T)/2 off the diagonal; trace_offset
+    records the trace removed from the diagonal.
     """
+    if np.iscomplexobj(raw_matrix):   # the float64 conversion would drop them
+        raise ValidationError("complex entries are not supported")
     if sp.issparse(raw_matrix):
         m = sp.csr_array(raw_matrix, dtype=np.float64)
     else:

@@ -13,6 +13,13 @@ import oracles
 from conftest import small_corpus
 
 
+def six():
+    """A Gaussian n = 6 instance, a rank-2 point and its cache."""
+    inst = bmcut.gen_gaussian(6, 0)
+    point = manifold.random_point(6, 2, np.random.default_rng(0))
+    return inst, point, bcm.init_cache(inst, point)
+
+
 class TestInitCache:
     def test_zero_instance(self):
         inst = bmcut.preprocess(np.zeros((5, 5)))
@@ -470,6 +477,31 @@ class TestRun:
         for tol in (-1.0, float("nan")):
             with pytest.raises(ValidationError, match="grad_tol"):
                 bcm.SolverConfig(grad_tol=tol)
+
+    @pytest.mark.parametrize("field, make", [
+        ("max_epochs", lambda: bcm.SolverConfig(max_epochs=2.5)),
+        ("max_epochs", lambda: bcm.SolverConfig(max_epochs="3")),
+        ("seed", lambda: bcm.SolverConfig(seed=2.0)),
+        ("seed", lambda: bmcut.EscapeConfig(seed=1.5)),
+        ("seed", lambda: bmcut.EscapeConfig(seed=np.float64(1.0))),
+        ("trials", lambda: bmcut.round_cut(*six()[:2], 10.0,
+                                           np.random.default_rng(1))),
+        ("max_iters", lambda: escape.lanczos_leading(*six(), 4.0,
+                                                     np.random.default_rng(1))),
+    ], ids=["max_epochs_float", "max_epochs_str", "seed_float",
+            "escape_seed_float", "escape_seed_numpy_float", "trials_float",
+            "max_iters_float"])
+    def test_non_integer_counts_refused(self, field, make):
+        # refused up front, not by a TypeError in the middle of a run
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            make()
+
+    def test_numpy_integer_counts_stored_as_int(self, tmp_path):
+        cfg = bcm.SolverConfig(max_epochs=np.int64(2), seed=np.uint8(3))
+        assert type(cfg.max_epochs) is int and type(cfg.seed) is int
+        assert type(bmcut.EscapeConfig(seed=np.int32(1)).seed) is int
+        _, trace = bcm.run(bmcut.gen_gaussian(6, 0), cfg, r=2)
+        trace.write(str(tmp_path / "t.jsonl"))   # the header is plain JSON
 
     def test_run_needs_r_or_initial(self, triangle):
         cfg = bcm.SolverConfig()

@@ -1,14 +1,18 @@
-"""The benchmark's per-layer spans patch bmcut module attributes by name.
+"""The benchmark's seams: the per-layer spans patch bmcut module attributes
+by name, and each workload's pipeline must pass the benchmark's own checks.
 
-perfbench/tests is not part of this suite, so these tests keep a rename or a
-deletion of a patched function, or a change that breaks one of the spans'
-info callbacks, from passing here and failing only when the benchmark runs.
+perfbench/tests is not part of this suite, and runs at tiny sizes, so these
+tests keep a rename or a deletion of a patched function, a change that breaks
+one of the spans' info callbacks, or a change that fails a correctness check
+at a workload's real size, from passing here and failing only when the
+benchmark runs.
 """
 
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import bmcut
 
@@ -64,3 +68,14 @@ def test_info_callbacks_on_real_calls():
         assert 1 <= iterations <= n * (rank - 1)
         assert isinstance(exhausted, bool)
         assert nbytes == iterations * n * rank * 8
+
+
+@pytest.mark.parametrize("name", sorted(bench.WORKLOADS))
+def test_workload_passes_the_benchmark_checks(name, tmp_path):
+    # the first instance of seed 0, at the workload's own size and settings
+    w = bench.WORKLOADS[name]
+    inputs = bench.write_inputs(w, 0, str(tmp_path))
+    out = bench.pipeline(bmcut, w, inputs[0])
+    checks = bench.check(w, inputs[0].matrix(w), out)
+    assert out.status == w.status
+    assert all(checks.values()), sorted(k for k, ok in checks.items() if not ok)

@@ -35,6 +35,15 @@ class TestDualBound:
             certify.dual_upper_bound(bmcut.gen_gaussian(10, seed=0), point,
                                      cache)
 
+    def test_cache_size_mismatch(self):
+        inst = bmcut.gen_gaussian(10, seed=0)
+        point = manifold.random_point(10, 3, np.random.default_rng(0))
+        other = manifold.random_point(12, 3, np.random.default_rng(0))
+        cache = bcm.init_cache(bmcut.gen_gaussian(12, seed=0), other)
+        with pytest.raises(ValidationError,
+                           match="cache has 12 rows, instance has 10"):
+            certify.dual_upper_bound(inst, point, cache)
+
     def test_single_edge_optimum_tight(self, edge2):
         point = FactorPoint(np.tile([1.0, 0.0], (2, 1)))
         cache = bcm.init_cache(edge2, point)
@@ -373,7 +382,7 @@ class TestRounding:
     def test_cut_value_size_mismatch(self):
         inst = bmcut.gen_gaussian(10, seed=0)
         with pytest.raises(ValidationError,
-                           match="point has 7 rows, instance has 10"):
+                           match="sign vector has 7 rows, instance has 10"):
             certify.cut_value(inst, np.ones(7))
 
     @pytest.mark.parametrize("inst", [

@@ -276,6 +276,15 @@ class TestHessian:
             manifold.hess_quadratic(bmcut.gen_gaussian(10, seed=0), point, u,
                                     cache)
 
+    def test_cache_size_mismatch(self):
+        inst, point, _, rng = rand_setup(n=10)
+        other = manifold.random_point(12, 3, rng)
+        cache = bmcut.init_cache(bmcut.gen_gaussian(12, seed=0), other)
+        u = oracles.random_tangent(point, rng)
+        with pytest.raises(ValidationError,
+                           match="cache has 12 rows, instance has 10"):
+            manifold.hess_quadratic(inst, point, u, cache)
+
     def test_quadratic_matches_second_difference(self):
         t = 1e-4
         for seed in range(20):

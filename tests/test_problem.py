@@ -51,6 +51,14 @@ class TestPreprocess:
         with pytest.raises(ValidationError):
             bmcut.preprocess([[0.0, np.inf], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("make", [np.asarray, sp.csr_array, sp.coo_matrix],
+                             ids=["dense", "csr", "coo"])
+    def test_complex_rejected(self, make):
+        # the float64 conversion would keep [[0, 1], [1, 0]] and warn
+        raw = make(np.array([[0, 1 + 2j], [1 - 2j, 0]]))
+        with pytest.raises(ValidationError, match="complex"):
+            bmcut.preprocess(raw)
+
     def test_cancellation_zeros_dropped(self):
         # antisymmetric part cancels exactly and must not be stored
         inst = bmcut.preprocess([[0.0, 3.0], [-3.0, 0.0]])

@@ -4,13 +4,14 @@ array, any other read-only CSR rows, and only problem.py knows which."""
 import ast
 import hashlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import bmcut
-from bmcut import bcm, certify, problem
+from bmcut import bcm, certify, escape, problem
 
 from conftest import gaussian_pair_zeroed
 
@@ -112,12 +113,76 @@ class TestBytes:
         assert got == self.DIGESTS[name]
 
 
+def csr_digest(inst):
+    """SHA-256 of int64 n, the CSR arrays of A (int64 indptr and indices,
+    float64 data) and float64 trace_offset, rebuilt from the dense copy."""
+    csr = sp.csr_array(inst.dense())
+    h = hashlib.sha256(np.int64(inst.n).tobytes())
+    for part, dtype in zip((csr.indptr, csr.indices, csr.data),
+                           ("<i8", "<i8", "<f8")):
+        h.update(np.asarray(part, dtype=dtype).tobytes())
+    h.update(np.float64(inst.trace_offset).tobytes())
+    return h.hexdigest()
+
+
+def edge_list(tmp_path):
+    # repeats in both orientations, a self-loop, and a pair that cancels
+    path = tmp_path / "e.txt"
+    path.write_text("# 6 nodes\n1 2 1.5\n2 1 0.25\n3 3 4.0\n1 2 -0.5\n"
+                    "4 5 2.0\n5 4 -2.0\n2 6 -1.0\n6 2 -1.0\n")
+    return bmcut.load_instance(str(path), "edge-list")
+
+
+class TestChecksum:
+    """`_finish` hashes the CSR image once; the digest is that image's."""
+
+    @pytest.mark.parametrize("make", [
+        lambda tmp: bmcut.gen_gaussian(30, seed=1),
+        lambda tmp: bmcut.gen_erdos_renyi(40, 100, sign=-1, seed=2),
+        lambda tmp: bmcut.gen_erdos_renyi(12, 66, sign=1, seed=0),
+        lambda tmp: bmcut.preprocess(sp.csr_array(
+            (np.array([0.0, 2.0, 0.0, 2.0]), np.array([1, 2, 0, 0]),
+             np.array([0, 2, 3, 4])), shape=(3, 3))),
+        lambda tmp: bmcut.preprocess([[0.0, 3.0, 1.0], [-3.0, 0.0, 2.0],
+                                      [1.0, 2.0, 0.0]]),
+        lambda tmp: bmcut.preprocess([[1.5, 1.0], [1.0, -4.0]]),
+        edge_list,
+        lambda tmp: bmcut.preprocess(np.zeros((0, 0))),
+        lambda tmp: bmcut.preprocess([[2.5]]),
+        lambda tmp: gaussian_pair_zeroed(9, seed=4),
+    ], ids=["gaussian", "erdos_renyi", "complete_graph", "explicit_zeros",
+            "cancellation", "diagonal", "edge_list", "n0", "n1",
+            "pair_zeroed"])
+    def test_matches_csr_oracle(self, tmp_path, make):
+        inst = make(tmp_path)
+        assert inst.checksum() == csr_digest(inst)
+
+    def test_solves_hash_nothing(self, monkeypatch):
+        calls = []
+
+        def sha256(*args):
+            calls.append(args)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(problem, "hashlib", SimpleNamespace(sha256=sha256))
+        gaussian = bmcut.gen_gaussian(61, 2)
+        er = bmcut.gen_erdos_renyi(100, 300, sign=-1, seed=1)
+        small = bmcut.gen_gaussian(20, 8)
+        assert len(calls) == 3   # one per construction
+        calls.clear()
+        bcm.run(gaussian, bcm.SolverConfig(rule="cyclic", max_epochs=20), r=5)
+        bcm.run(er, bcm.SolverConfig(rule="greedy", max_epochs=20), r=5)
+        escape.run_bcm2(small, bcm.SolverConfig(rule="greedy", seed=1),
+                        escape.EscapeConfig(epsilon=0.01, seed=2), r=4)
+        assert calls == []
+
+
 def as_csr(inst):
     """The same complete matrix as CSR rows, built around _finish."""
     return problem.ProblemInstance(
         n=inst.n, rows=sp.csr_array(inst.dense()),
         trace_offset=inst.trace_offset, one_norm=inst.one_norm,
-        l11_norm=inst.l11_norm)
+        l11_norm=inst.l11_norm, digest=inst.checksum())
 
 
 @pytest.mark.parametrize("rule", ["cyclic", "greedy"])
