@@ -9,6 +9,7 @@ objective trace is monotone.  block_sweep delays the update of g by BLOCK steps.
 from __future__ import annotations
 
 import json
+import operator
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -72,13 +73,13 @@ def select_coordinate(rule: str, cache: GradientCache,
     if rule == "uniform":
         return int(rng.integers(n))
     if rule == "greedy":
-        return int(np.argmax(cache.norms - cache.inner))
+        return int((cache.norms - cache.inner).argmax())
     if rule == "importance":
         total = float(cache.norms.sum())
         if total <= 0.0:
             return int(rng.integers(n))
         x = rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(cache.norms), x, side="right"))
+        idx = int(cache.norms.cumsum().searchsorted(x, side="right"))
         return min(idx, n - 1)
     raise ValidationError(f"unknown coordinate rule {rule!r}; pick from {RULES}")
 
@@ -91,10 +92,15 @@ def bcm_step(instance: ProblemInstance, point: FactorPoint,
     update.  Rows with |g_i| = 0, or already at their maximizer, are left
     untouched and return 0.
     """
-    if not 0 <= i < instance.n:
-        raise ValidationError(f"row index {i} out of range for n={instance.n}")
-    ni = cache.norms[i]
-    ascent = 2.0 * (ni - cache.inner[i])
+    try:   # bools, floats and arrays are not row indices
+        k = -1 if isinstance(i, bool) else operator.index(i)
+    except TypeError:
+        k = -1
+    if not 0 <= k < instance.n:
+        raise ValidationError(f"row index {i!r} is not an integer in [0, {instance.n})")
+    i = k
+    ni = cache.norms.item(i)
+    ascent = 2.0 * (ni - cache.inner.item(i))
     if ni <= 0.0 or ascent <= 0.0:   # |g_i|^2 can underflow while g_i != 0
         return 0.0
     sigma = point.sigma
@@ -110,12 +116,12 @@ def bcm_step(instance: ProblemInstance, point: FactorPoint,
         _row_stats(g, sigma, cache.norms, cache.inner)
     else:
         cols, vals = instance.row(i)
-        gc = g[cols]
-        gc += vals[:, None] * delta[None, :]
+        gc = g.take(cols, axis=0)
+        gc += vals[:, None] * delta
         g[cols] = gc
-        cache.norms[cols], cache.inner[cols] = _row_stats(gc, sigma[cols])
+        cache.norms[cols], cache.inner[cols] = _row_stats(gc, sigma.take(cols, 0))
     cache.inner[i] = ni  # g_i is unchanged: A_ii = 0
-    return float(ascent)
+    return ascent
 
 
 def block_sweep(instance: ProblemInstance, point: FactorPoint,
@@ -136,9 +142,9 @@ def block_sweep(instance: ProblemInstance, point: FactorPoint,
         block = rows[lo:lo + BLOCK]
         a = instance.rows[block]
         coupling, d = a[:, block], np.zeros((block.size, sigma.shape[1]))
-        for t, i in enumerate(block):
+        for t, i in enumerate(block.tolist()):
             gi = g[i] + coupling[t, :t] @ d[:t]
-            (ni,), (inner,) = _row_stats(gi[None], sigma[i][None])
+            ni, inner = map(np.ndarray.item, _row_stats(gi[None], sigma[i][None]))
             ascent = 2.0 * (ni - inner)
             if i == last or ni <= 0.0 or ascent <= 0.0:
                 continue
@@ -346,7 +352,7 @@ def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
             # the metric is at least twice row i's term, so only a pick
             # whose own term is at or under the threshold needs the exact sum
             if (policy is not None
-                    and 2.0 * metric_term(cache.norms[i], cache.inner[i])
+                    and 2.0 * metric_term(cache.norms.item(i), cache.inner.item(i))
                     <= policy.threshold
                     and grad_metric_sq(cache) <= policy.threshold):
                 break

@@ -1,7 +1,9 @@
+import ast
 import copy
 import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +153,34 @@ class TestStep:
         cache = bcm.init_cache(edge2, point)
         with pytest.raises(ValidationError):
             bcm.bcm_step(edge2, point, cache, 2)
+
+    @pytest.mark.parametrize("i", [
+        1.5, np.float64(2.0), True, np.True_, -1, 12, "1", np.array([1]),
+    ], ids=["float", "np_float", "bool", "np_bool", "negative", "n", "str",
+            "array"])
+    @pytest.mark.parametrize("inst", [
+        bmcut.gen_gaussian(12, 0), bmcut.gen_erdos_renyi(12, 30, -1, 0),
+    ], ids=["gaussian", "erdos_renyi"])
+    def test_non_index_refused_untouched(self, inst, i):
+        point = manifold.random_point(12, 3, np.random.default_rng(0))
+        cache = bcm.init_cache(inst, point)
+        before = _state_bytes(point, cache)
+        with pytest.raises(ValidationError, match="row index"):
+            bcm.bcm_step(inst, point, cache, i)
+        assert _state_bytes(point, cache) == before
+
+    @pytest.mark.parametrize("inst", [
+        bmcut.gen_gaussian(12, 0), bmcut.gen_erdos_renyi(12, 30, -1, 0),
+    ], ids=["gaussian", "erdos_renyi"])
+    def test_numpy_integer_index_steps_as_int(self, inst):
+        states = []
+        for i in (3, np.int64(3), np.intp(3), np.array(3)):
+            point = manifold.random_point(12, 3, np.random.default_rng(0))
+            cache = bcm.init_cache(inst, point)
+            ascent = bcm.bcm_step(inst, point, cache, i)
+            assert type(ascent) is float and ascent > 0.0
+            states.append((ascent, _state_bytes(point, cache)))
+        assert all(s == states[0] for s in states)
 
     def test_ascent_identity_against_dense(self):
         for inst in small_corpus(sizes=(10, 20), seeds=(0,)):
@@ -684,6 +714,12 @@ class TestGoldenTraces:
     # and when complete instances moved to dense storage (sigma within
     # 2.6e-14, final f_raw 3.7e-16 relative, the same 6 escapes)
     BCM2_ESCAPES = "ca64caf4347983caa89d844fb16d3e88352337654f79dd8aefe8953fe35b0c84"
+    # the same start on CSR storage: drive's threshold pre-check and the
+    # gather-and-scatter step under an escape policy (2 escapes, 123
+    # records).  Computed before bcm_step read its scalars as Python floats
+    # and gathered with ndarray.take; neither moved a bit of it
+    BCM2_ESCAPES_CSR = (
+        "04a6e76c0209393d36abcf252927539158841c42ddd46a375d18906e30cf0890")
 
     # every row of these is full: bcm_step's in-place path, and the cyclic
     # sweeps run through the step-by-step reference in place of block_sweep;
@@ -720,6 +756,7 @@ class TestGoldenTraces:
         ("blocked", 61, 2, 5, "uniform"): 18.640048254479638,
         "bcm2": 14.384915723469149,
         "bcm2_escapes": 9.694098844035516,
+        "bcm2_escapes_csr": 204.72877030995983,
     }
 
     def assert_final_f(self, trace, case):
@@ -764,15 +801,61 @@ class TestGoldenTraces:
         self.assert_final_f(trace, "bcm2")
         assert trace_digest(tmp_path / "t.jsonl", point, trace) == self.BCM2
 
-    def test_bcm2_escapes(self, tmp_path):
+    def escape_run(self, tmp_path, inst, case):
         # the all-equal start is stationary: escape steps must come first
-        inst = bmcut.gen_gaussian(20, 8)
-        start = np.zeros((20, 4))
+        start = np.zeros((inst.n, 4))
         start[:, 0] = 1.0
         cfg = bcm.SolverConfig(rule="greedy", seed=1)
         esc = bmcut.EscapeConfig(epsilon=0.01, seed=2)
         point, trace = bmcut.run_bcm2(inst, cfg, esc, initial=FactorPoint(start))
         assert trace.header["escape_steps"] >= 2
-        self.assert_final_f(trace, "bcm2_escapes")
-        assert (trace_digest(tmp_path / "t.jsonl", point, trace)
+        self.assert_final_f(trace, case)
+        return trace_digest(tmp_path / "t.jsonl", point, trace)
+
+    def test_bcm2_escapes(self, tmp_path):
+        inst = bmcut.gen_gaussian(20, 8)
+        assert (self.escape_run(tmp_path, inst, "bcm2_escapes")
                 == self.BCM2_ESCAPES)
+
+    def test_bcm2_escapes_csr(self, tmp_path):
+        inst = bmcut.gen_erdos_renyi(60, 150, -1, 4)
+        assert not inst.complete
+        assert (self.escape_run(tmp_path, inst, "bcm2_escapes_csr")
+                == self.BCM2_ESCAPES_CSR)
+
+
+# numpy's function-form wrappers (numpy/_core/fromnumeric.py) add dispatch
+# to every call, on a step of about 15 us; ROADMAP.md ("Where a step's time
+# goes") has the timings.  The ndarray methods give the same bits.
+FROMNUMERIC = {"argmax", "argmin", "cumsum", "searchsorted", "sum", "max",
+               "take"}
+PER_STEP = ("select_coordinate", "bcm_step", "block_sweep", "drive")
+
+
+def fromnumeric_calls(source: str) -> dict[str, set[str]]:
+    """np.<wrapper>(...) calls in each per-step function of the source."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in PER_STEP:
+            found[node.name] = {
+                call.func.attr for call in ast.walk(node)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and isinstance(call.func.value, ast.Name)
+                and call.func.value.id == "np"
+                and call.func.attr in FROMNUMERIC}
+    return found
+
+
+def test_checker_finds_fromnumeric_calls():
+    source = ("def drive(c):\n    return np.argmax(c.norms) + c.inner.argmax()\n"
+              "def bcm_step(g):\n    return np.take(g, [0]), np.zeros(2)\n"
+              "def other(x):\n    return np.sum(x)\n")
+    assert fromnumeric_calls(source) == {"drive": {"argmax"},
+                                         "bcm_step": {"take"}}
+
+
+def test_per_step_paths_call_no_fromnumeric_wrapper():
+    found = fromnumeric_calls(Path(bcm.__file__).read_text())
+    assert sorted(found) == sorted(PER_STEP)
+    assert all(not calls for calls in found.values()), found

@@ -177,6 +177,41 @@ class TestChecksum:
         assert calls == []
 
 
+def mm_coordinate(tmp_path):
+    path = tmp_path / "er.mtx"
+    bmcut.write_matrix_market(bmcut.gen_erdos_renyi(40, 100, sign=-1, seed=2),
+                              str(path))
+    return bmcut.load_instance(str(path), "matrix-market")
+
+
+def preprocess_int32():
+    a = sp.random_array((30, 30), density=0.2, format="csr",
+                        rng=np.random.default_rng(5))
+    a.indices, a.indptr = a.indices.astype(np.int32), a.indptr.astype(np.int32)
+    return bmcut.preprocess(a)
+
+
+class TestSourceDigests:
+    """The checksum hashes indices as int64, so an instance's digest does not
+    depend on the index dtype its source gave (ER edge lists give int64,
+    Matrix Market coordinate and sparse preprocess input int32).  The
+    digests are fixed, so a change of the stored index dtype that moved a
+    checksum would fail here."""
+
+    ER = "28d2193cda3582672385ca37cae0676e5b4bf70ebeec4dd4c0eb951bb93b5e5a"
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda tmp: bmcut.gen_erdos_renyi(40, 100, sign=-1, seed=2), ER),
+        (mm_coordinate, ER),
+        (lambda tmp: preprocess_int32(),
+         "656b6ef6e9c6ba2a35bd6b9fde0b8fe294bb1656e3d6a25c533b2bb8e7beda81"),
+    ], ids=["erdos_renyi", "matrix_market", "preprocess_csr"])
+    def test_checksum_is_pinned(self, tmp_path, make, digest):
+        inst = make(tmp_path)
+        assert not inst.complete
+        assert inst.checksum() == digest == csr_digest(inst)
+
+
 def as_csr(inst):
     """The same complete matrix as CSR rows, built around _finish."""
     return problem.ProblemInstance(
