@@ -9,7 +9,6 @@ objective trace is monotone.  block_sweep delays the update of g by BLOCK steps.
 from __future__ import annotations
 
 import json
-import operator
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -92,13 +91,7 @@ def bcm_step(instance: ProblemInstance, point: FactorPoint,
     update.  Rows with |g_i| = 0, or already at their maximizer, are left
     untouched and return 0.
     """
-    try:   # bools, floats and arrays are not row indices
-        k = -1 if isinstance(i, bool) else operator.index(i)
-    except TypeError:
-        k = -1
-    if not 0 <= k < instance.n:
-        raise ValidationError(f"row index {i!r} is not an integer in [0, {instance.n})")
-    i = k
+    i = check_count("row index", i, 0, instance.n)
     ni = cache.norms.item(i)
     ascent = 2.0 * (ni - cache.inner.item(i))
     if ni <= 0.0 or ascent <= 0.0:   # |g_i|^2 can underflow while g_i != 0

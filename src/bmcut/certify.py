@@ -2,9 +2,10 @@
 
 For any diagonal vector lam and any feasible X (unit diagonal, psd),
 <A, X> = <A - Diag(lam), X> + sum(lam) <= n max(lambda_max(A - Diag(lam)), 0)
-+ sum(lam), so picking lam_i = <sigma_i, g_i> at the current iterate yields an
-unconditional upper bound on the relaxation optimum.  At rank-deficient
-second-order points the bound is tight.
++ sum(lam) (weak duality), so picking lam_i = <sigma_i, g_i> at the current
+iterate bounds the relaxation optimum.  The reported bound puts the
+eigensolver's estimate theta in place of lambda_max, with no margin added.
+At rank-deficient second-order points the bound is tight.
 """
 
 from __future__ import annotations
@@ -114,8 +115,9 @@ def approx_report(instance: ProblemInstance, point: FactorPoint,
     """Achieved value against the certified bound, with the floors for the
     point's rank r.  `cert` is the point's `dual_upper_bound`, whose lam
     also gives the achieved value f = sum(lam).  The floors assume a
-    positive semidefinite cost matrix and are labeled conditional; the upper
-    bound itself is unconditional.
+    positive semidefinite cost matrix and are labeled conditional.  Weak
+    duality needs no such condition, but the upper bound holds the
+    eigensolver's theta for lambda_max with no margin added.
     """
     r = point.r
     if r < 2:
@@ -192,7 +194,7 @@ def round_cut(instance: ProblemInstance, point: FactorPoint, trials: int,
     `cut_value` in the last bits, order the trials.  Working memory is about
     2 n ROUND_CHUNK doubles.  Deterministic per generator state.
     """
-    check_count("trials", trials, 1)
+    trials = check_count("trials", trials, 1)
     instance.check_rows(point.n, "point")
     sigma = point.sigma
     best_signs = None

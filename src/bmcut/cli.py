@@ -162,6 +162,7 @@ def cmd_bench(args) -> int:
 
 def cmd_certify(args) -> int:
     check_count("seed", args.seed, 0)
+    check_count("trials", args.trials, 0)
     instance = _load_from_args(args)
     point = manifold.load_point(args.point)
     cert = certify.dual_upper_bound(instance, point,

@@ -1,6 +1,6 @@
-"""Exception types, and the one check of a count, shared across the package."""
+"""Exception types, and the one integer check, shared across the package."""
 
-import numbers
+import operator
 
 
 class ValidationError(ValueError):
@@ -23,11 +23,16 @@ class NumericalError(RuntimeError):
     """An iterative numerical routine failed to produce a usable result."""
 
 
-def check_count(name: str, value, low: int) -> int:
-    """Refuse a count or seed that is not a Python or numpy integer >= low;
-    return it as a Python int, which JSON trace headers can hold."""
-    if not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValidationError(f"{name} must be >= {low}, got {value}")
-    return int(value)
+def check_count(name: str, value, low: int, high: int | None = None) -> int:
+    """Refuse a count, seed or index that is not an integer in [low, high),
+    unbounded above when high is None; numpy integers and 0-d integer arrays
+    pass, bools do not.  Returns a Python int, which JSON headers can hold."""
+    try:   # operator.index(None) refuses a bool as it refuses a float
+        k = operator.index(None if isinstance(value, bool) else value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if k < low:
+        raise ValidationError(f"{name} must be >= {low}, got {k}")
+    if high is not None and k >= high:
+        raise ValidationError(f"{name} must be < {high}, got {k}")
+    return k

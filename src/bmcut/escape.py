@@ -115,8 +115,9 @@ def lanczos_budget(instance: ProblemInstance, epsilon: float, delta: float,
     Ritz vectors, with every Ritz value lower by 4 |A|_1, and the budget
     holds for it unchanged.
     """
-    if not 0.0 < delta < 1.0 or r < 2:
-        raise ValidationError("need delta in (0,1), r >= 2")
+    if not 0.0 < delta < 1.0:
+        raise ValidationError(f"delta must be in (0, 1), got {delta}")
+    r = check_count("r", r, 2)
     calls = _check_epsilon(instance, epsilon)
     dim = instance.n * (r - 1)
     ell = math.ceil(
@@ -145,7 +146,7 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     start).
     Returns the estimate lambda_max(T) and the reconstructed unit direction.
     """
-    check_count("max_iters", max_iters, 1)
+    max_iters = check_count("max_iters", max_iters, 1)
     sigma = point.sigma
     n, r = sigma.shape
     dim = n * (r - 1)
@@ -206,7 +207,7 @@ def second_order_step(instance: ProblemInstance, point: FactorPoint,
     """
     _check_epsilon(instance, epsilon)
     nrm = float(np.linalg.norm(direction))
-    if abs(nrm - 1.0) > 1e-8:
+    if not abs(nrm - 1.0) <= 1e-8:   # NaN fails
         raise ValidationError(f"direction must have unit Frobenius norm, got {nrm}")
     d = direction
     if float(np.sum(d * riemannian_gradient(point, cache))) < 0.0:

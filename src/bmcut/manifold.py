@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParseError, ValidationError
+from .errors import DimensionError, ParseError, ValidationError, check_count
 
 UNIT_TOL = 1e-12
 TANGENT_TOL = 1e-8
@@ -63,8 +63,7 @@ def _project_rows(sigma: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def random_point(n: int, r: int, rng: np.random.Generator) -> FactorPoint:
     """Rows drawn uniformly on the unit sphere via normalized Gaussians."""
-    if n < 0 or r < 1:
-        raise ValidationError(f"need n >= 0 and r >= 1, got n={n}, r={r}")
+    n, r = check_count("n", n, 0), check_count("r", r, 1)
     x = rng.standard_normal((n, r))
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     bad = norms[:, 0] < 1e-300

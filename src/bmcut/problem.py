@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionError, ParseError, ValidationError
+from .errors import DimensionError, ParseError, ValidationError, check_count
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,8 @@ def gen_gaussian(n: int, seed: int) -> ProblemInstance:
 
     The diagonal is zero and the draw is deterministic per seed.
     """
-    if n < 2:
-        raise ValidationError(f"gaussian instance needs n >= 2, got {n}")
-    rng = np.random.default_rng(seed)
+    n = check_count("n", n, 2)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     g = rng.standard_normal((n, n))
     a = (g + g.T) / n
     np.fill_diagonal(a, 0.0)
@@ -177,14 +176,12 @@ def gen_erdos_renyi(n: int, edges: int, sign: int, seed: int) -> ProblemInstance
 
     sign=-1 orients maximization of <A, X> toward the Max-Cut relaxation.
     """
-    if n < 2:
-        raise ValidationError(f"graph instance needs n >= 2, got {n}")
+    n = check_count("n", n, 2)
     if sign not in (1, -1):
         raise ValidationError(f"sign must be +1 or -1, got {sign}")
     m = n * (n - 1) // 2
-    if not 1 <= edges <= m:
-        raise ValidationError(f"edges must be in [1, {m}] for n={n}, got {edges}")
-    rng = np.random.default_rng(seed)
+    edges = check_count("edges", edges, 1, m + 1)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     if edges <= m // 3:
         # sparse regime: rejection into a set stays uniform over edge subsets
         chosen: set[int] = set()

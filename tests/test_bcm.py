@@ -518,9 +518,36 @@ class TestRun:
                                            np.random.default_rng(1))),
         ("max_iters", lambda: escape.lanczos_leading(*six(), 4.0,
                                                      np.random.default_rng(1))),
+        ("max_epochs", lambda: bcm.SolverConfig(max_epochs=True)),
+        ("seed", lambda: bcm.SolverConfig(seed=False)),
+        ("seed", lambda: bmcut.EscapeConfig(seed=True)),
+        ("trials", lambda: bmcut.round_cut(*six()[:2], True,
+                                           np.random.default_rng(1))),
+        ("max_iters", lambda: escape.lanczos_leading(*six(), True,
+                                                     np.random.default_rng(1))),
+        ("n", lambda: manifold.random_point(2.0, 2, np.random.default_rng(0))),
+        ("r", lambda: manifold.random_point(3, np.float64(2.0),
+                                            np.random.default_rng(0))),
+        ("r", lambda: bcm.run(bmcut.gen_gaussian(6, 0), bcm.SolverConfig(),
+                              r=2.0)),
+        ("n", lambda: bmcut.gen_gaussian(5.0, 0)),
+        ("seed", lambda: bmcut.gen_gaussian(5, np.float64(0.0))),
+        ("n", lambda: bmcut.gen_erdos_renyi(10.0, 5, -1, 0)),
+        ("edges", lambda: bmcut.gen_erdos_renyi(10, 5.0, -1, 0)),
+        ("seed", lambda: bmcut.gen_erdos_renyi(10, 5, -1, 2.0)),
+        ("r", lambda: escape.lanczos_budget(bmcut.gen_gaussian(5, 0), 0.1,
+                                            0.01, 2.5)),
+        ("r", lambda: escape.lanczos_budget(bmcut.gen_gaussian(5, 0), 0.1,
+                                            0.01, np.float64(2.0))),
     ], ids=["max_epochs_float", "max_epochs_str", "seed_float",
             "escape_seed_float", "escape_seed_numpy_float", "trials_float",
-            "max_iters_float"])
+            "max_iters_float", "max_epochs_bool", "seed_bool",
+            "escape_seed_bool", "trials_bool", "max_iters_bool",
+            "random_point_n_float", "random_point_r_numpy_float",
+            "run_r_float", "gaussian_n_float", "gaussian_seed_numpy_float",
+            "erdos_renyi_n_float", "erdos_renyi_edges_float",
+            "erdos_renyi_seed_float", "lanczos_budget_r_float",
+            "lanczos_budget_r_numpy_float"])
     def test_non_integer_counts_refused(self, field, make):
         # refused up front, not by a TypeError in the middle of a run
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
@@ -530,6 +557,17 @@ class TestRun:
         cfg = bcm.SolverConfig(max_epochs=np.int64(2), seed=np.uint8(3))
         assert type(cfg.max_epochs) is int and type(cfg.seed) is int
         assert type(bmcut.EscapeConfig(seed=np.int32(1)).seed) is int
+        zero_d = bcm.SolverConfig(max_epochs=np.array(2), seed=np.array(3))
+        assert type(zero_d.max_epochs) is int and type(zero_d.seed) is int
+        assert type(bmcut.EscapeConfig(seed=np.array(1)).seed) is int
+        assert np.array_equal(
+            bmcut.gen_erdos_renyi(np.int64(10), np.array(5), -1,
+                                  np.int64(2)).dense(),
+            bmcut.gen_erdos_renyi(10, 5, -1, 2).dense())
+        budget = escape.lanczos_budget(bmcut.gen_gaussian(np.array(5), 0),
+                                       0.1, 0.01, np.int64(3))
+        assert budget == escape.lanczos_budget(bmcut.gen_gaussian(5, 0),
+                                               0.1, 0.01, 3)
         _, trace = bcm.run(bmcut.gen_gaussian(6, 0), cfg, r=2)
         trace.write(str(tmp_path / "t.jsonl"))   # the header is plain JSON
 
@@ -580,7 +618,7 @@ class TestRun:
     @pytest.mark.parametrize("r", [0, -1])
     def test_bad_rank_rejected(self, r):
         cfg = bcm.SolverConfig(max_epochs=2)
-        with pytest.raises(ValidationError, match="r >= 1"):
+        with pytest.raises(ValidationError, match="r must be >= 1"):
             bcm.run(bmcut.gen_gaussian(6, seed=0), cfg, r=r)
 
     @pytest.mark.parametrize("method", ["bcm", "bcm2"])
@@ -859,3 +897,31 @@ def test_per_step_paths_call_no_fromnumeric_wrapper():
     found = fromnumeric_calls(Path(bcm.__file__).read_text())
     assert sorted(found) == sorted(PER_STEP)
     assert all(not calls for calls in found.values()), found
+
+
+def integer_checks(source: str) -> set[str]:
+    """operator.index calls and isinstance(..., bool) tests in the source."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        if ast.unparse(node.func) in ("operator.index", "index"):
+            found.add("operator.index")
+        if (ast.unparse(node.func) == "isinstance" and len(node.args) == 2
+                and "bool" in ast.unparse(node.args[1])):
+            found.add("isinstance(..., bool)")
+    return found
+
+
+def test_checker_finds_integer_checks():
+    source = ("k = -1 if isinstance(i, bool) else operator.index(i)\n"
+              "ok = isinstance(x, (int, np.bool_)) or isinstance(x, float)\n")
+    assert integer_checks(source) == {"operator.index", "isinstance(..., bool)"}
+
+
+def test_check_count_is_the_only_integer_check():
+    for path in sorted(Path(bcm.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        found = sorted(integer_checks(path.read_text()))
+        assert not found, f"bmcut.{path.stem} checks integers itself: {found}"

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,18 +332,23 @@ class TestCertify:
                      "--allow-r1"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("eps", ["-5", "nan", "inf"])
-    def test_bad_epsilon_is_validation_error(self, tmp_path, capsys, eps,
+    # --trials=-5 printed the certificate and the report before it failed
+    @pytest.mark.parametrize("arg", ["--epsilon=-5", "--epsilon=nan",
+                                     "--epsilon=inf", "--trials=-5"],
+                             ids=["-5", "nan", "inf", "trials=-5"])
+    def test_bad_epsilon_is_validation_error(self, tmp_path, capsys, arg,
                                              triangle_optimum):
         tri = tmp_path / "tri.txt"
         tri.write_text("1 2 -1\n1 3 -1\n2 3 -1\n")
         pt = tmp_path / "opt.bin"
         bmcut.save_point(triangle_optimum, str(pt))
         assert run_cli(["certify", "--edge-list", str(tri), "--point", str(pt),
-                        f"--epsilon={eps}"]) == 2
+                        arg]) == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert f"got {float(eps)!r}" in out.err
+        name, value = arg[2:].split("=")
+        got = float(value) if name == "epsilon" else int(value)
+        assert f"{name} must be" in out.err and f"got {got!r}" in out.err
 
     def test_one_eigensolve(self, tmp_path, capsys, monkeypatch):
         # the report computed a second dual bound for the same point
@@ -464,9 +471,14 @@ def test_git_describe_ignores_working_directory(tmp_path, monkeypatch):
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the subprocess imports the same bmcut as this test, wherever the
+        # test run found it
+        root = str(Path(bmcut.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "bmcut.cli", "solve",
              "--gen", "gaussian:n=10,seed=0", "--max-epochs", "20"],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert "f_raw=" in proc.stdout

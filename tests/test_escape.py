@@ -274,6 +274,20 @@ class TestSecondOrderStep:
         with pytest.raises(ValidationError):
             escape.second_order_step(inst, point, cache, bad, 0.1)
 
+    def test_nan_direction_rejected_untouched(self):
+        # NaN passed the norm test and failed later, in exp_map, as "not
+        # tangent"
+        inst, point, cache, rng = rand_setup()
+        bad = np.full_like(point.sigma, np.nan)
+
+        def state():
+            return [a.tobytes() for a in (point.sigma, cache.g, cache.norms,
+                                          cache.inner)]
+        before = state()
+        with pytest.raises(ValidationError, match="unit Frobenius norm"):
+            escape.second_order_step(inst, point, cache, bad, 0.1)
+        assert state() == before
+
     def test_epsilon_zero_rejected(self):
         inst, point, cache, rng = rand_setup()
         u = oracles.random_tangent(point, rng)
@@ -296,7 +310,7 @@ class TestRunBcm2:
     def test_bad_rank_rejected(self, r):
         cfg = bcm.SolverConfig(rule="greedy", seed=0)
         esc = escape.EscapeConfig(epsilon=0.1, seed=0)
-        with pytest.raises(ValidationError, match="r >= 1"):
+        with pytest.raises(ValidationError, match="r must be >= 1"):
             escape.run_bcm2(bmcut.gen_gaussian(6, seed=0), cfg, esc, r=r)
 
     def test_zero_instance_immediate(self):

@@ -1,6 +1,9 @@
+import collections
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy import stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -165,6 +168,18 @@ class TestErdosRenyi:
             b = bmcut.gen_erdos_renyi(10, edges, sign=-1, seed=9)
             assert np.array_equal(a.dense(), b.dense())
             assert a.nnz == 2 * edges
+
+    @pytest.mark.parametrize("edges", [2, 4], ids=["rejection", "permutation"])
+    def test_uniform_over_edge_sets(self, edges):
+        # n = 4 has 6 possible edges and 15 sets of 2, or of 4; m // 3 = 2
+        # sends edges = 2 to the rejection sampler and 4 to the permutation
+        counts = collections.Counter()
+        for seed in range(1500):
+            inst = bmcut.gen_erdos_renyi(4, edges, sign=-1, seed=seed)
+            counts[np.flatnonzero(np.triu(inst.dense())).tobytes()] += 1
+        assert len(counts) == 15
+        observed = np.array(list(counts.values()))
+        assert stats.chisquare(observed).statistic < stats.chi2.isf(1e-4, 14)
 
     def test_norm_inequality_over_generators(self):
         for seed in range(5):
