@@ -9,6 +9,7 @@ objective trace is monotone.  block_sweep delays the update of g by BLOCK steps.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -161,8 +162,9 @@ class SolverConfig:
         if self.rule not in RULES:
             raise ValidationError(f"unknown rule {self.rule!r}; pick from {RULES}")
         self.max_epochs = check_count("max_epochs", self.max_epochs, 1)
-        if self.grad_tol is not None and not self.grad_tol >= 0:   # NaN fails
-            raise ValidationError(f"grad_tol must be >= 0, got {self.grad_tol}")
+        if self.grad_tol is not None and not 0 <= self.grad_tol < math.inf:
+            raise ValidationError(   # NaN fails too
+                f"grad_tol must be finite and >= 0, got {self.grad_tol}")
         self.seed = check_count("seed", self.seed, 0)
 
 
@@ -266,7 +268,6 @@ def start_point(instance: ProblemInstance, method: str, config: SolverConfig,
         point = initial.copy()
     else:
         point = random_point(instance.n, r, rng)
-    instance.check_rows(point.n, "point")
     if point.r < 2:
         raise ValidationError(f"the solvers need r >= 2, got r = {point.r}")
     trace = SolveTrace(header={
@@ -278,43 +279,29 @@ def start_point(instance: ProblemInstance, method: str, config: SolverConfig,
     return point, rng, init_cache(instance, point), trace
 
 
-@dataclass
-class EscapePolicy:
-    """The second-order branch of the solver loop in `drive`.
-
-    Whenever the gradient metric is at or under `threshold`, the loop calls
-    `step()`, which returns (gain, rayleigh) for an accepted escape step or
-    None for the concave verdict.  Coordinate and escape epochs together stop
-    at `epoch_cap`.
-    """
-
-    threshold: float
-    epoch_cap: int
-    step: Callable[[], tuple[float, float] | None]
-
-
 def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
           rng: np.random.Generator, trace: SolveTrace, config: SolverConfig,
-          tol: float, policy: EscapePolicy | None = None):
+          tol: float, threshold: float = -math.inf,
+          escape: Callable[[], tuple[float, float] | None] | None = None):
     """The solver loop: sweeps of up to n coordinate steps, one record each.
 
     An epoch is n coordinate steps or one escape step.  The epoch-0 record
     comes first; a sweep starts with a cache refresh when the trace holds a
     multiple of REFRESH_PERIOD records.  No coordinate step is taken past
-    the epoch caps; with a policy, the escape threshold is checked after
-    every pick, by the picked row's own metric term unless that is at or
-    under it, then by the exact metric.  A pick dropped at the threshold has
-    drawn from rng under uniform and importance; greedy draws nothing.
-    tol is checked after every sweep.  Mutates point, cache and trace;
-    returns (status, coordinate steps, escape steps).
+    config.max_epochs epochs.  With an `escape` callable, which returns
+    (gain, rayleigh) for an accepted escape step or None for the concave
+    verdict, the loop calls it whenever the gradient metric is at or under
+    `threshold`, checked after every pick: by the picked row's own metric
+    term unless that is at or under it, then by the exact metric.  A pick
+    dropped at the threshold has drawn from rng under uniform and
+    importance; greedy draws nothing.  tol is checked after every sweep.
+    Mutates point, cache and trace; returns (status, coordinate steps,
+    escape steps).
     """
     n = instance.n
-    limit, at_limit = config.max_epochs, "max_epochs"
-    if policy is not None and policy.epoch_cap <= limit:
-        limit, at_limit = policy.epoch_cap, "epoch_cap"
     steps = escapes = 0
     touched = np.zeros(n, dtype=bool)
-    blocked = (policy is None and config.rule in ("cyclic", "uniform")
+    blocked = (escape is None and config.rule in ("cyclic", "uniform")
                and instance.complete)
     t0 = time.perf_counter()
 
@@ -332,10 +319,10 @@ def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
     while True:
         if metric <= tol:
             return "converged", steps, escapes
-        # coordinate steps left before steps // n + escapes reaches the limit
-        left = (limit - escapes) * n - steps
+        # coordinate steps left before steps // n + escapes reaches max_epochs
+        left = (config.max_epochs - escapes) * n - steps
         if left <= 0:
-            return at_limit, steps, escapes
+            return "max_epochs", steps, escapes
         if len(trace.records) % REFRESH_PERIOD == 0:
             refresh_cache(instance, point, cache)
         touched[:] = False
@@ -344,10 +331,9 @@ def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
             i = select_coordinate(config.rule, cache, rng, step=steps)
             # the metric is at least twice row i's term, so only a pick
             # whose own term is at or under the threshold needs the exact sum
-            if (policy is not None
+            if (escape is not None
                     and 2.0 * metric_term(cache.norms.item(i), cache.inner.item(i))
-                    <= policy.threshold
-                    and grad_metric_sq(cache) <= policy.threshold):
+                    <= threshold and grad_metric_sq(cache) <= threshold):
                 break
             rows.append(i)
             if not blocked and bcm_step(instance, point, cache, i) > 0.0:
@@ -359,7 +345,7 @@ def drive(instance: ProblemInstance, point: FactorPoint, cache: GradientCache,
         if steps > begun:
             metric = emit("bcm", steps - begun, int(touched.sum()))
         if steps - begun < sweep:   # the metric fell to the escape threshold
-            accepted = policy.step()
+            accepted = escape()
             if accepted is None:
                 return "concave", steps, escapes
             escapes += 1

@@ -22,8 +22,8 @@ import numpy as np
 import scipy.linalg
 
 # bcm_step, select_coordinate, grad_metric_sq: unused, kept for perfbench spans
-from .bcm import (EscapePolicy, GradientCache, SolverConfig, bcm_step, drive,
-                  refresh_cache, select_coordinate, start_point)
+from .bcm import (GradientCache, SolverConfig, bcm_step, drive, refresh_cache,
+                  select_coordinate, start_point)
 from .certify import DENSE_EIG_LIMIT, dual_upper_bound, leading_pair
 from .errors import TrivialInstanceError, ValidationError, check_count
 from .manifold import (FactorPoint, _hess_apply_rows, _project_rows, exp_map,
@@ -254,16 +254,17 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
     eps = 0.05, seeds 3-8 from the all-equal start, (a)-(c) above the limit
     saved only 6% in total (23.1 -> 21.7 s), and seed 5 got slower
     (1.93 -> 2.47 s, with 2 escapes becoming 3).
-    The header's lanczos_calls counts the steps that reached (d).  A hard
-    cap on combined epochs (see _check_epsilon) applies, on top of the user's
-    max_epochs.  The loop itself is bcm.drive with an escape policy;
-    solver.rule and solver.grad_tol are not used.
+    The header's lanczos_calls counts the steps that reached (d).  The loop
+    itself is bcm.drive with the escape threshold and step, and
+    max_epochs = min(cap, solver.max_epochs), where cap (see _check_epsilon)
+    bounds the combined epochs; status "epoch_cap" reports a stop at a cap
+    no larger than solver.max_epochs.  solver.rule and solver.grad_tol are
+    not used.
     """
     point, rng, cache, trace = start_point(instance, "bcm2", solver, initial, r)
-    greedy = replace(solver, rule="greedy")
     if instance.one_norm == 0.0:
         # every metric is exactly 0: drive records epoch 0 and stops
-        drive(instance, point, cache, rng, trace, greedy, 0.0)
+        drive(instance, point, cache, rng, trace, solver, 0.0)
         trace.status = "trivial"
         return point, trace
 
@@ -277,12 +278,9 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
     trace.header.update(
         epsilon=eps, delta=esc.delta, threshold=threshold, epoch_cap=cap,
         lanczos_budget=budget, step_length=t_step, retries=0,
-        lanczos_reorth=True, escape_seed=esc.seed)
-
-    lanczos_calls = 0
+        lanczos_reorth=True, escape_seed=esc.seed, lanczos_calls=0)
 
     def escape_step():
-        nonlocal lanczos_calls
         ray = -math.inf   # above the limit Lanczos alone gives the direction
         if instance.n <= DENSE_EIG_LIMIT:
             theta, v = leading_pair(instance, cache.inner)
@@ -296,16 +294,18 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
             u /= np.linalg.norm(u) or 1.0   # u = 0 has curvature 0: Lanczos
             ray = hess_quadratic(instance, point, u, cache)
         if ray < eps / 2.0:
-            lanczos_calls += 1
+            trace.header["lanczos_calls"] += 1
             u = lanczos_leading(instance, point, cache, budget, rng_lan).direction
             ray = hess_quadratic(instance, point, u, cache)
             if ray < eps / 2.0:
                 return None
         return second_order_step(instance, point, cache, u, eps), ray
 
-    trace.status, steps, escapes = drive(
-        instance, point, cache, rng, trace, greedy, -math.inf,
-        EscapePolicy(threshold, cap, escape_step))
+    greedy = replace(solver, rule="greedy", max_epochs=min(cap, solver.max_epochs))
+    status, steps, escapes = drive(instance, point, cache, rng, trace, greedy,
+                                   -math.inf, threshold, escape_step)
+    trace.status = ("epoch_cap" if status == "max_epochs"
+                    and cap <= solver.max_epochs else status)
     trace.header.update(bcm_epochs=steps / instance.n, bcm_steps=steps,
-                        escape_steps=escapes, lanczos_calls=lanczos_calls)
+                        escape_steps=escapes)
     return point, trace

@@ -177,8 +177,8 @@ def gen_erdos_renyi(n: int, edges: int, sign: int, seed: int) -> ProblemInstance
     sign=-1 orients maximization of <A, X> toward the Max-Cut relaxation.
     """
     n = check_count("n", n, 2)
-    if sign not in (1, -1):
-        raise ValidationError(f"sign must be +1 or -1, got {sign}")
+    if not check_count("sign", sign, -1, 2):
+        raise ValidationError("sign must be +1 or -1, got 0")
     m = n * (n - 1) // 2
     edges = check_count("edges", edges, 1, m + 1)
     rng = np.random.default_rng(check_count("seed", seed, 0))

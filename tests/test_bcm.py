@@ -504,7 +504,7 @@ class TestRun:
             bcm.SolverConfig(max_epochs=0)
         with pytest.raises(ValidationError):
             bcm.SolverConfig(rule="fastest")
-        for tol in (-1.0, float("nan")):
+        for tol in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="grad_tol"):
                 bcm.SolverConfig(grad_tol=tol)
 
@@ -539,6 +539,8 @@ class TestRun:
                                             0.01, 2.5)),
         ("r", lambda: escape.lanczos_budget(bmcut.gen_gaussian(5, 0), 0.1,
                                             0.01, np.float64(2.0))),
+        ("sign", lambda: bmcut.gen_erdos_renyi(6, 4, True, 0)),
+        ("sign", lambda: bmcut.gen_erdos_renyi(6, 4, np.float64(-1.0), 0)),
     ], ids=["max_epochs_float", "max_epochs_str", "seed_float",
             "escape_seed_float", "escape_seed_numpy_float", "trials_float",
             "max_iters_float", "max_epochs_bool", "seed_bool",
@@ -547,7 +549,8 @@ class TestRun:
             "run_r_float", "gaussian_n_float", "gaussian_seed_numpy_float",
             "erdos_renyi_n_float", "erdos_renyi_edges_float",
             "erdos_renyi_seed_float", "lanczos_budget_r_float",
-            "lanczos_budget_r_numpy_float"])
+            "lanczos_budget_r_numpy_float", "erdos_renyi_sign_bool",
+            "erdos_renyi_sign_numpy_float"])
     def test_non_integer_counts_refused(self, field, make):
         # refused up front, not by a TypeError in the middle of a run
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):

@@ -147,6 +147,15 @@ class TestSolve:
                         "--method", "bcm2", "--epsilon", eps]) == 2
         assert "epsilon" in capsys.readouterr().err
 
+    def test_infinite_grad_tol_is_validation_error(self, capsys):
+        # accepted before: the run stopped at epoch 0 and the trace header
+        # held "grad_tol": Infinity, which strict JSON parsers refuse
+        assert run_cli(["solve", "--gen", "gaussian:n=6,seed=0",
+                        "--grad-tol", "inf"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "grad_tol" in err
+
     def test_complex_matrix_market_is_parse_error(self, tmp_path, capsys):
         mm = tmp_path / "c.mtx"
         mm.write_text("%%MatrixMarket matrix coordinate complex general\n"

@@ -404,6 +404,26 @@ class TestRunBcm2:
         assert (trace.header["lanczos_calls"]
                 == trace.header["escape_steps"] + 1)
 
+    @pytest.mark.parametrize("max_epochs, status", [
+        (1, "max_epochs"), (2, "epoch_cap"), (3, "epoch_cap")])
+    def test_epoch_cap_status(self, monkeypatch, max_epochs, status):
+        # a smaller cap numerator makes the paper's epoch cap 2; a cap equal
+        # to max_epochs reports "epoch_cap", a larger one "max_epochs"
+        monkeypatch.setattr(escape, "EPOCH_CAP_NUM", 3e-6)
+        start = np.zeros((20, 4))
+        start[:, 0] = 1.0
+        _, trace = escape.run_bcm2(
+            bmcut.gen_gaussian(20, 8),
+            bcm.SolverConfig(rule="greedy", max_epochs=max_epochs, seed=1),
+            escape.EscapeConfig(epsilon=0.01, seed=2),
+            initial=bmcut.FactorPoint(start))
+        assert trace.header["epoch_cap"] == 2
+        assert trace.header["max_epochs"] == max_epochs
+        assert trace.status == status
+        if status == "epoch_cap":
+            assert trace.header["bcm_steps"] == 20
+            assert trace.header["escape_steps"] == 1
+
     def test_row_term_test_keeps_every_decision(self, monkeypatch):
         # the metric is never below twice the picked row's term, so testing
         # that term first changes no decision; defeated, every step sums

@@ -158,8 +158,9 @@ class TestErdosRenyi:
             bmcut.gen_erdos_renyi(5, 11, sign=1, seed=0)
 
     def test_bad_sign_rejected(self):
-        with pytest.raises(ValidationError):
-            bmcut.gen_erdos_renyi(5, 3, sign=2, seed=0)
+        for sign in (2, 0, -2):
+            with pytest.raises(ValidationError):
+                bmcut.gen_erdos_renyi(5, 3, sign=sign, seed=0)
 
     def test_deterministic_both_regimes(self):
         # sparse regime (rejection sampler) and dense regime (permutation)
