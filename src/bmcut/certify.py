@@ -23,9 +23,8 @@ from .errors import NumericalError, ValidationError, check_count
 from .manifold import FactorPoint
 from .problem import ProblemInstance
 
-# rows up to which every instance takes the dense eigensolve; above it the
-# limit binds only incomplete instances here, and run_bcm2's escape, which
-# tests n alone
+# rows up to which every instance takes LAPACK's pair; complete instances
+# take it at any size (lapack_pair)
 DENSE_EIG_LIMIT = 200
 ROUND_CHUNK = 32        # rounding trials scored per matrix product
 
@@ -57,19 +56,23 @@ class Cut:
         return {"signs": self.signs.astype(int).tolist(), "value": self.value}
 
 
+def lapack_pair(instance: ProblemInstance) -> bool:
+    """Whether leading_pair is LAPACK's: complete, or n <= DENSE_EIG_LIMIT."""
+    return instance.n <= DENSE_EIG_LIMIT or instance.complete
+
+
 def leading_pair(instance: ProblemInstance,
                  lam: np.ndarray) -> tuple[float, np.ndarray]:
     """The top eigenpair (theta, v) of A - Diag(lam), |v| = 1.
 
-    Up to DENSE_EIG_LIMIT rows, and on complete instances of any size,
-    LAPACK's value for the matrix divided by `instance.unit`, times that
-    unit, so theta and v are the same numbers at every scale of A; the
-    division and the solve run in place on one n x n dense copy.  Incomplete
-    instances above the limit take seeded ARPACK's estimate and Ritz vector.
+    Where lapack_pair holds, LAPACK's value for the matrix divided by
+    `instance.unit`, times that unit, so theta and v are the same numbers at
+    every scale of A; the division and the solve run in place on one n x n
+    dense copy.  Elsewhere, seeded ARPACK's estimate and Ritz vector.
     Either solver's failure raises NumericalError.
     """
     n = instance.n
-    if n <= DENSE_EIG_LIMIT or instance.complete:
+    if lapack_pair(instance):
         m = instance.dense()
         m[np.diag_indices(n)] -= lam
         unit = instance.unit

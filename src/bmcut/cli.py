@@ -163,11 +163,14 @@ def cmd_bench(args) -> int:
 def cmd_certify(args) -> int:
     check_count("seed", args.seed, 0)
     check_count("trials", args.trials, 0)
+    if not 0.0 <= args.epsilon < math.inf:   # NaN fails
+        raise ValidationError(
+            f"epsilon must be >= 0 and finite, got {args.epsilon!r}")
     instance = _load_from_args(args)
     point = manifold.load_point(args.point)
     cert = certify.dual_upper_bound(instance, point,
                                     bcm.init_cache(instance, point))
-    # the report (r >= 2 only) checks epsilon before anything is printed
+    # the report (r >= 2 only) checks n * epsilon before anything is printed
     report = (certify.approx_report(instance, point, cert, args.epsilon)
               if point.r >= 2 else None)
     print(cert.to_json())

@@ -24,7 +24,7 @@ import scipy.linalg
 # bcm_step, select_coordinate, grad_metric_sq: unused, kept for perfbench spans
 from .bcm import (GradientCache, SolverConfig, bcm_step, drive, refresh_cache,
                   select_coordinate, start_point)
-from .certify import DENSE_EIG_LIMIT, dual_upper_bound, leading_pair
+from .certify import dual_upper_bound, lapack_pair, leading_pair
 from .errors import TrivialInstanceError, ValidationError, check_count
 from .manifold import (FactorPoint, _hess_apply_rows, _project_rows, exp_map,
                        grad_metric_sq, hess_quadratic, riemannian_gradient)
@@ -239,21 +239,15 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
     """Greedy coordinate ascent interleaved with escape steps.
 
     Above the threshold the greedy rule takes single-row steps (n of them
-    count as one epoch).  Below it, an escape step on n <= DENSE_EIG_LIMIT
+    count as one epoch).  Below it, an escape step where lapack_pair holds
       (a) computes LAPACK's top pair (theta, v) of A - Lambda (leading_pair);
       (b) declares the point eps-approximate concave if 2 theta < eps/2,
           which bounds every curvature below eps/2 and the gap by n eps/4;
       (c) steps along U = proj(v z^T), normalised, with z the last right
           singular vector of S, if its curvature is >= eps/2;
-      (d) else, and always above the limit (ARPACK's theta has no proven
-          margin, and U raises the rank of S by one per escape), runs
-          Lanczos on the curvature operator and steps along its direction
+      (d) else, and always elsewhere (ARPACK's theta has no proven margin),
+          runs Lanczos on the curvature operator, steps along its direction
           if that curvature is >= eps/2, or stops with the concave verdict.
-    The limit tests n, not instance.complete, although leading_pair is
-    LAPACK's on complete instances of any size: on Gaussian n = 300, r = 4,
-    eps = 0.05, seeds 3-8 from the all-equal start, (a)-(c) above the limit
-    saved only 6% in total (23.1 -> 21.7 s), and seed 5 got slower
-    (1.93 -> 2.47 s, with 2 escapes becoming 3).
     The header's lanczos_calls counts the steps that reached (d).  The loop
     itself is bcm.drive with the escape threshold and step, and
     max_epochs = min(cap, solver.max_epochs), where cap (see _check_epsilon)
@@ -281,8 +275,8 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
         lanczos_reorth=True, escape_seed=esc.seed, lanczos_calls=0)
 
     def escape_step():
-        ray = -math.inf   # above the limit Lanczos alone gives the direction
-        if instance.n <= DENSE_EIG_LIMIT:
+        ray = -math.inf   # elsewhere Lanczos alone gives the direction
+        if lapack_pair(instance):
             theta, v = leading_pair(instance, cache.inner)
             if 2.0 * theta < eps / 2.0:
                 return None

@@ -287,10 +287,10 @@ def test_criterion_9_byte_identical_traces(tmp_path):
             args = ["solve", "--gen", "er:n=20,edges=50,sign=-1,seed=4",
                     "--method", method, "--seed", "11",
                     "--max-epochs", "200"] + extra
-            paths = [str(tmp_path / f"{method}_{i}.jsonl") for i in (0, 1)]
+            paths = [tmp_path / f"{method}_{i}.jsonl" for i in (0, 1)]
             for p in paths:
-                assert cli.main(args + ["--trace", p]) == 0
-            b0, b1 = (open(p, "rb").read() for p in paths)
+                assert cli.main(args + ["--trace", str(p)]) == 0
+            b0, b1 = (p.read_bytes() for p in paths)
             assert b0 == b1
 
 

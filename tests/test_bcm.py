@@ -691,7 +691,7 @@ class TestTraceIO:
         _, trace = bcm.run(triangle, cfg, r=2)
         path = str(tmp_path / "t.jsonl")
         trace.write(path)
-        lines = [json.loads(x) for x in open(path)]
+        lines = [json.loads(x) for x in Path(path).read_text().splitlines()]
         assert lines[0]["type"] == "header"
         assert lines[0]["schema"] == "trace_v1"
         assert "instance_checksum" in lines[0]
@@ -706,7 +706,7 @@ class TestTraceIO:
         _, trace = bcm.run(triangle, cfg, r=2)
         path = str(tmp_path / "t.jsonl")
         trace.write(path, include_timing=True)
-        rec = json.loads(open(path).readlines()[1])
+        rec = json.loads(Path(path).read_text().splitlines()[1])
         assert "wall_time" in rec
 
     def test_csv_shape(self, tmp_path, triangle):
@@ -714,7 +714,7 @@ class TestTraceIO:
         _, trace = bcm.run(triangle, cfg, r=2)
         path = str(tmp_path / "t.csv")
         trace.write(path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         data = [x for x in lines if not x.startswith("#")]
         header = data[0].split(",")
         assert header[:3] == ["epoch", "kind", "f_raw"]

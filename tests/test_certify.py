@@ -1,8 +1,10 @@
+import ast
 import copy
 import hashlib
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -592,3 +594,34 @@ class TestWeakDualityChain:
                                     np.random.default_rng(seed))
             assert cut.value <= trace.final().f_raw + 1e-8
             assert trace.final().f_raw <= cert.upper_bound + 1e-8
+
+
+def names_used(source: str) -> set[str]:
+    """Every name the source reads, binds, imports or takes as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+@pytest.mark.parametrize("source, named", [
+    ("from .certify import DENSE_EIG_LIMIT as LIMIT\n", True),
+    ("big = n > certify.DENSE_EIG_LIMIT\n", True),
+    ("DENSE_EIG_LIMIT = 200\n", True),
+    ("# DENSE_EIG_LIMIT\nx = 'DENSE_EIG_LIMIT'\n", False)],
+    ids=["import", "attribute", "assignment", "comment"])
+def test_checker_finds_names(source, named):
+    assert ("DENSE_EIG_LIMIT" in names_used(source)) == named
+
+
+def test_certify_alone_names_the_dense_limit():
+    # lapack_pair is the one rule for where LAPACK's pair is taken
+    for path in sorted(Path(certify.__file__).parent.glob("*.py")):
+        if path.name != "certify.py":
+            assert "DENSE_EIG_LIMIT" not in names_used(path.read_text()), (
+                f"bmcut.{path.stem} names DENSE_EIG_LIMIT")

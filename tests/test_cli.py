@@ -24,7 +24,7 @@ class TestSolve:
                         "--max-epochs", "200", "--seed", "3",
                         "--trace", str(trace)])
         assert code == 0
-        lines = [json.loads(x) for x in open(trace)]
+        lines = [json.loads(x) for x in trace.read_text().splitlines()]
         f = [x["f_raw"] for x in lines if x["type"] == "record"]
         assert all(b >= a for a, b in zip(f, f[1:]))
         out = capsys.readouterr().out
@@ -175,8 +175,8 @@ class TestSolve:
         t1, t2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         run_cli(base + ["--trace", str(t1)])
         run_cli(base + ["--trace", str(t2), "--timings"])
-        rec1 = json.loads(open(t1).readlines()[1])
-        rec2 = json.loads(open(t2).readlines()[1])
+        rec1 = json.loads(t1.read_text().splitlines()[1])
+        rec2 = json.loads(t2.read_text().splitlines()[1])
         assert "wall_time" not in rec1
         assert "wall_time" in rec2
 
@@ -342,15 +342,21 @@ class TestCertify:
         assert exc.value.code == 2
 
     # --trials=-5 printed the certificate and the report before it failed
-    @pytest.mark.parametrize("arg", ["--epsilon=-5", "--epsilon=nan",
-                                     "--epsilon=inf", "--trials=-5"],
-                             ids=["-5", "nan", "inf", "trials=-5"])
+    @pytest.mark.parametrize("arg, rank1", [
+        ("--epsilon=-5", False), ("--epsilon=nan", False),
+        ("--epsilon=inf", False), ("--trials=-5", False),
+        ("--epsilon=-1", True), ("--epsilon=nan", True),
+        ("--epsilon=inf", True)],
+        ids=["-5", "nan", "inf", "trials=-5", "rank1:-1", "rank1:nan",
+             "rank1:inf"])
     def test_bad_epsilon_is_validation_error(self, tmp_path, capsys, arg,
-                                             triangle_optimum):
+                                             rank1, triangle_optimum):
+        # a rank-1 point has no report to check epsilon
         tri = tmp_path / "tri.txt"
         tri.write_text("1 2 -1\n1 3 -1\n2 3 -1\n")
         pt = tmp_path / "opt.bin"
-        bmcut.save_point(triangle_optimum, str(pt))
+        bmcut.save_point(bmcut.FactorPoint(np.ones((3, 1))) if rank1
+                         else triangle_optimum, str(pt))
         assert run_cli(["certify", "--edge-list", str(tri), "--point", str(pt),
                         arg]) == 2
         out = capsys.readouterr()

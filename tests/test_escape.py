@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import bmcut
-from bmcut import TrivialInstanceError, ValidationError, bcm, escape, manifold
+from bmcut import (TrivialInstanceError, ValidationError, bcm, certify, escape,
+                   manifold)
 
 import oracles
+from conftest import gaussian_pair_zeroed
 
 
 def rand_setup(n=10, r=3, seed=0, inst_seed=1):
@@ -385,17 +387,39 @@ class TestRunBcm2:
         cert = bmcut.dual_upper_bound(inst, point, bcm.init_cache(inst, point))
         assert cert.gap <= n * eps / 4 + 1e-9 * n * inst.one_norm
 
-    def test_lanczos_alone_above_dense_limit(self, monkeypatch):
-        # above the limit no leading pair is computed: every escape step,
-        # and the concave verdict, come from Lanczos
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_complete_above_dense_limit_takes_leading_pair(self, monkeypatch,
+                                                           seed):
+        # a complete instance takes LAPACK's pair at any size, so the escape
+        # steps along v z^T without a Lanczos call
         calls, real = [], escape.leading_pair
         monkeypatch.setattr(escape, "leading_pair",
                             lambda *args: calls.append(1) or real(*args))
-        monkeypatch.setattr(escape, "DENSE_EIG_LIMIT", 10)
+        inst = bmcut.gen_gaussian(201, seed)
+        assert inst.n > certify.DENSE_EIG_LIMIT and inst.complete
+        start = np.zeros((201, 2))
+        start[:, 0] = 1.0
+        _, trace = escape.run_bcm2(
+            inst, bcm.SolverConfig(rule="greedy", max_epochs=1),
+            escape.EscapeConfig(epsilon=0.01),
+            initial=bmcut.FactorPoint(start))
+        assert trace.header["escape_steps"] == 1
+        assert trace.header["lanczos_calls"] == 0
+        assert calls == [1]
+
+    def test_lanczos_alone_above_dense_limit(self, monkeypatch):
+        # on an incomplete instance above the limit no leading pair is
+        # computed: every escape step, and the concave verdict, come from
+        # Lanczos
+        calls, real = [], escape.leading_pair
+        monkeypatch.setattr(escape, "leading_pair",
+                            lambda *args: calls.append(1) or real(*args))
+        monkeypatch.setattr(certify, "DENSE_EIG_LIMIT", 10)
         start = np.zeros((20, 4))
         start[:, 0] = 1.0
         _, trace = escape.run_bcm2(
-            bmcut.gen_gaussian(20, 8), bcm.SolverConfig(rule="greedy", seed=1),
+            gaussian_pair_zeroed(20, 8),
+            bcm.SolverConfig(rule="greedy", seed=1),
             escape.EscapeConfig(epsilon=0.01, seed=2),
             initial=bmcut.FactorPoint(start))
         assert calls == []
