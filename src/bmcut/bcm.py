@@ -12,11 +12,11 @@ import json
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ValidationError, check_count
+from .errors import ValidationError, check_count, check_real
 from .manifold import FactorPoint, grad_metric_sq, metric_term, random_point
 from .problem import ProblemInstance
 
@@ -162,9 +162,8 @@ class SolverConfig:
         if self.rule not in RULES:
             raise ValidationError(f"unknown rule {self.rule!r}; pick from {RULES}")
         self.max_epochs = check_count("max_epochs", self.max_epochs, 1)
-        if self.grad_tol is not None and not 0 <= self.grad_tol < math.inf:
-            raise ValidationError(   # NaN fails too
-                f"grad_tol must be finite and >= 0, got {self.grad_tol}")
+        if self.grad_tol is not None:
+            self.grad_tol = check_real("grad_tol", self.grad_tol, 0.0)
         self.seed = check_count("seed", self.seed, 0)
 
 
@@ -181,18 +180,17 @@ class TraceRecord:
     grad_metric_sq: float
     steps: int
     coords_updated: int
-    wall_time: float
     escape_gain: float | None = None
     rayleigh: float | None = None
+    wall_time: float = 0.0       # last: serialized only when asked
 
-    _FIELDS = ("epoch", "kind", "f_raw", "f_total", "grad_metric_sq",
-               "steps", "coords_updated", "escape_gain", "rayleigh")
+    @staticmethod
+    def columns(include_timing: bool = False) -> list[str]:
+        names = [f.name for f in fields(TraceRecord)]
+        return names if include_timing else names[:-1]
 
     def as_dict(self, include_timing: bool = False) -> dict:
-        out = {k: getattr(self, k) for k in self._FIELDS}
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
+        return {k: getattr(self, k) for k in self.columns(include_timing)}
 
 
 @dataclass
@@ -227,18 +225,14 @@ class SolveTrace:
                     row = {"type": "record", **rec.as_dict(include_timing)}
                     fh.write(json.dumps(row, sort_keys=True) + "\n")
                 return
-            cols = list(TraceRecord._FIELDS)
-            if include_timing:
-                cols.append("wall_time")
             fh.write(f"# schema=trace_v1 status={self.status}\n")
             for key in sorted(self.header):
                 fh.write(f"# {key}={self.header[key]}\n")
-            fh.write(",".join(cols) + "\n")
-            for rec in self.records:
-                row = rec.as_dict(include_timing)
-                fh.write(",".join("" if row[c] is None else repr(row[c])
-                                  if isinstance(row[c], float) else str(row[c])
-                                  for c in cols) + "\n")
+            fh.write(",".join(TraceRecord.columns(include_timing)) + "\n")
+            for rec in self.records:   # as_dict keeps the column order
+                vals = rec.as_dict(include_timing).values()
+                fh.write(",".join("" if v is None else repr(v) if isinstance(v, float)
+                                  else str(v) for v in vals) + "\n")
 
 
 def start_point(instance: ProblemInstance, method: str, config: SolverConfig,

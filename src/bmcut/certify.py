@@ -19,7 +19,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .bcm import GradientCache
-from .errors import NumericalError, ValidationError, check_count
+from .errors import NumericalError, ValidationError, check_count, check_real
 from .manifold import FactorPoint
 from .problem import ProblemInstance
 
@@ -113,6 +113,15 @@ def dual_upper_bound(instance: ProblemInstance, point: FactorPoint,
                        gap=upper - cache.objective())
 
 
+def report_epsilon(n: int, epsilon) -> float:
+    """The report's epsilon as a float: >= 0, with n * epsilon finite."""
+    eps = check_real("epsilon", epsilon, 0.0)
+    if math.isinf(n * eps):   # n = 0 gives 0
+        raise ValidationError(
+            f"epsilon must be >= 0 with n * epsilon finite, got {epsilon!r}")
+    return eps
+
+
 def approx_report(instance: ProblemInstance, point: FactorPoint,
                   cert: Certificate, epsilon: float) -> dict:
     """Achieved value against the certified bound, with the floors for the
@@ -122,12 +131,9 @@ def approx_report(instance: ProblemInstance, point: FactorPoint,
     duality needs no such condition, but the upper bound holds the
     eigensolver's theta for lambda_max with no margin added.
     """
-    r = point.r
+    epsilon, r = report_epsilon(instance.n, epsilon), point.r
     if r < 2:
         raise ValidationError(f"the report needs r >= 2, got r = {r}")
-    if not (epsilon >= 0.0 and math.isfinite(instance.n * epsilon)):
-        raise ValidationError(
-            f"epsilon must be >= 0 with n * epsilon finite, got {epsilon!r}")
     f = float(cert.lam.sum())
     u = cert.upper_bound
     ratio = f / u if u > 0 else None

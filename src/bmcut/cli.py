@@ -163,19 +163,15 @@ def cmd_bench(args) -> int:
 def cmd_certify(args) -> int:
     check_count("seed", args.seed, 0)
     check_count("trials", args.trials, 0)
-    if not 0.0 <= args.epsilon < math.inf:   # NaN fails
-        raise ValidationError(
-            f"epsilon must be >= 0 and finite, got {args.epsilon!r}")
     instance = _load_from_args(args)
+    epsilon = certify.report_epsilon(instance.n, args.epsilon)   # at every rank
     point = manifold.load_point(args.point)
     cert = certify.dual_upper_bound(instance, point,
                                     bcm.init_cache(instance, point))
-    # the report (r >= 2 only) checks n * epsilon before anything is printed
-    report = (certify.approx_report(instance, point, cert, args.epsilon)
-              if point.r >= 2 else None)
     print(cert.to_json())
-    if report is not None:
-        print(json.dumps(report, sort_keys=True))
+    if point.r >= 2:   # approx_report refuses r = 1
+        print(json.dumps(certify.approx_report(instance, point, cert, epsilon),
+                         sort_keys=True))
     if args.trials:
         rng = np.random.default_rng(args.seed)
         cut = certify.round_cut(instance, point, args.trials, rng)
@@ -206,17 +202,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="run the solver on one instance")
     _add_instance_args(sp)
     sp.add_argument("--method", choices=("bcm", "bcm2"), default="bcm")
-    sp.add_argument("--rule", choices=bcm.RULES, default="cyclic",
+    sp.add_argument("--rule", choices=bcm.RULES, default=bcm.SolverConfig.rule,
                     help="coordinate rule (bcm2 always uses greedy internally)")
     sp.add_argument("--r", type=int, default=None,
                     help="factor rank; default ceil(sqrt(2n))")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-epochs", type=int, default=10_000)
+    sp.add_argument("--seed", type=int, default=bcm.SolverConfig.seed)
+    sp.add_argument("--max-epochs", type=int, default=bcm.SolverConfig.max_epochs)
     sp.add_argument("--grad-tol", type=float, default=None)
     sp.add_argument("--epsilon", type=float, default=None,
                     help="accuracy target for bcm2; default auto from the "
                          "dual bound")
-    sp.add_argument("--delta", type=float, default=0.01)
+    sp.add_argument("--delta", type=float, default=escape.EscapeConfig.delta)
     sp.add_argument("--trace", help="trace output (.jsonl or .csv)")
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock in traces (breaks byte-level "
@@ -255,13 +251,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (NumericalError, np.linalg.LinAlgError) as exc:

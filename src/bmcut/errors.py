@@ -1,5 +1,7 @@
-"""Exception types, and the one integer check, shared across the package."""
+"""Exception types, and the package's one integer check and one real check."""
 
+import math
+import numbers
 import operator
 
 
@@ -36,3 +38,18 @@ def check_count(name: str, value, low: int, high: int | None = None) -> int:
     if high is not None and k >= high:
         raise ValidationError(f"{name} must be < {high}, got {k}")
     return k
+
+
+def check_real(name: str, value, low: float, high: float = math.inf, *,
+               open_low: bool = False) -> float:
+    """A finite real in [low, high), or (low, high) when open_low, as a Python
+    float; bools, strings, complex numbers, arrays and NaN are refused."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan
+    except OverflowError:   # an int beyond the float range
+        x = math.nan
+    if not (low < x if open_low else low <= x) or not x < high:   # NaN fails
+        raise ValidationError(f"{name} must be a real number in "
+                              f"{'(' if open_low else '['}{low:g}, {high:g}), got {value!r}")
+    return x

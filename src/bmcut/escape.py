@@ -25,7 +25,7 @@ import scipy.linalg
 from .bcm import (GradientCache, SolverConfig, bcm_step, drive, refresh_cache,
                   select_coordinate, start_point)
 from .certify import dual_upper_bound, lapack_pair, leading_pair
-from .errors import TrivialInstanceError, ValidationError, check_count
+from .errors import TrivialInstanceError, ValidationError, check_count, check_real
 from .manifold import (FactorPoint, _hess_apply_rows, _project_rows, exp_map,
                        grad_metric_sq, hess_quadratic, riemannian_gradient)
 from .problem import ProblemInstance
@@ -44,10 +44,9 @@ class EscapeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon is not None and not 0.0 < self.epsilon < math.inf:
-            raise ValidationError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValidationError("delta must be in (0, 1)")
+        if self.epsilon is not None:
+            self.epsilon = check_real("epsilon", self.epsilon, 0.0, open_low=True)
+        self.delta = check_real("delta", self.delta, 0.0, 1.0, open_low=True)
         self.seed = check_count("seed", self.seed, 0)
 
 
@@ -70,20 +69,19 @@ class LanczosResult:
     iterations: int
 
 
-def _check_epsilon(instance: ProblemInstance, epsilon: float) -> int:
-    """Refuse an epsilon that leaves an escape constant undefined, and return
-    the epoch cap ceil(675 n |A|_1^2 / eps^2), the cap on a run's combined
-    epochs and so on its Lanczos calls.  Every constant divides by epsilon
-    or |A|_1; the threshold and the ascent floor cube eps/|A|_1."""
-    if not 0.0 < epsilon < math.inf:   # NaN fails
-        raise ValidationError(f"epsilon must be finite and > 0, got {epsilon}")
+def _check_epsilon(instance: ProblemInstance, epsilon) -> tuple[float, int]:
+    """Refuse an epsilon that leaves an escape constant undefined; return it
+    as a float, with the epoch cap ceil(675 n |A|_1^2 / eps^2) on a run's
+    combined epochs and so on its Lanczos calls.  Every constant divides by
+    epsilon or |A|_1; the threshold and the ascent floor cube eps/|A|_1."""
+    epsilon = check_real("epsilon", epsilon, 0.0, open_low=True)
     if instance.one_norm == 0.0:
         raise TrivialInstanceError("zero cost matrix: every point is optimal")
     try:   # float ** raises OverflowError where * and / give inf
         cap = EPOCH_CAP_NUM * instance.n * instance.one_norm**2 / epsilon**2
         cube = (epsilon / instance.one_norm)**3   # free of the units of A
         if max(cap, cube * instance.one_norm, cube * instance.one_norm**2) < math.inf:
-            return math.ceil(cap)
+            return epsilon, math.ceil(cap)
     except (OverflowError, ZeroDivisionError):
         pass
     raise ValidationError(f"epsilon = {epsilon!r} gives no finite escape "
@@ -92,13 +90,13 @@ def _check_epsilon(instance: ProblemInstance, epsilon: float) -> int:
 
 def escape_threshold(instance: ProblemInstance, epsilon: float) -> float:
     """Gradient-metric level below which the second-order branch engages."""
-    _check_epsilon(instance, epsilon)
+    epsilon, _ = _check_epsilon(instance, epsilon)
     return (epsilon / instance.one_norm)**3 * instance.one_norm**2 / THRESHOLD_DENOM
 
 
 def escape_ascent_floor(instance: ProblemInstance, epsilon: float) -> float:
     """Guaranteed objective gain of one accepted escape step."""
-    _check_epsilon(instance, epsilon)
+    epsilon, _ = _check_epsilon(instance, epsilon)
     return (epsilon / instance.one_norm)**3 * instance.one_norm / ASCENT_DENOM
 
 
@@ -115,10 +113,9 @@ def lanczos_budget(instance: ProblemInstance, epsilon: float, delta: float,
     Ritz vectors, with every Ritz value lower by 4 |A|_1, and the budget
     holds for it unchanged.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
+    delta = check_real("delta", delta, 0.0, 1.0, open_low=True)
     r = check_count("r", r, 2)
-    calls = _check_epsilon(instance, epsilon)
+    epsilon, calls = _check_epsilon(instance, epsilon)
     dim = instance.n * (r - 1)
     ell = math.ceil(
         (0.5 + 2.0 * math.sqrt(instance.one_norm / epsilon))
@@ -205,7 +202,7 @@ def second_order_step(instance: ProblemInstance, point: FactorPoint,
     tangent array `direction`, followed by a full cache rebuild.  Mutates
     point and cache; returns the measured objective increase.
     """
-    _check_epsilon(instance, epsilon)
+    epsilon, _ = _check_epsilon(instance, epsilon)
     nrm = float(np.linalg.norm(direction))
     if not abs(nrm - 1.0) <= 1e-8:   # NaN fails
         raise ValidationError(f"direction must have unit Frobenius norm, got {nrm}")
@@ -262,9 +259,8 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
         trace.status = "trivial"
         return point, trace
 
-    eps = esc.epsilon if esc.epsilon is not None else auto_epsilon(
-        instance, point, cache)
-    cap = _check_epsilon(instance, eps)
+    eps, cap = _check_epsilon(instance, esc.epsilon if esc.epsilon is not None
+                              else auto_epsilon(instance, point, cache))
     threshold = escape_threshold(instance, eps)
     budget = lanczos_budget(instance, eps, esc.delta, point.r)
     t_step = eps / (STEP_DENOM * instance.one_norm)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParseError, ValidationError, check_count
+from .errors import DimensionError, ParseError, ValidationError, check_count, check_real
 
 UNIT_TOL = 1e-12
 TANGENT_TOL = 1e-8
@@ -46,14 +46,14 @@ class FactorPoint:
         return FactorPoint(self.sigma.copy())
 
 
-def _check_tangency(sigma: np.ndarray, u: np.ndarray, tol: float = TANGENT_TOL):
+def _check_tangency(sigma: np.ndarray, u: np.ndarray):
     if u.shape != sigma.shape:
         raise DimensionError(f"tangent shape {u.shape} != point shape {sigma.shape}")
     dots = np.abs(np.einsum("ij,ij->i", sigma, u))
     # relative to |u_i|, which hypot forms without underflow; NaN fails
-    if not np.all(dots <= tol * np.hypot.reduce(u, axis=1)):
+    if not np.all(dots <= TANGENT_TOL * np.hypot.reduce(u, axis=1)):
         raise ValidationError(f"matrix is not tangent to the point "
-                              f"(|<s_i, u_i>| > {tol:g} |u_i| in some row)")
+                              f"(|<s_i, u_i>| > {TANGENT_TOL:g} |u_i| in some row)")
 
 
 def _project_rows(sigma: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -79,8 +79,7 @@ def exp_map(point: FactorPoint, u: np.ndarray, t: float) -> FactorPoint:
     x_i = |u_i| t/pi: sigma_i cos(theta) + (u_i/|u_i|) sin(theta) without the
     division, so a row with u_i = 0 stays; cos and sinc see one rounded
     angle pi x_i, so rows stay unit at any t."""
-    if t < 0:
-        raise ValidationError(f"step length must be >= 0, got {t}")
+    t = check_real("t", t, 0.0)
     _check_tangency(point.sigma, u)
     x = np.linalg.norm(u, axis=1, keepdims=True) * t / np.pi
     return FactorPoint(point.sigma * np.cos(np.pi * x)

@@ -574,6 +574,67 @@ class TestRun:
         _, trace = bcm.run(bmcut.gen_gaussian(6, 0), cfg, r=2)
         trace.write(str(tmp_path / "t.jsonl"))   # the header is plain JSON
 
+    @pytest.mark.parametrize("value", [
+        True, np.True_, "0.1", 1j, np.array([0.1]), float("nan"), 10**400],
+        ids=["bool", "numpy_bool", "str", "complex", "array", "nan", "big_int"])
+    @pytest.mark.parametrize("field, make", [
+        ("grad_tol", lambda v, _: bcm.SolverConfig(grad_tol=v)),
+        ("epsilon", lambda v, _: escape.EscapeConfig(epsilon=v)),
+        ("delta", lambda v, _: escape.EscapeConfig(delta=v)),
+        ("epsilon", lambda v, s: escape.escape_threshold(s[0], v)),
+        ("epsilon", lambda v, s: escape.escape_ascent_floor(s[0], v)),
+        ("epsilon", lambda v, s: escape.lanczos_budget(s[0], v, 0.01, 3)),
+        ("delta", lambda v, s: escape.lanczos_budget(s[0], 0.1, v, 3)),
+        ("epsilon", lambda v, s: escape.second_order_step(
+            *s[:3], oracles.random_tangent(s[1], np.random.default_rng(0)), v)),
+        ("t", lambda v, s: manifold.exp_map(
+            s[1], oracles.random_tangent(s[1], np.random.default_rng(0)), v)),
+        ("epsilon", lambda v, s: bmcut.approx_report(
+            s[0], s[1], bmcut.dual_upper_bound(*s), v)),
+    ], ids=["grad_tol", "config_epsilon", "config_delta", "escape_threshold",
+            "escape_ascent_floor", "lanczos_budget_epsilon",
+            "lanczos_budget_delta", "second_order_step", "exp_map",
+            "approx_report"])
+    def test_non_real_parameters_refused(self, field, make, value):
+        # bools and arrays passed as numbers, strings and complex numbers
+        # raised TypeError, and NaN reached the arithmetic
+        with pytest.raises(ValidationError, match=f"{field} must be"):
+            make(value, six())
+
+    def test_numpy_reals_stored_as_float(self, tmp_path):
+        for x in (np.float32(0.25), np.float64(0.25), 1):
+            assert type(bcm.SolverConfig(grad_tol=x).grad_tol) is float
+            assert type(escape.EscapeConfig(epsilon=x).epsilon) is float
+            assert type(escape.EscapeConfig(delta=x / 2).delta) is float
+        # a float32 epsilon set the precision of the escape constants
+        inst, eps, delta = bmcut.gen_gaussian(10, 1), np.float32(0.01), np.float32(0.3)
+        for fn in (escape.escape_threshold, escape.escape_ascent_floor):
+            assert fn(inst, eps) == fn(inst, float(eps))
+            assert type(fn(inst, eps)) is float
+        assert (escape.lanczos_budget(inst, eps, delta, 3)
+                == escape.lanczos_budget(inst, float(eps), float(delta), 3))
+
+        def trace_bytes(eps, delta, tol):
+            # a float32 reached the JSON header and failed the write
+            _, bcm2 = escape.run_bcm2(inst, bcm.SolverConfig(),
+                                      escape.EscapeConfig(eps, delta), r=3)
+            _, plain = bcm.run(inst, bcm.SolverConfig(grad_tol=tol), r=3)
+            out = []
+            for trace in (bcm2, plain):
+                for name in ("t.jsonl", "t.csv"):
+                    trace.write(str(tmp_path / name))
+                    out.append((tmp_path / name).read_bytes())
+            return out
+
+        f32 = (np.float32(0.05), delta, np.float32(1e-3))
+        assert trace_bytes(*f32) == trace_bytes(*map(float, f32))
+        inst, point, cache = six()
+        report = bmcut.approx_report(inst, point,
+                                     bmcut.dual_upper_bound(inst, point, cache),
+                                     np.float32(0.1))
+        assert report["epsilon"] == float(np.float32(0.1))
+        json.dumps(report)
+
     def test_run_needs_r_or_initial(self, triangle):
         cfg = bcm.SolverConfig()
         with pytest.raises(ValidationError):

@@ -346,9 +346,10 @@ class TestCertify:
         ("--epsilon=-5", False), ("--epsilon=nan", False),
         ("--epsilon=inf", False), ("--trials=-5", False),
         ("--epsilon=-1", True), ("--epsilon=nan", True),
-        ("--epsilon=inf", True)],
+        ("--epsilon=inf", True), ("--epsilon=1e308", False),
+        ("--epsilon=1e308", True)],
         ids=["-5", "nan", "inf", "trials=-5", "rank1:-1", "rank1:nan",
-             "rank1:inf"])
+             "rank1:inf", "1e308", "rank1:1e308"])
     def test_bad_epsilon_is_validation_error(self, tmp_path, capsys, arg,
                                              rank1, triangle_optimum):
         # a rank-1 point has no report to check epsilon
@@ -482,6 +483,28 @@ def test_git_describe_ignores_working_directory(tmp_path, monkeypatch):
                            capture_output=True, text=True, check=True)
     monkeypatch.chdir(tmp_path)
     assert cli._git_describe() != other.stdout.strip()
+
+
+def test_solve_defaults_are_the_configs():
+    args = cli.build_parser().parse_args(["solve", "--gen", "gaussian:n=4,seed=0"])
+    solver, esc = bmcut.SolverConfig(), bmcut.EscapeConfig()
+    assert (args.rule, args.max_epochs, args.grad_tol, args.seed) == (
+        solver.rule, solver.max_epochs, solver.grad_tol, solver.seed)
+    assert (args.epsilon, args.delta, args.seed) == (
+        esc.epsilon, esc.delta, esc.seed)
+
+
+def test_readme_cli_examples_parse():
+    # a README example that names a removed or renamed flag fails here
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI\n", 1)[1]
+    block = block.split("```", 2)[1].replace("\\\n", " ")
+    commands = [line.split() for line in block.splitlines()
+                if line.strip() and not line.lstrip().startswith("#")]
+    assert len(commands) == 6
+    for words in commands:
+        assert words[0] == "bmcut"
+        cli.build_parser().parse_args(words[1:])
 
 
 class TestEntryPoint:
