@@ -39,11 +39,11 @@ class GradientCache:
 
 
 def _row_stats(g: np.ndarray, sigma: np.ndarray, norms=None, inner=None):
-    """(|g_i|, <sigma_i, g_i>) for every row: the one formula behind every
-    norm and alignment in the cache.  Writes into norms and inner when they
-    are given."""
-    return (np.sqrt(np.einsum("ij,ij->i", g, g), out=norms),
-            np.einsum("ij,ij->i", sigma, g, out=inner))
+    """(|g_i|, <sigma_i, g_i>) for every row, one dot each: the one formula
+    behind every norm and alignment in the cache, the same bits in any batch
+    of rows.  Writes into norms and inner when they are given."""
+    sq = np.vecdot(g, g, out=norms)
+    return np.sqrt(sq, out=sq), np.vecdot(sigma, g, out=inner)
 
 
 def init_cache(instance: ProblemInstance, point: FactorPoint) -> GradientCache:
@@ -151,7 +151,7 @@ def block_sweep(instance: ProblemInstance, point: FactorPoint,
     return ascents
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     rule: str = "cyclic"
     max_epochs: int = 10_000
@@ -161,10 +161,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.rule not in RULES:
             raise ValidationError(f"unknown rule {self.rule!r}; pick from {RULES}")
-        self.max_epochs = check_count("max_epochs", self.max_epochs, 1)
+        object.__setattr__(self, "max_epochs",
+                           check_count("max_epochs", self.max_epochs, 1))
         if self.grad_tol is not None:
-            self.grad_tol = check_real("grad_tol", self.grad_tol, 0.0)
-        self.seed = check_count("seed", self.seed, 0)
+            object.__setattr__(self, "grad_tol",
+                               check_real("grad_tol", self.grad_tol, 0.0))
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
 
 
 def default_grad_tol(instance: ProblemInstance) -> float:

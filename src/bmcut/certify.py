@@ -140,7 +140,7 @@ def approx_report(instance: ProblemInstance, point: FactorPoint,
     factor1 = 1.0 - 1.0 / (r - 1)
     factor2 = 1.0 - 2.0 / (r - 1)
     notes = [
-        "upper_bound is unconditional (weak duality)",
+        "upper_bound is weak duality's, with no margin on the eigensolver's theta",
         "floors are conditional on the cost matrix being positive semidefinite",
         "floors use upper_bound in place of the unknown optimum, so they "
         "over-demand: meeting them is sufficient, missing them proves nothing",

@@ -37,7 +37,7 @@ EPOCH_CAP_NUM = 675.0
 LANCZOS_TAIL_CONST = 1.648
 
 
-@dataclass
+@dataclass(frozen=True)
 class EscapeConfig:
     epsilon: float | None = None   # None: pick from the dual bound at the start
     delta: float = 0.01            # failure probability budget for Lanczos
@@ -45,9 +45,11 @@ class EscapeConfig:
 
     def __post_init__(self):
         if self.epsilon is not None:
-            self.epsilon = check_real("epsilon", self.epsilon, 0.0, open_low=True)
-        self.delta = check_real("delta", self.delta, 0.0, 1.0, open_low=True)
-        self.seed = check_count("seed", self.seed, 0)
+            object.__setattr__(self, "epsilon", check_real(
+                "epsilon", self.epsilon, 0.0, open_low=True))
+        object.__setattr__(self, "delta", check_real(
+            "delta", self.delta, 0.0, 1.0, open_low=True))
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
 
 
 @dataclass

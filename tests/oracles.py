@@ -257,8 +257,8 @@ def bcm_step_reference(instance, point, cache, i: int) -> float:
         gc = cache.g[cols]
         gc += vals[:, None] * delta[None, :]
         cache.g[cols] = gc
-        cache.norms[cols] = np.sqrt(np.einsum("ij,ij->i", gc, gc))
-        cache.inner[cols] = np.einsum("ij,ij->i", gc, sigma[cols])
+        cache.norms[cols] = np.sqrt(np.vecdot(gc, gc))
+        cache.inner[cols] = np.vecdot(gc, sigma[cols])
     return float(ascent)
 
 

@@ -1,5 +1,6 @@
 import ast
 import copy
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -295,7 +296,7 @@ class TestFullRowStep:
         cache = bcm.init_cache(inst, point)
 
         def assert_norms_exact():
-            fresh = np.sqrt(np.einsum("ij,ij->i", cache.g, cache.g))
+            fresh = np.sqrt(np.vecdot(cache.g, cache.g))
             assert np.array_equal(cache.norms, fresh)
 
         assert_norms_exact()
@@ -306,6 +307,28 @@ class TestFullRowStep:
             i = bcm.select_coordinate(rule, cache, rng, step=step)
             bcm.bcm_step(inst, point, cache, i)
         assert_norms_exact()
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 22, 45, 64, 448])
+    def test_row_stats_bits_follow_the_row_alone(self, r):
+        # the cache takes _row_stats of all rows, of gathered neighbours and
+        # of single rows; one BLAS dot per row must give each row the same
+        # bits whichever rows share the call and wherever the row starts
+        rng = np.random.default_rng(r)
+        g, sigma = rng.standard_normal((2, 9, r))
+        norms, inner = bcm._row_stats(g, sigma)
+        buf = np.empty(2 * g.size + 1)   # rows one double off their alignment
+        g_odd = buf[1:g.size + 1].reshape(g.shape)
+        sigma_odd = buf[g.size + 1:].reshape(g.shape)
+        g_odd[:], sigma_odd[:] = g, sigma
+        rows = np.array([7, 0, 3, 3, 8])
+        cases = [(rows, bcm._row_stats(g.take(rows, 0), sigma.take(rows, 0))),
+                 (slice(None), bcm._row_stats(g_odd, sigma_odd))]
+        for k in range(9):
+            cases += [([k], bcm._row_stats(g[k][None], sigma[k][None])),
+                      ([k], bcm._row_stats(g_odd[k:k + 1], sigma_odd[k:k + 1]))]
+        for idx, (got_norms, got_inner) in cases:
+            assert got_norms.tobytes() == norms[idx].tobytes()
+            assert got_inner.tobytes() == inner[idx].tobytes()
 
     def test_keeps_negative_zero_in_own_row(self, triangle):
         # g_2 = (-2, -0.0) and sigma_2 = (0, -1): delta_2 = (-1, +1), so
@@ -507,6 +530,26 @@ class TestRun:
         for tol in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="grad_tol"):
                 bcm.SolverConfig(grad_tol=tol)
+
+    def test_configs_are_frozen(self):
+        # a field assigned after construction would skip its check and fail
+        # later, in drive or trace.write; replace runs the checks again
+        cfg, esc = bcm.SolverConfig(), bmcut.EscapeConfig(epsilon=0.1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.max_epochs = 2.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            esc.epsilon = np.float32(0.1)
+        with pytest.raises(ValidationError, match="max_epochs"):
+            dataclasses.replace(cfg, max_epochs=2.5)
+        with pytest.raises(ValidationError, match="delta"):
+            dataclasses.replace(esc, delta=1.0)
+        moved = dataclasses.replace(cfg, max_epochs=np.int64(3))
+        assert type(moved.max_epochs) is int and cfg.max_epochs == 10_000
+        # run_bcm2 runs drive on its own greedy copy of the solver config
+        cyclic = bcm.SolverConfig(rule="cyclic", max_epochs=2, seed=0)
+        _, trace = bmcut.run_bcm2(bmcut.gen_gaussian(30, 0), cyclic, esc, r=3)
+        assert trace.status == "max_epochs" and trace.header["bcm_epochs"] <= 2
+        assert cyclic == bcm.SolverConfig(rule="cyclic", max_epochs=2, seed=0)
 
     @pytest.mark.parametrize("field, make", [
         ("max_epochs", lambda: bcm.SolverConfig(max_epochs=2.5)),
@@ -795,18 +838,22 @@ class TestGoldenTraces:
     case's final objective to 1e-10 relative, so a renewed digest must come
     with iterates that moved only in their last bits."""
 
+    # renewed when _row_stats came to take its row dots from np.vecdot in
+    # place of np.einsum: sigma within 4.8e-14, final f_raw within 3.6e-16
+    # relative, the same records
     BCM = {
-        "cyclic": "957917112e0cdd1af4c7ce007316341195a59bd360bde2811b0b962c8370179b",
-        "uniform": "da7d086fac4e8d5ddfc57c4abca4af8aa2684682ed7bd5e2ad17e270924ec278",
-        "importance": "41b41670fb6888126333f58b9addfc8a75b9bcf522cc4239eb9b185f82070a7f",
-        "greedy": "55a2f859a97e4ce778eceeacd76f4fa9bb6feaa57d0a31201d8bc93c7929171d",
+        "cyclic": "f7e64790f218d8b1acbd7c9d0b33149d7731e588ea5c04d3f96647d9f9a1380d",
+        "uniform": "e1a6f3713957912e5582ca81f731c86ff4e96215d9d4acff12b602aca14dee35",
+        "importance": "6fbcaf1ddc82672b68ba1ad0d85d60fe9efc4660fe3842899e02a952b427be0a",
+        "greedy": "bd1cf8d4709d137d8a7b2d013eb0b92ff46aa2a315b845da03128f8c108d3bc0",
     }
     # renewed when the header gained lanczos_calls (0 here); without that
     # field the file and the iterates are the earlier ones, byte for byte;
     # renewed again when complete instances moved to dense storage, whose
     # BLAS products round differently from CSR's (sigma within 2.5e-14,
-    # final f_raw 2.5e-16 relative, the same records)
-    BCM2 = "1280ffc5c3be434d5266571866107faa9fc2913efd18e0f64bf39931c49dbda5"
+    # final f_raw 2.5e-16 relative, the same records); and for np.vecdot
+    # in _row_stats (sigma within 3.8e-14, final f_raw 1.2e-16 relative)
+    BCM2 = "6a4dd7dad27d7971b880e19eaba806f16b57c6288252ba42166feae73a51b651"
     # it pins the rounding of the escape directions, which test_bcm2 (no
     # escape step) does not; renewed when they came from the leading pair
     # of A - Lambda in place of tangent Lanczos (the same 6 escapes and 151
@@ -814,37 +861,45 @@ class TestGoldenTraces:
     # again when the refresh moved to a sweep start and exp_map gave cos
     # and sinc one angle (sigma within 5.9e-15, final f_raw bit-identical),
     # and when complete instances moved to dense storage (sigma within
-    # 2.6e-14, final f_raw 3.7e-16 relative, the same 6 escapes)
-    BCM2_ESCAPES = "ca64caf4347983caa89d844fb16d3e88352337654f79dd8aefe8953fe35b0c84"
+    # 2.6e-14, final f_raw 3.7e-16 relative, the same 6 escapes), and for
+    # np.vecdot in _row_stats (sigma within 8.5e-15, final f_raw 3.7e-16)
+    BCM2_ESCAPES = "950fc2cdfa4b18fb2d7dcb1e9ccc7b80e235052d8d53e5fae043e7bd2f842376"
     # the same start on CSR storage: drive's threshold pre-check and the
     # gather-and-scatter step under an escape policy (2 escapes, 123
     # records).  Computed before bcm_step read its scalars as Python floats
-    # and gathered with ndarray.take; neither moved a bit of it
+    # and gathered with ndarray.take; neither moved a bit of it.  Renewed
+    # for np.vecdot in _row_stats: the metric's slow tail reaches the
+    # escape threshold 31 steps later (7155 coordinate steps, not 7124), so
+    # sigma is within 9.5e-7 and the final f_raw 1.0e-13 relative, with the
+    # same 123 records, 2 escapes and concave verdict
     BCM2_ESCAPES_CSR = (
-        "04a6e76c0209393d36abcf252927539158841c42ddd46a375d18906e30cf0890")
+        "954285ed0e1e5c5a7ad66218458bf40122f3a88cd000a5ebfb7d5eb90e6817cf")
 
     # every row of these is full: bcm_step's in-place path, and the cyclic
     # sweeps run through the step-by-step reference in place of block_sweep;
     # both were renewed when complete instances moved to dense storage, where
     # init_cache and refresh_cache take BLAS products in place of CSR ones
     # (sigma within 2.7e-14 and 1.1e-14, final f_raw 1.8e-16 relative and
-    # bit-identical)
+    # bit-identical); and for np.vecdot in _row_stats (sigma within 2.5e-14
+    # and 1.2e-14, final f_raw bit-identical)
     BCM_DENSE = {
         (240, 0, 22, "cyclic"):
-            "6416fdef05178d10f8fbaa492b72eaf892871bb71397ffd177fa709b7ecad115",
+            "d730da230c2b28e26c175f846acc30fcda9863cd8b17b219f2995afb19684ea5",
         (61, 2, 5, "greedy"):
-            "ccd23a33e9b546445b492ee0ddbcac2e30107d769b50cc5d68872119f28afe26",
+            "fdd0deaacaf4417d1c03b8202099a0913164ae38068b97c1cdc0e2f976e9254f",
     }
 
     # the same cyclic case, and a uniform one, through block_sweep itself;
     # sigma is within 2.6e-14 and 7.2e-15 of the step-by-step sweep's.
     # Renewed for dense storage: sigma within 6.8e-15 and 3.7e-15, final
-    # f_raw 1.8e-16 relative and bit-identical
+    # f_raw 1.8e-16 relative and bit-identical; for np.vecdot in _row_stats:
+    # sigma within 6.0e-15 and 2.8e-15, final f_raw bit-identical and
+    # 1.9e-16 relative
     BCM_BLOCKED = {
         (240, 0, 22, "cyclic"):
-            "e0db2836f134141a8870f64b786099b2d8d0c896bd9e6278a50bb62e92b65e95",
+            "bae62c66beb13c386155ce412e46f9aeb7eb8ebe4d3daffbfb08ad9243222972",
         (61, 2, 5, "uniform"):
-            "2fd1ba08376be93941292bbc6c71f46a106a8e7486b1eb7dd264f84d8168cefb",
+            "5e9b932826edff2bd5f827bab8d4cf0802ff55c925a050bd9df0eeb08304a7b3",
     }
 
     F_RAW = {
@@ -926,16 +981,19 @@ class TestGoldenTraces:
                 == self.BCM2_ESCAPES_CSR)
 
 
-# numpy's function-form wrappers (numpy/_core/fromnumeric.py) add dispatch
-# to every call, on a step of about 15 us; ROADMAP.md ("Where a step's time
-# goes") has the timings.  The ndarray methods give the same bits.
+# numpy's Python-level wrappers add dispatch to every call, on a step of
+# about 12 us; ROADMAP.md ("Where the time goes") has the timings.  For the
+# function forms in numpy/_core/fromnumeric.py the ndarray methods give the
+# same bits; einsum's row dots are np.vecdot's, a gufunc, in _row_stats.
 FROMNUMERIC = {"argmax", "argmin", "cumsum", "searchsorted", "sum", "max",
-               "take"}
-PER_STEP = ("select_coordinate", "bcm_step", "block_sweep", "drive")
+               "take", "einsum"}
+PER_STEP = ("_row_stats", "select_coordinate", "bcm_step", "block_sweep",
+            "drive")
 
 
 def fromnumeric_calls(source: str) -> dict[str, set[str]]:
-    """np.<wrapper>(...) calls in each per-step function of the source."""
+    """np.<wrapper>(...) calls, einsum included, in each per-step function
+    of the source."""
     found = {}
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.FunctionDef) and node.name in PER_STEP:
@@ -952,9 +1010,11 @@ def fromnumeric_calls(source: str) -> dict[str, set[str]]:
 def test_checker_finds_fromnumeric_calls():
     source = ("def drive(c):\n    return np.argmax(c.norms) + c.inner.argmax()\n"
               "def bcm_step(g):\n    return np.take(g, [0]), np.zeros(2)\n"
+              "def _row_stats(g):\n    return np.einsum('ij,ij->i', g, g)\n"
               "def other(x):\n    return np.sum(x)\n")
     assert fromnumeric_calls(source) == {"drive": {"argmax"},
-                                         "bcm_step": {"take"}}
+                                         "bcm_step": {"take"},
+                                         "_row_stats": {"einsum"}}
 
 
 def test_per_step_paths_call_no_fromnumeric_wrapper():

@@ -260,16 +260,19 @@ class TestApproxReport:
     # frozen from the report that ran its own dual bound from the cache;
     # renewed when the dense eigensolve came to run on A - Diag(lam) over
     # its power-of-two unit: slack moved by 1.2e-17 at the optimum and by
-    # one ulp of 3.0 at the saddle
+    # one ulp of 3.0 at the saddle; renewed at the optimum when _row_stats
+    # moved to np.vecdot (f_raw 3 - 4.4e-16 -> 3.0 and upper_bound up one
+    # ulp, so f_total and the floors too), then all four when the note on
+    # upper_bound stopped calling it unconditional
     DIGESTS = {
         ("optimum", 2, 0.1):
-            "720e25effc6c0a47083ebc6d9202d6a1d1da8dd2ff3be4afe099eef03618f826",
+            "71c7eb8c7c19a64a95e9dc06bf45556d5306d92c053f6271e5b1795b4371ac96",
         ("optimum", 3, 0.01):
-            "735e0abe491bdccfc6d5ab3276437eab8f7d661542b2850309bd4b85b5d93f8e",
+            "2c542ed2da4e91828bfa24238cd11ae74f816785ea64d19b374b777c20de69f0",
         ("optimum", 11, 0.0):
-            "ac8a49b26b35cbd2de69038dd468216b60f131eb06540f0b2492b5b041ca075f",
+            "cea42fa93e8602f56081d5450488601008d399df1c48988c53632f07de6f801e",
         ("saddle", 4, 0.05):
-            "01a043d03a95fd9559b6cb754c125296438c2c87a61fbd43f5cdef4959f13825",
+            "d3625e3ddaa5a45e7f0a4ab05bd888c713f7798767186a54502984861f35bcd3",
     }
 
     @pytest.mark.parametrize("start, r, epsilon", list(DIGESTS))
@@ -310,6 +313,8 @@ class TestApproxReport:
         assert rep["guarantees"] == ["upper_bound"]
         assert "floor_concave" in rep["diagnostics"]
         assert any("positive semidefinite" in n for n in rep["notes"])
+        # theta comes from the eigensolver with no margin added
+        assert not any("unconditional" in n for n in rep["notes"])
 
     def test_r_below_two_rejected(self, triangle):
         point = FactorPoint(np.array([[1.0], [-1.0], [1.0]]))
