@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ValidationError, check_count, check_real
+from .errors import ValidationError, check_count, check_indices, check_real
 from .manifold import FactorPoint, grad_metric_sq, metric_term, random_point
 from .problem import ProblemInstance
 
@@ -39,9 +39,11 @@ class GradientCache:
 
 
 def _row_stats(g: np.ndarray, sigma: np.ndarray, norms=None, inner=None):
-    """(|g_i|, <sigma_i, g_i>) for every row, one dot each: the one formula
-    behind every norm and alignment in the cache, the same bits in any batch
-    of rows.  Writes into norms and inner when they are given."""
+    """(|g_i|, <sigma_i, g_i>) by one dot per row, written into norms and
+    inner when given: the one formula behind every norm and alignment in the
+    cache, the same bits in any batch of rows and as floats for one 1-D row."""
+    if g.ndim == 1:
+        return math.sqrt(np.vecdot(g, g)), float(np.vecdot(sigma, g))
     sq = np.vecdot(g, g, out=norms)
     return np.sqrt(sq, out=sq), np.vecdot(sigma, g, out=inner)
 
@@ -93,57 +95,58 @@ def bcm_step(instance: ProblemInstance, point: FactorPoint,
     untouched and return 0.
     """
     i = check_count("row index", i, 0, instance.n)
-    ni = cache.norms.item(i)
-    ascent = 2.0 * (ni - cache.inner.item(i))
+    g, norms, inner, sigma = cache.g, cache.norms, cache.inner, point.sigma
+    ni = norms.item(i)
+    ascent = 2.0 * (ni - inner.item(i))
     if ni <= 0.0 or ascent <= 0.0:   # |g_i|^2 can underflow while g_i != 0
         return 0.0
-    sigma = point.sigma
-    new = cache.g[i] / ni
-    delta = new - sigma[i]
-    sigma[i] = new
-    g = cache.g
+    new = g[i] / ni
+    delta, sigma[i] = new - sigma[i], new
     if instance.complete:
-        # two in-place updates cover every other row with the gather path's
-        # bits and leave g_i alone
-        g[:i] += instance.rows[i, :i, None] * delta
-        g[i + 1:] += instance.rows[i, i + 1:, None] * delta
-        _row_stats(g, sigma, cache.norms, cache.inner)
+        # one row change, added around row i: the gather path's bits, g_i alone
+        change = np.multiply.outer(instance.rows[i], delta)
+        g[:i] += change[:i]
+        g[i + 1:] += change[i + 1:]
+        _row_stats(g, sigma, norms, inner)
     else:
         cols, vals = instance.row(i)
         gc = g.take(cols, axis=0)
         gc += vals[:, None] * delta
         g[cols] = gc
-        cache.norms[cols], cache.inner[cols] = _row_stats(gc, sigma.take(cols, 0))
-    cache.inner[i] = ni  # g_i is unchanged: A_ii = 0
+        norms[cols], inner[cols] = _row_stats(gc, sigma.take(cols, 0))
+    inner[i] = ni  # g_i is unchanged: A_ii = 0
     return ascent
 
 
 def block_sweep(instance: ProblemInstance, point: FactorPoint,
                 cache: GradientCache, rows) -> np.ndarray:
-    """bcm_step on each of `rows` in turn, with the update of g delayed;
-    returns the per-step ascents.  Needs `instance.complete`: A[J, :] is
-    read from the dense array.
+    """bcm_step on each of `rows`, a 1-D array of indices in [0, n), in
+    turn, with the update of g delayed; returns the per-step ascents.  Needs
+    `instance.complete`: A[J, :] is read from the dense array.
 
     Step t of a block J of BLOCK rows adds A[i, J[:t]] @ D[:t], the block's
     row changes D so far, to g_i; it steps and skips as bcm_step does, also
     a row drawn again before another moves, marked by inner_i = |g_i|.  One
     product g += A[J, :]^T D ends a block.
     """
-    sigma, g = point.sigma, cache.g
-    rows, ascents = np.asarray(rows), np.zeros(len(rows))
+    rows = check_indices("rows", rows, instance.n)
+    sigma, g, ascents = point.sigma, cache.g, np.zeros(rows.size)
+    if not rows.size:
+        return ascents
     last = rows[0] if cache.inner[rows[0]] == cache.norms[rows[0]] else -1
     for lo in range(0, rows.size, BLOCK):
         block = rows[lo:lo + BLOCK]
         a = instance.rows[block]
         coupling, d = a[:, block], np.zeros((block.size, sigma.shape[1]))
         for t, i in enumerate(block.tolist()):
-            gi = g[i] + coupling[t, :t] @ d[:t]
-            ni, inner = map(np.ndarray.item, _row_stats(gi[None], sigma[i][None]))
+            gi, si = g[i] + coupling[t, :t] @ d[:t], sigma[i]
+            ni, inner = _row_stats(gi, si)
             ascent = 2.0 * (ni - inner)
             if i == last or ni <= 0.0 or ascent <= 0.0:
                 continue
-            new = gi / ni
-            d[t], sigma[i], ascents[lo + t], last = new - sigma[i], new, ascent, i
+            gi /= ni   # gi is a fresh array: it becomes the new sigma_i
+            np.subtract(gi, si, out=d[t])
+            si[:], ascents[lo + t], last = gi, ascent, i
         g += a.T @ d
     _row_stats(g, sigma, cache.norms, cache.inner)
     if last >= 0:

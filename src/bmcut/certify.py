@@ -137,8 +137,6 @@ def approx_report(instance: ProblemInstance, point: FactorPoint,
     f = float(cert.lam.sum())
     u = cert.upper_bound
     ratio = f / u if u > 0 else None
-    factor1 = 1.0 - 1.0 / (r - 1)
-    factor2 = 1.0 - 2.0 / (r - 1)
     notes = [
         "upper_bound is weak duality's, with no margin on the eigensolver's theta",
         "floors are conditional on the cost matrix being positive semidefinite",
@@ -157,8 +155,8 @@ def approx_report(instance: ProblemInstance, point: FactorPoint,
         "slack": cert.slack,
         "gap": cert.gap,
         "ratio_vs_bound": ratio,
-        "floor_concave": factor1 * u - instance.n * epsilon / 2.0,
-        "floor_two_sided": factor2 * u,
+        "floor_concave": (1.0 - 1.0 / (r - 1)) * u - instance.n * epsilon / 2.0,
+        "floor_two_sided": (1.0 - 2.0 / (r - 1)) * u,
         "floor_concave_vacuous": r == 2,
         "guarantees": ["upper_bound"],
         "diagnostics": ["ratio_vs_bound", "floor_concave", "floor_two_sided"],
@@ -206,8 +204,7 @@ def round_cut(instance: ProblemInstance, point: FactorPoint, trials: int,
     trials = check_count("trials", trials, 1)
     instance.check_rows(point.n, "point")
     sigma = point.sigma
-    best_signs = None
-    best_value = -np.inf
+    best_signs, best_value = None, -np.inf
     for start in range(0, trials, ROUND_CHUNK):
         z = rng.standard_normal((min(ROUND_CHUNK, trials - start),
                                  sigma.shape[1]))

@@ -1,8 +1,10 @@
-"""Exception types, and the package's one integer check and one real check."""
+"""Exception types and the package's one integer, index-array and real check."""
 
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -38,6 +40,17 @@ def check_count(name: str, value, low: int, high: int | None = None) -> int:
     if high is not None and k >= high:
         raise ValidationError(f"{name} must be < {high}, got {k}")
     return k
+
+
+def check_indices(name: str, values, high: int) -> np.ndarray:
+    """A 1-D integer array with every entry in [0, high), by one vectorised
+    test; bools are refused as in check_count, an empty sequence passes."""
+    idx = np.asarray(values)
+    if idx.ndim != 1 or idx.size and (idx.dtype.kind not in "iu"
+                                      or ((idx < 0) | (idx >= high)).any()):
+        raise ValidationError(f"{name} must be a 1-D array of integers in "
+                              f"[0, {high}), got {values!r}")
+    return idx
 
 
 def check_real(name: str, value, low: float, high: float = math.inf, *,

@@ -154,8 +154,7 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     m = min(max_iters, dim)
     breakdown_tol = 1e-12 * instance.one_norm
     basis = np.empty((m, n * r))
-    alphas: list[float] = []
-    betas: list[float] = []
+    alphas, betas = [], []
     exhausted = False
 
     res = _project_rows(sigma, rng.standard_normal((n, r)))   # the start
@@ -213,8 +212,7 @@ def second_order_step(instance: ProblemInstance, point: FactorPoint,
         d = -d
     t = epsilon / (STEP_DENOM * instance.one_norm)
     f_before = cache.objective()
-    moved = exp_map(point, d, t)
-    point.sigma[:] = moved.sigma
+    point.sigma[:] = exp_map(point, d, t).sigma
     refresh_cache(instance, point, cache)
     return cache.objective() - f_before
 

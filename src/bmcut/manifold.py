@@ -137,8 +137,7 @@ def save_point(point: FactorPoint, path: str) -> None:
         np.savetxt(path, point.sigma, delimiter=",", fmt="%.17g")
         return
     with open(path, "wb") as fh:
-        fh.write(np.int64(point.n).astype("<i8").tobytes())
-        fh.write(np.int64(point.r).astype("<i8").tobytes())
+        fh.write(np.array([point.n, point.r], dtype="<i8").tobytes())
         fh.write(point.sigma.astype("<f8").tobytes())
 
 
@@ -154,8 +153,7 @@ def load_point(path: str) -> FactorPoint:
         head = fh.read(16)
         if len(head) != 16:
             raise ValidationError(f"{path}: truncated point file")
-        n = int(np.frombuffer(head[:8], dtype="<i8")[0])
-        r = int(np.frombuffer(head[8:], dtype="<i8")[0])
+        n, r = map(int, np.frombuffer(head, dtype="<i8"))
         body = fh.read()
     if n < 0 or r < 0:
         raise ValidationError(f"{path}: negative size n={n}, r={r}")

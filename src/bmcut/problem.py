@@ -56,8 +56,8 @@ class ProblemInstance:
 
     @property
     def complete(self) -> bool:
-        """Stored dense, as `_finish` does when every off-diagonal entry is
-        nonzero; `bcm.drive`, `bcm_step` and `leading_pair` branch on it."""
+        """Stored dense, as `_finish` does with no zero off-diagonal entry;
+        `bcm.drive`, `bcm_step` and `certify.lapack_pair` branch on it."""
         return isinstance(self.rows, np.ndarray)
 
     def check_rows(self, m: int, what: str) -> None:

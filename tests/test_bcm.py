@@ -311,10 +311,14 @@ class TestFullRowStep:
     @pytest.mark.parametrize("r", [1, 2, 3, 5, 22, 45, 64, 448])
     def test_row_stats_bits_follow_the_row_alone(self, r):
         # the cache takes _row_stats of all rows, of gathered neighbours and
-        # of single rows; one BLAS dot per row must give each row the same
-        # bits whichever rows share the call and wherever the row starts
+        # of single rows, block_sweep of one 1-D row; one BLAS dot per row
+        # must give each row the same bits whichever rows share the call,
+        # wherever the row starts and at any scale
         rng = np.random.default_rng(r)
         g, sigma = rng.standard_normal((2, 9, r))
+        g[1] *= 2.0**500
+        g[2] *= 2.0**-500
+        g[4] = 0.0
         norms, inner = bcm._row_stats(g, sigma)
         buf = np.empty(2 * g.size + 1)   # rows one double off their alignment
         g_odd = buf[1:g.size + 1].reshape(g.shape)
@@ -329,6 +333,12 @@ class TestFullRowStep:
         for idx, (got_norms, got_inner) in cases:
             assert got_norms.tobytes() == norms[idx].tobytes()
             assert got_inner.tobytes() == inner[idx].tobytes()
+        for k in range(9):
+            for one_row in (bcm._row_stats(g[k], sigma[k]),
+                            bcm._row_stats(g_odd[k], sigma_odd[k])):
+                assert [type(x) for x in one_row] == [float, float]
+                assert (np.array(one_row).tobytes()
+                        == np.array([norms[k], inner[k]]).tobytes())
 
     def test_keeps_negative_zero_in_own_row(self, triangle):
         # g_2 = (-2, -0.0) and sigma_2 = (0, -1): delta_2 = (-1, +1), so
@@ -429,6 +439,25 @@ class TestBlockSweep:
         gain = cache.objective() - f0
         assert gain > 0.0
         assert abs(ascents.sum() - gain) <= 1e-12 * gain
+
+    @pytest.mark.parametrize("rows", [
+        [], [-2], [-1], [3, -1], [10], np.arange(3, 11), [1.0], [True],
+        np.array([0, 1], dtype=bool), [[1, 2]], 3, "1",
+    ], ids=["empty", "minus_two", "minus_one", "sentinel_last", "n",
+            "past_n", "float", "bool", "bool_array", "2d", "scalar", "str"])
+    def test_row_indices_checked(self, rows):
+        # bcm_step refuses a bad index; block_sweep refuses the whole call
+        # before it moves anything, and takes no step for no rows
+        inst = bmcut.gen_gaussian(10, 1)
+        point = manifold.random_point(10, 3, np.random.default_rng(2))
+        cache = bcm.init_cache(inst, point)
+        before = _state_bytes(point, cache)
+        if isinstance(rows, list) and not rows:
+            assert bcm.block_sweep(inst, point, cache, rows).shape == (0,)
+        else:
+            with pytest.raises(ValidationError, match="rows must be a 1-D"):
+                bcm.block_sweep(inst, point, cache, rows)
+        assert _state_bytes(point, cache) == before
 
     def test_complete_instances_skip_bcm_step(self, monkeypatch):
         calls = []
@@ -835,8 +864,9 @@ def trace_digest(path, point, trace) -> str:
 
 class TestGoldenTraces:
     """Digests of every iterate, record and header field.  F_RAW pins each
-    case's final objective to 1e-10 relative, so a renewed digest must come
-    with iterates that moved only in their last bits."""
+    case's final objective to 1e-10 relative and COUNTS its coordinate
+    steps and records exactly, so a renewed digest must come with iterates
+    that moved only in their last bits, on the same steps."""
 
     # renewed when _row_stats came to take its row dots from np.vecdot in
     # place of np.einsum: sigma within 4.8e-14, final f_raw within 3.6e-16
@@ -916,9 +946,28 @@ class TestGoldenTraces:
         "bcm2_escapes_csr": 204.72877030995983,
     }
 
-    def assert_final_f(self, trace, case):
+    # (coordinate steps, records) of each case, the header's bcm_steps for
+    # bcm2; BCM2_ESCAPES_CSR's 7155 steps are the renewed digest's
+    COUNTS = {
+        "cyclic": (75000, 251),
+        "uniform": (75000, 251),
+        "importance": (75000, 251),
+        "greedy": (75000, 251),
+        (240, 0, 22, "cyclic"): (7200, 31),
+        (61, 2, 5, "greedy"): (1830, 31),
+        ("blocked", 240, 0, 22, "cyclic"): (7200, 31),
+        ("blocked", 61, 2, 5, "uniform"): (1830, 31),
+        "bcm2": (2477, 63),
+        "bcm2_escapes": (2793, 151),
+        "bcm2_escapes_csr": (7155, 123),
+    }
+
+    def assert_final(self, trace, case):
         assert trace.final().f_raw == pytest.approx(self.F_RAW[case],
                                                     rel=1e-10)
+        steps = sum(rec.steps for rec in trace.records if rec.kind == "bcm")
+        assert steps == trace.header.get("bcm_steps", steps)
+        assert (steps, len(trace.records)) == self.COUNTS[case]
 
     @pytest.mark.parametrize("rule", bcm.RULES)
     def test_bcm_rule(self, tmp_path, rule):
@@ -926,7 +975,7 @@ class TestGoldenTraces:
         inst = bmcut.gen_erdos_renyi(300, 900, -1, 3)
         cfg = bcm.SolverConfig(rule=rule, max_epochs=250, grad_tol=0.0, seed=5)
         point, trace = bcm.run(inst, cfg, r=8)
-        self.assert_final_f(trace, rule)
+        self.assert_final(trace, rule)
         assert trace_digest(tmp_path / "t.jsonl", point, trace) == self.BCM[rule]
 
     @staticmethod
@@ -939,14 +988,14 @@ class TestGoldenTraces:
     def test_bcm_dense(self, tmp_path, monkeypatch, n, seed, r, rule):
         monkeypatch.setattr(bcm, "block_sweep", oracles.block_sweep_reference)
         point, trace = self.dense_run(n, seed, r, rule)
-        self.assert_final_f(trace, (n, seed, r, rule))
+        self.assert_final(trace, (n, seed, r, rule))
         assert (trace_digest(tmp_path / "t.jsonl", point, trace)
                 == self.BCM_DENSE[n, seed, r, rule])
 
     @pytest.mark.parametrize("n, seed, r, rule", list(BCM_BLOCKED))
     def test_bcm_blocked(self, tmp_path, n, seed, r, rule):
         point, trace = self.dense_run(n, seed, r, rule)
-        self.assert_final_f(trace, ("blocked", n, seed, r, rule))
+        self.assert_final(trace, ("blocked", n, seed, r, rule))
         assert (trace_digest(tmp_path / "t.jsonl", point, trace)
                 == self.BCM_BLOCKED[n, seed, r, rule])
 
@@ -955,7 +1004,7 @@ class TestGoldenTraces:
         cfg = bcm.SolverConfig(rule="greedy", seed=2)
         esc = bmcut.EscapeConfig(epsilon=0.01, seed=3)
         point, trace = bmcut.run_bcm2(inst, cfg, esc, r=5)
-        self.assert_final_f(trace, "bcm2")
+        self.assert_final(trace, "bcm2")
         assert trace_digest(tmp_path / "t.jsonl", point, trace) == self.BCM2
 
     def escape_run(self, tmp_path, inst, case):
@@ -966,7 +1015,7 @@ class TestGoldenTraces:
         esc = bmcut.EscapeConfig(epsilon=0.01, seed=2)
         point, trace = bmcut.run_bcm2(inst, cfg, esc, initial=FactorPoint(start))
         assert trace.header["escape_steps"] >= 2
-        self.assert_final_f(trace, case)
+        self.assert_final(trace, case)
         return trace_digest(tmp_path / "t.jsonl", point, trace)
 
     def test_bcm2_escapes(self, tmp_path):
@@ -1021,6 +1070,44 @@ def test_per_step_paths_call_no_fromnumeric_wrapper():
     found = fromnumeric_calls(Path(bcm.__file__).read_text())
     assert sorted(found) == sorted(PER_STEP)
     assert all(not calls for calls in found.values()), found
+
+
+# the row norms and alignments: np or math vecdot and sqrt, also imported bare
+ROW_FORMULA = {f"{mod}{name}" for mod in ("np.", "numpy.", "math.", "")
+               for name in ("vecdot", "sqrt")}
+
+
+def row_formula_callers(source: str) -> set[str]:
+    """The outermost function, or <module>, around each call of the row
+    formula in the source."""
+    found = set()
+
+    def visit(node, where):
+        if where == "<module>" and isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ROW_FORMULA:
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_finds_row_formula_calls():
+    source = ("x = np.sqrt(2.0)\n"
+              "def _row_stats(g):\n    return np.vecdot(g, g)\n"
+              "def block_sweep(gi):\n    def inner():\n"
+              "        return math.sqrt(gi @ gi)\n    return inner()\n"
+              "def other(x):\n    return np.linalg.norm(x) + x.sqrt()\n")
+    assert row_formula_callers(source) == {"<module>", "_row_stats",
+                                           "block_sweep"}
+
+
+def test_row_formula_lives_in_row_stats():
+    # every |g_i| and <sigma_i, g_i> in bcm comes from _row_stats, so a
+    # stored norm equals a fresh one bit for bit
+    assert row_formula_callers(Path(bcm.__file__).read_text()) == {"_row_stats"}
 
 
 def integer_checks(source: str) -> set[str]:
