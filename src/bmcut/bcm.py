@@ -172,10 +172,6 @@ class SolverConfig:
         object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
 
 
-def default_grad_tol(instance: ProblemInstance) -> float:
-    return 1e-12 * instance.n * instance.one_norm**2
-
-
 @dataclass
 class TraceRecord:
     epoch: int
@@ -359,7 +355,8 @@ def run(instance: ProblemInstance, config: SolverConfig,
     Returns (point, trace); the starting point follows start_point.
     """
     point, rng, cache, trace = start_point(instance, "bcm", config, initial, r)
-    tol = config.grad_tol if config.grad_tol is not None else default_grad_tol(instance)
+    tol = (config.grad_tol if config.grad_tol is not None
+           else 1e-12 * instance.n * instance.one_norm**2)
     trace.header.update(rule=config.rule, grad_tol=tol)
     trace.status, _, _ = drive(instance, point, cache, rng, trace, config, tol)
     return point, trace

@@ -10,7 +10,6 @@ At rank-deficient second-order points the bound is tight.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -40,17 +39,11 @@ class Certificate:
         return {"lam": self.lam.tolist(), "upper_bound": self.upper_bound,
                 "slack": self.slack, "gap": self.gap}
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
 
 @dataclass
 class Cut:
     signs: np.ndarray     # entries in {-1, +1}
     value: float          # <A, x x^T>, trace offset excluded
-
-    def total_value(self, instance: ProblemInstance) -> float:
-        return self.value + instance.trace_offset
 
     def as_dict(self) -> dict:
         return {"signs": self.signs.astype(int).tolist(), "value": self.value}

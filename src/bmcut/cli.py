@@ -41,11 +41,13 @@ def parse_gen_spec(spec: str) -> problem.ProblemInstance:
         kv = {}
         if rest:
             for item in rest.split(","):
-                key, _, val = item.partition("=")
-                kv[key.strip()] = val.strip()
+                key, _, val = map(str.strip, item.partition("="))
+                if key in kv:
+                    raise ValidationError(f"--gen names {key!r} twice")
+                kv[key] = val
         if kind == "gaussian":
             make, vals = problem.gen_gaussian, (kv.pop("n"), kv.pop("seed", 0))
-        elif kind in ("er", "erdos-renyi"):
+        elif kind == "er":
             make, vals = problem.gen_erdos_renyi, (
                 kv.pop("n"), kv.pop("edges"), kv.pop("sign", -1),
                 kv.pop("seed", 0))
@@ -168,15 +170,14 @@ def cmd_certify(args) -> int:
     point = manifold.load_point(args.point)
     cert = certify.dual_upper_bound(instance, point,
                                     bcm.init_cache(instance, point))
-    print(cert.to_json())
+    print(json.dumps(cert.as_dict(), sort_keys=True))
     if point.r >= 2:   # approx_report refuses r = 1
         print(json.dumps(certify.approx_report(instance, point, cert, epsilon),
                          sort_keys=True))
     if args.trials:
         rng = np.random.default_rng(args.seed)
         cut = certify.round_cut(instance, point, args.trials, rng)
-        out = cut.as_dict()
-        out["value_total"] = cut.total_value(instance)
+        out = cut.as_dict() | {"value_total": cut.value + instance.trace_offset}
         print(json.dumps(out, sort_keys=True))
     return 0
 

@@ -5,12 +5,17 @@ through the package's incremental caches or operators, so the two routes can
 disagree when one of them is wrong.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
+import bmcut
 from bmcut import ValidationError, certify, escape, manifold
 
 BRUTE_FORCE_LIMIT = 24
+PLANTED_MARGIN = 0.5   # planted_instance's lambda_2 must exceed 2 by this
 
 
 def f_dense(instance, sigma: np.ndarray) -> float:
@@ -145,6 +150,55 @@ def brute_force_best_cut(instance) -> certify.Cut:
     if n > 1:
         signs[1:] = (((best_k >> bit_cols) & 1) * 2.0) - 1.0
     return certify.Cut(signs=signs, value=best_value)
+
+
+@dataclass
+class Planted:
+    instance: object
+    signs: np.ndarray     # the optimal cut x, in the instance's labels
+    optimum: float        # x^T A x = 2 (|E_good| - |E_bad|)
+    offsets: np.ndarray   # the circulant's connection set C
+    lambda2: float        # lambda_2 of the circulant's Laplacian, closed form
+
+
+def planted_instance(n: int, seed: int) -> Planted:
+    """A signed graph whose relaxation optimum is a known cut x.
+
+    A circulant "good" graph on Z_n with 8 random offsets below n/2
+    (degree 16), and a random matching of "bad" edges on half the nodes that
+    skips every pair the circulant joins, give A = D_x (W_good - W_bad) D_x
+    for random signs x, under a random relabelling.  With Lambda(x) = diag(x_i (A x)_i),
+    A - Lambda(x) = -D_x (L_good - L_bad) D_x.  L x = 0 for both Laplacians
+    and lambda_max(L_bad) <= 2 for a matching, so lambda_2(L_good) > 2 makes
+    0 the simple top eigenvalue of A - Lambda(x), and weak duality makes x
+    optimal (Bandeira, Found. Comput. Math. 2018).  lambda_2 of a circulant
+    is min over k != 0 of sum_c 2 (1 - cos(2 pi k c / n)); a draw whose
+    lambda_2 is within PLANTED_MARGIN of 2 is refused.
+    """
+    rng = np.random.default_rng(seed)
+    offsets = 1 + rng.choice(n // 2 - 1, size=8, replace=False)
+    angles = 2.0 * np.pi * np.outer(np.arange(1, n), offsets) / n
+    lambda2 = float((2.0 * (1.0 - np.cos(angles))).sum(axis=1).min())
+    if lambda2 < 2.0 + PLANTED_MARGIN:
+        raise ValidationError(f"lambda_2 = {lambda2} is within "
+                              f"{PLANTED_MARGIN} of 2")
+    gi = np.tile(np.arange(n), offsets.size)
+    gj = (gi + np.repeat(offsets, n)) % n
+    bi, bj = rng.permutation(n)[:n // 4 * 2].reshape(-1, 2).T
+    gap = (bi - bj) % n
+    keep = ~np.isin(np.minimum(gap, n - gap), offsets)
+    bi, bj = bi[keep], bj[keep]
+    x = rng.choice([-1.0, 1.0], size=n)
+    i, j = np.concatenate([gi, bi]), np.concatenate([gj, bj])
+    w = np.concatenate([np.ones(gi.size), -np.ones(bi.size)]) * x[i] * x[j]
+    label = rng.permutation(n)
+    raw = sp.coo_array((np.concatenate([w, w]),
+                        (label[np.concatenate([i, j])],
+                         label[np.concatenate([j, i])])), shape=(n, n))
+    signs = np.empty(n)
+    signs[label] = x
+    return Planted(bmcut.preprocess(raw), signs,
+                   2.0 * (gi.size - bi.size), offsets, lambda2)
 
 
 def lanczos_reference(instance, point, cache, max_iters, rng):

@@ -90,12 +90,18 @@ class TestDualBound:
         (bmcut.gen_erdos_renyi(1000, 3000, sign=-1, seed=0), 45),
     ], ids=["gaussian-240", "er-1000"])
     def test_lanczos_path_repeatable(self, inst, r):
-        # the eigsh start vector is fixed, so one iterate gives one bound
+        # the eigsh start vector is fixed, so one iterate gives one bound,
+        # down to the line that bmcut certify prints
         point = manifold.random_point(inst.n, r, np.random.default_rng(0))
         cache = bcm.init_cache(inst, point)
-        first = certify.dual_upper_bound(inst, point, cache).to_json()
+
+        def printed():
+            cert = certify.dual_upper_bound(inst, point, cache)
+            return json.dumps(cert.as_dict(), sort_keys=True)
+
+        first = printed()
         for _ in range(3):
-            assert certify.dual_upper_bound(inst, point, cache).to_json() == first
+            assert printed() == first
 
     def test_arpack_no_convergence_raises(self, tmp_path, monkeypatch):
         # a partially converged Ritz value may sit below lambda_max, so the
@@ -196,7 +202,7 @@ class TestDualBound:
     def test_json_serialization(self, triangle, triangle_optimum):
         cache = bcm.init_cache(triangle, triangle_optimum)
         cert = certify.dual_upper_bound(triangle, triangle_optimum, cache)
-        data = json.loads(cert.to_json())
+        data = json.loads(json.dumps(cert.as_dict(), sort_keys=True))
         assert set(data) == {"lam", "upper_bound", "slack", "gap"}
         assert len(data["lam"]) == 3
 
@@ -366,12 +372,6 @@ class TestRounding:
         with pytest.raises(ValidationError):
             certify.round_cut(triangle, triangle_optimum, 0,
                               np.random.default_rng(0))
-
-    def test_total_value_adds_offset(self):
-        inst = bmcut.preprocess([[2.0, 1.0], [1.0, 0.0]])
-        point = FactorPoint(np.tile([1.0, 0.0], (2, 1)))
-        cut = certify.round_cut(inst, point, 5, np.random.default_rng(0))
-        assert cut.total_value(inst) == cut.value + 2.0
 
     @pytest.mark.parametrize("inst", [
         bmcut.gen_gaussian(10, seed=0),
@@ -599,6 +599,47 @@ class TestWeakDualityChain:
                                     np.random.default_rng(seed))
             assert cut.value <= trace.final().f_raw + 1e-8
             assert trace.final().f_raw <= cert.upper_bound + 1e-8
+
+
+@pytest.mark.parametrize("n, r", [(200, 20), (2000, 64)])
+class TestPlanted:
+    """oracles.planted_instance's optimum is known, so the solver, the bound
+    and the cut are checked against it, not against each other."""
+
+    def test_optimum_is_proven(self, n, r):
+        planted = oracles.planted_instance(n, seed=1)
+        col = np.zeros(n)
+        col[0] = 2.0 * planted.offsets.size
+        col[planted.offsets] = col[n - planted.offsets] = -1.0
+        lam2 = scipy.linalg.eigvalsh(scipy.linalg.circulant(col))[1]
+        assert lam2 == pytest.approx(planted.lambda2, abs=1e-10)
+        inst, x = planted.instance, planted.signs
+        assert x @ (inst.rows @ x) == planted.optimum
+        m = inst.dense()
+        m[np.diag_indices(n)] -= x * (m @ x)
+        second, top = scipy.linalg.eigh(m, eigvals_only=True,
+                                        subset_by_index=[n - 2, n - 1])
+        assert abs(top) <= 1e-12 * inst.one_norm
+        assert second <= 2.0 - planted.lambda2 + 1e-9   # 0 is simple
+
+    def test_solve_bound_and_cut_meet_the_optimum(self, n, r):
+        planted = oracles.planted_instance(n, seed=1)
+        inst, opt = planted.instance, planted.optimum
+        for epochs in (1, 3):
+            # a misconverged theta would show as a bound under the optimum
+            cfg = bcm.SolverConfig(rule="cyclic", max_epochs=epochs, seed=0)
+            point, _ = bcm.run(inst, cfg, r=r)
+            assert cert_at(inst, point).upper_bound >= opt
+        point, trace = bcm.run(inst, bcm.SolverConfig(rule="cyclic", seed=0),
+                               r=r)
+        assert trace.status == "converged"
+        f = trace.final().f_raw
+        assert f <= opt
+        assert (opt - f) / opt <= 1e-6
+        # converged, U and OPT agree to rounding, in either order
+        assert abs(cert_at(inst, point).upper_bound - opt) <= 1e-9 * opt
+        cut = certify.round_cut(inst, point, 100, np.random.default_rng(0))
+        assert cut.value <= opt
 
 
 def names_used(source: str) -> set[str]:

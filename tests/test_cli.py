@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 
 import bmcut
 from bmcut import cli
@@ -117,6 +118,7 @@ class TestSolve:
     def test_bad_gen_spec_is_validation_error(self):
         assert run_cli(["solve", "--gen", "gaussian:n=oops"]) == 2
         assert run_cli(["solve", "--gen", "wat:n=5"]) == 2
+        assert run_cli(["solve", "--gen", "erdos-renyi:n=6,edges=5"]) == 2
 
     def test_auto_epsilon_flag(self, capsys):
         # without --epsilon, bcm2 derives it from the dual bound at the start
@@ -403,6 +405,17 @@ class TestCertify:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_value_total_adds_offset(self, tmp_path, capsys):
+        # write_matrix_market drops the trace offset, so the file is raw
+        mtx = tmp_path / "a.mtx"
+        scipy.io.mmwrite(str(mtx), np.array([[2.0, 1.0], [1.0, 0.0]]))
+        pt = tmp_path / "p.bin"
+        bmcut.save_point(bmcut.FactorPoint(np.tile([1.0, 0.0], (2, 1))), str(pt))
+        assert run_cli(["certify", "--mtx", str(mtx), "--point", str(pt),
+                        "--trials", "5"]) == 0
+        cut = json.loads(capsys.readouterr().out.splitlines()[2])
+        assert cut["value_total"] == cut["value"] + 2.0
+
 
 class TestGen:
     def test_edge_list_roundtrip(self, tmp_path):
@@ -450,6 +463,17 @@ class TestGen:
         out = tmp_path / "g.txt"
         assert run_cli(["gen", "--gen", spec, "--out", str(out)]) == 2
         assert f"takes no key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, key", [
+        ("gaussian:n=5,n=7", "n"),
+        ("er:n=10,edges=5,sign=-1,sign=1,seed=0", "sign"),
+    ])
+    def test_repeated_key_rejected(self, tmp_path, capsys, spec, key):
+        # the last value was taken: n = 7, and +1 weights for sign=-1,sign=1
+        out = tmp_path / "g.txt"
+        assert run_cli(["gen", "--gen", spec, "--out", str(out)]) == 2
+        assert f"--gen names {key!r} twice" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -505,6 +529,15 @@ def test_readme_cli_examples_parse():
     for words in commands:
         assert words[0] == "bmcut"
         cli.build_parser().parse_args(words[1:])
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # a name the example reads that leaves bmcut's top level fails here
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## Library\n", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)   # the example writes run.jsonl and point.bin
+    exec(compile(code, "README.md", "exec"), {})
 
 
 class TestEntryPoint:

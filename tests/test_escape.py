@@ -242,6 +242,13 @@ class TestLanczos:
             escape.lanczos_leading(inst, point, cache, 0,
                                    np.random.default_rng(1))
 
+    def test_rank_one_refused(self):
+        inst = bmcut.gen_gaussian(6, seed=0)
+        line = bmcut.FactorPoint(np.ones((6, 1)))
+        with pytest.raises(ValidationError, match="tangent space is trivial"):
+            escape.lanczos_leading(inst, line, bcm.init_cache(inst, line), 5,
+                                   np.random.default_rng(1))
+
 
 class TestSecondOrderStep:
     def test_sign_flip_when_against_gradient(self):
@@ -565,6 +572,17 @@ class TestRunBcm2:
         line = bmcut.FactorPoint(np.ones((6, 1)))   # 1/(r - 1) divides by 0
         with pytest.raises(ValidationError, match="r = 1"):
             escape.auto_epsilon(inst, line, bcm.init_cache(inst, line))
+
+    def test_auto_epsilon_needs_positive_bound(self, monkeypatch):
+        # weak duality makes U > 0 for any nonzero A; only a failed
+        # eigensolve could report U <= 0
+        inst = bmcut.gen_gaussian(6, seed=0)
+        point = manifold.random_point(6, 3, np.random.default_rng(0))
+        cert = certify.Certificate(lam=np.zeros(6), upper_bound=0.0,
+                                   slack=0.0, gap=0.0)
+        monkeypatch.setattr(escape, "dual_upper_bound", lambda *args: cert)
+        with pytest.raises(ValidationError, match="needs a positive upper bound"):
+            escape.auto_epsilon(inst, point, bcm.init_cache(inst, point))
 
     def test_tiny_auto_epsilon_rejected(self):
         # entries near 1e-170 make |A|_1^2, and so the automatic epsilon's

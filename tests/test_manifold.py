@@ -35,6 +35,11 @@ class TestFactorPoint:
         with pytest.raises(ValidationError, match="r >= 1"):
             FactorPoint(np.zeros(shape))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_not_two_d_rejected(self, shape):
+        with pytest.raises(bmcut.DimensionError, match="factor must be 2-d"):
+            FactorPoint(np.ones(shape))
+
     @pytest.mark.parametrize("n, r", [(-2, 3), (4, 0), (4, -1)])
     def test_random_point_rejects_sizes(self, n, r):
         with pytest.raises(ValidationError, match="n must be >= 0" if n < 0
@@ -386,6 +391,14 @@ class TestSerialization:
         path.write_bytes(np.array([-1, -8], dtype="<i8").tobytes()
                          + np.zeros(8, dtype="<f8").tobytes())
         with pytest.raises(ValidationError, match="negative size"):
+            manifold.load_point(str(path))
+
+    def test_short_payload_rejected(self, tmp_path):
+        # the header says (3, 2), which needs 48 bytes; five doubles follow
+        path = tmp_path / "short.bin"
+        path.write_bytes(np.array([3, 2], dtype="<i8").tobytes()
+                         + np.zeros(5, dtype="<f8").tobytes())
+        with pytest.raises(ValidationError, match="expected 48 payload bytes"):
             manifold.load_point(str(path))
 
     def test_truncated_binary_rejected(self, tmp_path):

@@ -288,6 +288,14 @@ class TestLoad:
         with pytest.raises(ValidationError, match="non-finite"):
             bmcut.load_instance(str(p), "matrix-market")
 
+    @pytest.mark.parametrize("line", ["2 3 nan", "1 2 inf"])
+    def test_edge_list_non_finite_weight_rejected(self, tmp_path, line):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"1 2 1.0\n{line}\n")
+        with pytest.raises(ParseError,
+                           match=rf"bad\.txt:2: non-finite weight {line[4:]}"):
+            bmcut.load_instance(str(p), "edge-list")
+
     def test_edge_list_overflowing_repeat_rejected(self, tmp_path):
         # each weight is finite; their sum is not
         p = tmp_path / "big.txt"
