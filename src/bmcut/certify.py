@@ -4,8 +4,12 @@ For any diagonal vector lam and any feasible X (unit diagonal, psd),
 <A, X> = <A - Diag(lam), X> + sum(lam) <= n max(lambda_max(A - Diag(lam)), 0)
 + sum(lam) (weak duality), so picking lam_i = <sigma_i, g_i> at the current
 iterate bounds the relaxation optimum.  The reported bound puts the
-eigensolver's estimate theta in place of lambda_max, with no margin added.
-At rank-deficient second-order points the bound is tight.
+eigensolver's estimate theta in place of lambda_max, with no margin added:
+LAPACK's top eigenvalue where lapack_pair holds, and elsewhere the top Ritz
+value of a seeded Lanczos recurrence, which in floating point does not rise
+above lambda_max beyond rounding (Paige, Linear Algebra Appl. 34, 1980), so
+beyond rounding it can only fall short of it.  At rank-deficient
+second-order points the bound is tight.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
+from scipy.linalg import lapack
+from scipy.linalg.blas import daxpy
 
 from .bcm import GradientCache
 from .errors import NumericalError, ValidationError, check_count, check_real
@@ -26,6 +31,10 @@ from .problem import ProblemInstance
 # take it at any size (lapack_pair)
 DENSE_EIG_LIMIT = 200
 ROUND_CHUNK = 32        # rounding trials scored per matrix product
+# the recurrence of top_ritz_value, on A - Diag(lam) over instance.unit:
+RITZ_TOL = 1e-8         # stop at a top Ritz residual |beta_k s_k| this small
+BREAKDOWN_TOL = 1e-12   # stop at a beta this small: the Krylov space is invariant
+MAX_LANCZOS_STEPS = 20000   # refuse a theta not converged in this many steps
 
 
 @dataclass
@@ -34,10 +43,12 @@ class Certificate:
     upper_bound: float    # sum(lam) + n * max(slack, 0)
     slack: float          # estimated lambda_max(A - Diag(lam))
     gap: float            # upper_bound - f at the certifying point
+    iterations: int       # Lanczos steps for slack; 0 where LAPACK's is taken
 
     def as_dict(self) -> dict:
         return {"lam": self.lam.tolist(), "upper_bound": self.upper_bound,
-                "slack": self.slack, "gap": self.gap}
+                "slack": self.slack, "gap": self.gap,
+                "iterations": self.iterations}
 
 
 @dataclass
@@ -50,60 +61,117 @@ class Cut:
 
 
 def lapack_pair(instance: ProblemInstance) -> bool:
-    """Whether leading_pair is LAPACK's: complete, or n <= DENSE_EIG_LIMIT."""
+    """Whether the dual bound and bcm2's escape take LAPACK's pair
+    (leading_pair): complete, or n <= DENSE_EIG_LIMIT."""
     return instance.n <= DENSE_EIG_LIMIT or instance.complete
 
 
 def leading_pair(instance: ProblemInstance,
                  lam: np.ndarray) -> tuple[float, np.ndarray]:
-    """The top eigenpair (theta, v) of A - Diag(lam), |v| = 1.
+    """LAPACK's top eigenpair (theta, v) of A - Diag(lam), |v| = 1.
 
-    Where lapack_pair holds, LAPACK's value for the matrix divided by
-    `instance.unit`, times that unit, so theta and v are the same numbers at
-    every scale of A; the division and the solve run in place on one n x n
-    dense copy.  Elsewhere, seeded ARPACK's estimate and Ritz vector.
-    Either solver's failure raises NumericalError.
+    LAPACK's value for the matrix divided by `instance.unit`, times that
+    unit, so theta and v are the same numbers at every scale of A; the
+    division and the solve run in place on one n x n dense copy, so callers
+    take it where lapack_pair holds.  LAPACK's failure raises
+    NumericalError.
     """
     n = instance.n
-    if lapack_pair(instance):
-        m = instance.dense()
-        m[np.diag_indices(n)] -= lam
-        unit = instance.unit
-        m /= unit   # exact: unit is a power of two
-        try:
-            # m.T is the same symmetric matrix in Fortran order, which LAPACK
-            # overwrites without making a copy
-            vals, vecs = scipy.linalg.eigh(
-                m.T, subset_by_index=[n - 1, n - 1], overwrite_a=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError("dense eigensolve did not converge") from exc
-        return float(vals[0]) * unit, vecs[:, 0]
-    op = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=lambda v: instance.rows @ v - lam * v, dtype=np.float64)
-    # ARPACK's own start vector is unseeded; a fixed one from a local
-    # generator makes the pair a function of the iterate alone
-    v0 = np.random.default_rng(0).standard_normal(n)
+    m = instance.dense()
+    m[np.diag_indices(n)] -= lam
+    unit = instance.unit
+    m /= unit   # exact: unit is a power of two
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(
-            op, k=1, which="LA", tol=1e-8, maxiter=200 * n, v0=v0)
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        # a partially converged Ritz value can sit below lambda_max, and a
-        # bound built on it would be too low
-        raise NumericalError("eigenvalue estimation did not converge") from exc
-    return float(vals[0]), vecs[:, 0]
+        # m.T is the same symmetric matrix in Fortran order, which LAPACK
+        # overwrites without making a copy
+        vals, vecs = scipy.linalg.eigh(
+            m.T, subset_by_index=[n - 1, n - 1], overwrite_a=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError("dense eigensolve did not converge") from exc
+    return float(vals[0]) * unit, vecs[:, 0]
+
+
+def _top_ritz_pair(alphas: list, betas: list) -> tuple[float, float]:
+    """The top eigenvalue of the tridiagonal T_k and the last entry of its
+    unit eigenvector, by LAPACK's bisection (stebz) and inverse iteration
+    (stein).  Called directly: eigh_tridiagonal's checks and dispatch cost
+    about 40 us a call, a fifth of a sparse certificate's recurrence."""
+    d, k = np.array(alphas), len(alphas)
+    e = np.array(betas or [0.0])   # LAPACK's wrapper wants a length >= 1
+    m, vals, block, split, info = lapack.dstebz(d, e, 2, 0.0, 0.0, k, k,
+                                                0.0, "B")
+    if info == 0:
+        vecs, info = lapack.dstein(d, e, vals[:m], block, split)
+    if info:
+        raise NumericalError("tridiagonal eigensolve did not converge")
+    return float(vals[0]), float(vecs[-1, 0])
+
+
+def top_ritz_value(instance: ProblemInstance,
+                   lam: np.ndarray) -> tuple[float, int]:
+    """Estimate lambda_max(A - Diag(lam)) by the plain Lanczos recurrence.
+
+    Runs on M = (A - Diag(lam)) / instance.unit, exact as in leading_pair,
+    from the normalised standard normal vector of default_rng(0), so theta
+    is a function of lam alone.  It keeps the alphas and betas of T_k and
+    four length-n vectors, but no basis and no Ritz vector.  Every
+    max(8, k // 8) steps, and at a breakdown beta_k <= BREAKDOWN_TOL, it
+    solves T_k for its top pair (theta_k, s) and stops once the residual
+    |beta_k s_k| <= RITZ_TOL, that is <= RITZ_TOL |A|_1 in A's own units.
+    Returns (theta_k times the unit, k).  A non-finite alpha or beta, or no
+    convergence in MAX_LANCZOS_STEPS steps, raises NumericalError: a
+    partially converged Ritz value can sit below lambda_max, and a bound
+    built on it would be too low.
+    """
+    n, unit, rows = instance.n, instance.unit, instance.rows
+    shift = lam / unit   # with rows @ q / unit: M q, exactly
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= np.linalg.norm(q)
+    q_prev, term = np.zeros(n), np.empty(n)
+    alphas, betas = [], []
+    beta, check = 0.0, 8
+    for k in range(1, MAX_LANCZOS_STEPS + 1):
+        w = rows @ q
+        w /= unit
+        w -= np.multiply(shift, q, out=term)
+        w = daxpy(q_prev, w, a=-beta)   # in place: w -= beta q_prev
+        alpha = float(q @ w)
+        w = daxpy(q, w, a=-alpha)
+        beta = math.sqrt(w @ w)
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise NumericalError("Lanczos recurrence gave a non-finite value")
+        alphas.append(alpha)
+        if beta <= BREAKDOWN_TOL or k == check:
+            theta, s_k = _top_ritz_pair(alphas, betas)
+            if beta * abs(s_k) <= RITZ_TOL:   # holds at every breakdown
+                return theta * unit, k
+            check = k + max(8, k // 8)
+        betas.append(beta)
+        w /= beta
+        q_prev, q = q, w
+    raise NumericalError(f"eigenvalue estimation did not converge in "
+                         f"{MAX_LANCZOS_STEPS} Lanczos steps")
 
 
 def dual_upper_bound(instance: ProblemInstance, point: FactorPoint,
                      cache: GradientCache) -> Certificate:
-    """Certified upper bound on the relaxation optimum from the current iterate."""
+    """Upper bound on the relaxation optimum from the current iterate.
+
+    Its theta is LAPACK's (leading_pair) where lapack_pair holds, and
+    elsewhere top_ritz_value's, whose step count the certificate carries.
+    Either is an estimate with no margin added.
+    """
     if instance.n == 0:
         raise ValidationError("the dual bound needs n >= 1, got n = 0")
     instance.check_rows(cache.inner.size, "cache")
     lam = cache.inner.copy()
-    slack, _ = leading_pair(instance, lam)
+    if lapack_pair(instance):
+        slack, steps = leading_pair(instance, lam)[0], 0
+    else:
+        slack, steps = top_ritz_value(instance, lam)
     upper = float(lam.sum() + instance.n * max(slack, 0.0))
     return Certificate(lam=lam, upper_bound=upper, slack=slack,
-                       gap=upper - cache.objective())
+                       gap=upper - cache.objective(), iterations=steps)
 
 
 def report_epsilon(n: int, epsilon) -> float:

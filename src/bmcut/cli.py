@@ -56,7 +56,10 @@ def parse_gen_spec(spec: str) -> problem.ProblemInstance:
         if kv:
             raise ValidationError(f"{kind} takes no key {min(kv)!r}")
         return make(*map(int, vals))
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:   # from a required key's pop
+        raise ValidationError(
+            f"bad generator spec {spec!r}: missing key {exc.args[0]!r}") from None
+    except ValueError as exc:
         raise ValidationError(f"bad generator spec {spec!r}: {exc}") from None
 
 

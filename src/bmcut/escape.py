@@ -242,9 +242,11 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
           which bounds every curvature below eps/2 and the gap by n eps/4;
       (c) steps along U = proj(v z^T), normalised, with z the last right
           singular vector of S, if its curvature is >= eps/2;
-      (d) else, and always elsewhere (ARPACK's theta has no proven margin),
-          runs Lanczos on the curvature operator, steps along its direction
-          if that curvature is >= eps/2, or stops with the concave verdict.
+      (d) else, and always elsewhere (where the dual bound's theta is a
+          basis-free Lanczos estimate with no eigenvector and no proven
+          margin), runs Lanczos on the curvature operator, steps along its
+          direction if that curvature is >= eps/2, or stops with the concave
+          verdict.
     The header's lanczos_calls counts the steps that reached (d).  The loop
     itself is bcm.drive with the escape threshold and step, and
     max_epochs = min(cap, solver.max_epochs), where cap (see _check_epsilon)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,8 +90,8 @@ class TestDualBound:
         (bmcut.gen_erdos_renyi(1000, 3000, sign=-1, seed=0), 45),
     ], ids=["gaussian-240", "er-1000"])
     def test_lanczos_path_repeatable(self, inst, r):
-        # the eigsh start vector is fixed, so one iterate gives one bound,
-        # down to the line that bmcut certify prints
+        # the recurrence's start vector is fixed, so one iterate gives one
+        # bound, down to the line that bmcut certify prints
         point = manifold.random_point(inst.n, r, np.random.default_rng(0))
         cache = bcm.init_cache(inst, point)
 
@@ -103,18 +103,15 @@ class TestDualBound:
         for _ in range(3):
             assert printed() == first
 
-    def test_arpack_no_convergence_raises(self, tmp_path, monkeypatch):
+    def test_lanczos_cap_raises(self, tmp_path, monkeypatch):
         # a partially converged Ritz value may sit below lambda_max, so the
-        # bound must refuse it rather than come out too low
-        def stalled(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence(
-                "stalled", np.array([-1e3]), np.zeros((250, 1)))
-
+        # bound must refuse it rather than come out too low; this instance
+        # converges in about 60 steps
         inst = bmcut.gen_erdos_renyi(250, 750, sign=-1, seed=5)
         point = manifold.random_point(250, 5, np.random.default_rng(1))
         cache = bcm.init_cache(inst, point)
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
-        with pytest.raises(NumericalError):
+        monkeypatch.setattr(certify, "MAX_LANCZOS_STEPS", 20)
+        with pytest.raises(NumericalError, match="did not converge in 20"):
             certify.dual_upper_bound(inst, point, cache)
 
         graph, pt = tmp_path / "g.txt", tmp_path / "p.bin"
@@ -123,11 +120,21 @@ class TestDualBound:
         assert cli.main(["certify", "--edge-list", str(graph),
                          "--point", str(pt)]) == 4
 
+    def test_non_finite_lam_raises_at_once(self, monkeypatch):
+        # a NaN multiplier poisons every alpha; the first step refuses it,
+        # before the one-step cap could
+        inst = bmcut.gen_erdos_renyi(250, 750, sign=-1, seed=5)
+        lam = np.zeros(250)
+        lam[7] = np.nan
+        monkeypatch.setattr(certify, "MAX_LANCZOS_STEPS", 1)
+        with pytest.raises(NumericalError, match="non-finite"):
+            certify.top_ritz_value(inst, lam)
+
     def test_complete_above_limit_takes_dense_eigh(self, monkeypatch):
         def refused(*args, **kwargs):
-            raise AssertionError("eigsh called on a complete instance")
+            raise AssertionError("Lanczos run on a complete instance")
 
-        monkeypatch.setattr(certify.scipy.sparse.linalg, "eigsh", refused)
+        monkeypatch.setattr(certify, "top_ritz_value", refused)
         inst = bmcut.gen_gaussian(240, seed=1)
         assert inst.n > certify.DENSE_EIG_LIMIT and inst.complete
         point = manifold.random_point(240, 22, np.random.default_rng(2))
@@ -138,28 +145,26 @@ class TestDualBound:
         assert (abs(cert.slack - np.linalg.eigvalsh(m)[-1])
                 <= 1e-12 * inst.one_norm)
 
-    def test_incomplete_above_limit_takes_arpack(self, monkeypatch):
+    def test_incomplete_above_limit_takes_lanczos(self, monkeypatch):
         inst = gaussian_pair_zeroed(240, 1)
         assert not inst.complete
         point = manifold.random_point(240, 22, np.random.default_rng(2))
         cache = bcm.init_cache(inst, point)
-        dense_calls, eigsh_calls = [], []
-        dense, eigsh = bmcut.ProblemInstance.dense, scipy.sparse.linalg.eigsh
-
-        def counted_eigsh(*args, **kwargs):
-            eigsh_calls.append(1)
-            return eigsh(*args, **kwargs)
+        dense_calls, lanczos_calls = [], []
+        dense, lanczos = bmcut.ProblemInstance.dense, certify.top_ritz_value
 
         monkeypatch.setattr(bmcut.ProblemInstance, "dense",
                             lambda self: dense_calls.append(1) or dense(self))
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted_eigsh)
-        certify.dual_upper_bound(inst, point, cache)
-        assert eigsh_calls == [1]
+        monkeypatch.setattr(certify, "top_ritz_value",
+                            lambda *a: lanczos_calls.append(1) or lanczos(*a))
+        cert = certify.dual_upper_bound(inst, point, cache)
+        assert lanczos_calls == [1]
         assert dense_calls == []
+        assert cert.iterations > 0
 
     def test_dense_eigh_failure_raises(self, tmp_path, monkeypatch):
-        # LAPACK's failure is refused like ARPACK's, not let through as a
-        # LinAlgError
+        # LAPACK's failure is refused like the recurrence's, not let through
+        # as a LinAlgError
         def failed(*args, **kwargs):
             raise scipy.linalg.LinAlgError("no convergence")
 
@@ -203,8 +208,10 @@ class TestDualBound:
         cache = bcm.init_cache(triangle, triangle_optimum)
         cert = certify.dual_upper_bound(triangle, triangle_optimum, cache)
         data = json.loads(json.dumps(cert.as_dict(), sort_keys=True))
-        assert set(data) == {"lam", "upper_bound", "slack", "gap"}
+        assert set(data) == {"lam", "upper_bound", "slack", "gap",
+                             "iterations"}
         assert len(data["lam"]) == 3
+        assert data["iterations"] == 0   # the triangle takes LAPACK's pair
 
 
 class TestLeadingPair:
@@ -241,14 +248,78 @@ class TestLeadingPair:
         (bmcut.gen_gaussian(30, seed=2), 4),
         (bmcut.gen_erdos_renyi(250, 750, sign=-1, seed=5), 5),
         (bmcut.gen_gaussian(240, seed=4), 22),
-    ], ids=["dense-eigh", "arpack", "dense-eigh-above-limit"])
+    ], ids=["dense-eigh", "lanczos", "dense-eigh-above-limit"])
     def test_slack_is_theta(self, inst, r):
-        # the certificate and the escape read one eigensolve
+        # the certificate and the escape read one eigensolve where LAPACK's
+        # pair is taken, and the certificate the recurrence's theta elsewhere
         point = manifold.random_point(inst.n, r, np.random.default_rng(3))
         cache = bcm.init_cache(inst, point)
         cert = certify.dual_upper_bound(inst, point, cache)
-        theta, _ = certify.leading_pair(inst, cache.inner)
-        assert cert.slack == theta
+        if certify.lapack_pair(inst):
+            theta, steps = certify.leading_pair(inst, cache.inner)[0], 0
+        else:
+            theta, steps = certify.top_ritz_value(inst, cache.inner)
+        assert (cert.slack, cert.iterations) == (theta, steps)
+
+
+class TestRitzValueAccuracy:
+    """The recurrence's theta against LAPACK's, to 1e-8 |A|_1, the scale of
+    its stopping test and of the benchmark's bound check."""
+
+    @staticmethod
+    def assert_close(inst, lam, cluster=1):
+        theta, steps = certify.top_ritz_value(inst, lam)
+        m = inst.dense()
+        m[np.diag_indices(inst.n)] -= lam
+        vals = scipy.linalg.eigvalsh(m)
+        assert abs(theta - vals[-1]) <= 1e-8 * inst.one_norm
+        assert (vals >= vals[-1] - 1e-3 * inst.one_norm).sum() >= cluster
+        assert 1 <= steps < certify.MAX_LANCZOS_STEPS
+
+    def test_er_random_point(self):
+        inst = bmcut.gen_erdos_renyi(300, 900, sign=-1, seed=0)
+        point = manifold.random_point(300, 25, np.random.default_rng(0))
+        self.assert_close(inst, bcm.init_cache(inst, point).inner)
+
+    def test_er_greedy_iterate(self):
+        # the sparse benchmark's kind of iterate: greedy, 9 epochs
+        inst = bmcut.gen_erdos_renyi(1000, 3000, sign=-1, seed=0)
+        cfg = bcm.SolverConfig(rule="greedy", max_epochs=9, grad_tol=0.0,
+                               seed=0)
+        point, _ = bcm.run(inst, cfg, r=45)
+        self.assert_close(inst, bcm.init_cache(inst, point).inner)
+
+    def test_er_near_stationary_cluster(self):
+        # 200 cyclic epochs: several eigenvalues of A - Lambda sit within
+        # 1e-3 |A|_1 of the top one, the cluster a Krylov method must resolve
+        inst = bmcut.gen_erdos_renyi(300, 900, sign=-1, seed=0)
+        cfg = bcm.SolverConfig(rule="cyclic", max_epochs=200, grad_tol=0.0,
+                               seed=0)
+        point, _ = bcm.run(inst, cfg, r=25)
+        self.assert_close(inst, bcm.init_cache(inst, point).inner, cluster=5)
+
+    def test_gaussian_pair_zeroed(self):
+        inst = gaussian_pair_zeroed(500, 3)
+        point = manifold.random_point(500, 32, np.random.default_rng(0))
+        self.assert_close(inst, bcm.init_cache(inst, point).inner)
+
+    @pytest.mark.parametrize("levels, steps", [((0.0,), 1), ((1.0, 3.0), 2)])
+    def test_breakdown_is_exact(self, levels, steps):
+        # A = 0 and lam with d distinct values: the Krylov space of any start
+        # has dimension d, so beta_d breaks down and T_d holds the spectrum
+        inst = bmcut.preprocess(sp.csr_array((300, 300)))
+        assert not certify.lapack_pair(inst)
+        lam = np.repeat(levels, 300 // len(levels))
+        theta, k = certify.top_ritz_value(inst, lam)
+        assert k == steps
+        assert theta == pytest.approx(-min(levels), abs=1e-12)
+
+    def test_planted_optimum(self):
+        # Lambda(x) at the planted cut: lambda_max(A - Lambda) = 0 exactly
+        planted = oracles.planted_instance(2000, seed=1)
+        inst, x = planted.instance, planted.signs
+        theta, _ = certify.top_ritz_value(inst, x * (inst.rows @ x))
+        assert abs(theta) <= 1e-8 * inst.one_norm
 
 
 def padded(point, r):

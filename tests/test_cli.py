@@ -466,6 +466,20 @@ class TestGen:
         assert not out.exists()
 
     @pytest.mark.parametrize("spec, key", [
+        ("gaussian", "n"),
+        ("gaussian:seed=1", "n"),
+        ("er:n=5", "edges"),
+        ("er:edges=5,seed=1", "n"),
+    ])
+    def test_missing_key_named(self, tmp_path, capsys, spec, key):
+        # the message held the bare KeyError text: "bad generator spec
+        # 'gaussian': 'n'"
+        out = tmp_path / "g.txt"
+        assert run_cli(["gen", "--gen", spec, "--out", str(out)]) == 2
+        assert f"missing key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, key", [
         ("gaussian:n=5,n=7", "n"),
         ("er:n=10,edges=5,sign=-1,sign=1,seed=0", "sign"),
     ])

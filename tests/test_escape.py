@@ -579,7 +579,7 @@ class TestRunBcm2:
         inst = bmcut.gen_gaussian(6, seed=0)
         point = manifold.random_point(6, 3, np.random.default_rng(0))
         cert = certify.Certificate(lam=np.zeros(6), upper_bound=0.0,
-                                   slack=0.0, gap=0.0)
+                                   slack=0.0, gap=0.0, iterations=0)
         monkeypatch.setattr(escape, "dual_upper_bound", lambda *args: cert)
         with pytest.raises(ValidationError, match="needs a positive upper bound"):
             escape.auto_epsilon(inst, point, bcm.init_cache(inst, point))

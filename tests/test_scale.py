@@ -142,3 +142,22 @@ def test_complete_slack_scales_exactly_above_dense_limit(k):
     # a complete instance takes LAPACK above DENSE_EIG_LIMIT too, on A -
     # Lambda over its power-of-two unit: the same numbers at every k
     assert complete_slack(k) == complete_slack(0) * 2.0**k
+
+
+@functools.cache
+def lanczos_slack(k):
+    inst = scaled(bmcut.gen_erdos_renyi(250, 750, -1, 6), k)
+    point = manifold.random_point(250, 5, np.random.default_rng(8))
+    cert = certify.dual_upper_bound(inst, point, bcm.init_cache(inst, point))
+    return cert.slack, cert.iterations
+
+
+@settings(max_examples=5, deadline=None)
+@given(k=POWERS)
+@example(k=-300)
+@example(k=300)
+def test_lanczos_slack_scales_exactly(k):
+    # an incomplete instance above DENSE_EIG_LIMIT takes the recurrence on
+    # A - Lambda over its power-of-two unit: the same steps at every k
+    slack, steps = lanczos_slack(0)
+    assert lanczos_slack(k) == (slack * 2.0**k, steps)
