@@ -91,11 +91,34 @@ def leading_pair(instance: ProblemInstance,
     return float(vals[0]) * unit, vecs[:, 0]
 
 
-def _top_ritz_pair(alphas: list, betas: list) -> tuple[float, float]:
-    """The top eigenvalue of the tridiagonal T_k and the last entry of its
-    unit eigenvector, by LAPACK's bisection (stebz) and inverse iteration
-    (stein).  Called directly: eigh_tridiagonal's checks and dispatch cost
-    about 40 us a call, a fifth of a sparse certificate's recurrence."""
+def lanczos(apply, q: np.ndarray):
+    """The plain three-term Lanczos recurrence from the unit vector q.
+
+    Yields (q_k, alpha_k, beta_k) for k = 1, 2, ...: the k-th vector, the
+    diagonal of T_k and the norm of the residual, whose direction is q_{k+1}.
+    `apply(q)` returns a new array, which two BLAS daxpys update in place.
+    Nothing is reorthogonalised: converged Ritz pairs stay accurate when
+    orthogonality is lost (Paige, Linear Algebra Appl. 34, 1980).  The caller
+    stops at a breakdown beta_k.  Non-finite values raise NumericalError.
+    """
+    q_prev, beta = np.zeros_like(q), 0.0
+    while True:
+        w = daxpy(q_prev, apply(q), a=-beta)   # in place: w -= beta q_prev
+        alpha = float(q @ w)
+        w = daxpy(q, w, a=-alpha)
+        beta = math.sqrt(w @ w)
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise NumericalError("Lanczos recurrence gave a non-finite value")
+        yield q, alpha, beta
+        w /= beta
+        q_prev, q = q, w
+
+
+def _top_ritz_pair(alphas: list, betas: list) -> tuple[float, np.ndarray]:
+    """The top eigenvalue of the tridiagonal T_k and its unit eigenvector,
+    by LAPACK's bisection (stebz) and inverse iteration (stein).  Called
+    directly: eigh_tridiagonal's checks and dispatch cost about 40 us a
+    call, a fifth of a sparse certificate's recurrence."""
     d, k = np.array(alphas), len(alphas)
     e = np.array(betas or [0.0])   # LAPACK's wrapper wants a length >= 1
     m, vals, block, split, info = lapack.dstebz(d, e, 2, 0.0, 0.0, k, k,
@@ -104,51 +127,45 @@ def _top_ritz_pair(alphas: list, betas: list) -> tuple[float, float]:
         vecs, info = lapack.dstein(d, e, vals[:m], block, split)
     if info:
         raise NumericalError("tridiagonal eigensolve did not converge")
-    return float(vals[0]), float(vecs[-1, 0])
+    return float(vals[0]), vecs[:, 0]
 
 
 def top_ritz_value(instance: ProblemInstance,
                    lam: np.ndarray) -> tuple[float, int]:
-    """Estimate lambda_max(A - Diag(lam)) by the plain Lanczos recurrence.
+    """Estimate lambda_max(A - Diag(lam)) by the recurrence `lanczos`.
 
     Runs on M = (A - Diag(lam)) / instance.unit, exact as in leading_pair,
     from the normalised standard normal vector of default_rng(0), so theta
-    is a function of lam alone.  It keeps the alphas and betas of T_k and
-    four length-n vectors, but no basis and no Ritz vector.  Every
-    max(8, k // 8) steps, and at a breakdown beta_k <= BREAKDOWN_TOL, it
-    solves T_k for its top pair (theta_k, s) and stops once the residual
-    |beta_k s_k| <= RITZ_TOL, that is <= RITZ_TOL |A|_1 in A's own units.
-    Returns (theta_k times the unit, k).  A non-finite alpha or beta, or no
-    convergence in MAX_LANCZOS_STEPS steps, raises NumericalError: a
-    partially converged Ritz value can sit below lambda_max, and a bound
-    built on it would be too low.
+    is a function of lam alone, and keeps T_k and four length-n vectors but
+    no basis.  Every max(8, k // 8) steps, and at a breakdown beta_k <=
+    BREAKDOWN_TOL, it solves T_k for its top pair (theta_k, s) and stops
+    once the residual |beta_k s_k| <= RITZ_TOL, that is <= RITZ_TOL |A|_1
+    in A's own units.  Returns (theta_k times the unit, k).  A non-finite
+    alpha or beta, or no convergence in MAX_LANCZOS_STEPS steps, raises
+    NumericalError: a partially converged Ritz value can sit below
+    lambda_max, and a bound built on it would be too low.
     """
     n, unit, rows = instance.n, instance.unit, instance.rows
-    shift = lam / unit   # with rows @ q / unit: M q, exactly
-    q = np.random.default_rng(0).standard_normal(n)
-    q /= np.linalg.norm(q)
-    q_prev, term = np.zeros(n), np.empty(n)
-    alphas, betas = [], []
-    beta, check = 0.0, 8
-    for k in range(1, MAX_LANCZOS_STEPS + 1):
+    shift, term = lam / unit, np.empty(n)
+
+    def apply(q):   # with rows @ q / unit: M q, exactly
         w = rows @ q
         w /= unit
         w -= np.multiply(shift, q, out=term)
-        w = daxpy(q_prev, w, a=-beta)   # in place: w -= beta q_prev
-        alpha = float(q @ w)
-        w = daxpy(q, w, a=-alpha)
-        beta = math.sqrt(w @ w)
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise NumericalError("Lanczos recurrence gave a non-finite value")
+        return w
+
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= np.linalg.norm(q)
+    alphas, betas, check = [], [], 8
+    for k, (_, alpha, beta) in zip(range(1, MAX_LANCZOS_STEPS + 1),
+                                   lanczos(apply, q)):
         alphas.append(alpha)
         if beta <= BREAKDOWN_TOL or k == check:
-            theta, s_k = _top_ritz_pair(alphas, betas)
-            if beta * abs(s_k) <= RITZ_TOL:   # holds at every breakdown
+            theta, s = _top_ritz_pair(alphas, betas)
+            if beta * abs(s[-1]) <= RITZ_TOL:   # holds at every breakdown
                 return theta * unit, k
             check = k + max(8, k // 8)
         betas.append(beta)
-        w /= beta
-        q_prev, q = q, w
     raise NumericalError(f"eigenvalue estimation did not converge in "
                          f"{MAX_LANCZOS_STEPS} Lanczos steps")
 

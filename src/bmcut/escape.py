@@ -19,12 +19,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 # bcm_step, select_coordinate, grad_metric_sq: unused, kept for perfbench spans
 from .bcm import (GradientCache, SolverConfig, bcm_step, drive, refresh_cache,
                   select_coordinate, start_point)
-from .certify import dual_upper_bound, lapack_pair, leading_pair
+from .certify import (_top_ritz_pair, dual_upper_bound, lanczos, lapack_pair,
+                      leading_pair)
 from .errors import TrivialInstanceError, ValidationError, check_count, check_real
 from .manifold import (FactorPoint, _hess_apply_rows, _project_rows, exp_map,
                        grad_metric_sq, hess_quadratic, riemannian_gradient)
@@ -55,8 +55,7 @@ class EscapeConfig:
 @dataclass
 class TridiagonalForm:
     alpha: np.ndarray         # diagonal
-    beta: np.ndarray          # off-diagonal, > 0: the recurrence stops
-                              # at breakdown
+    beta: np.ndarray          # off-diagonal, > 0: it stops at breakdown
     basis: np.ndarray         # (k, n, r) Lanczos vectors: a view of the first
                               # k rows of the preallocated (m, n r) basis
 
@@ -129,20 +128,16 @@ def lanczos_budget(instance: ProblemInstance, epsilon: float, delta: float,
 def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
                     cache: GradientCache, max_iters: int,
                     rng: np.random.Generator) -> LanczosResult:
-    """Leading curvature eigenpair via the tridiagonal recurrence on Hess.
+    """Leading curvature eigenpair via the Lanczos recurrence on Hess.
 
-    Starts from a uniformly random unit tangent vector.  The Lanczos vectors
-    are the flattened rows of one (m, n r) array allocated up front,
-    m = min(max_iters, n (r-1)), so the basis costs m n r 8 bytes and is
-    never copied.  Each image Hess[q_k], tangent by construction, is
-    orthogonalised against all stored vectors by two classical Gram-Schmidt
-    passes (CGS2) and nothing else: in exact arithmetic that removes just
-    the alpha_k q_k and beta_k q_{k-1} terms of the three-term recurrence.
-    At breakdown (beta <= 1e-12 |A|_1, which scales with Hess) the
-    recurrence stops and flags `exhausted`: the Krylov space of the start
-    is then invariant under Hess, it holds the start's component in every
-    eigenspace, and its top Ritz pair is exact (almost surely, for a random
-    start).
+    Runs certify.lanczos, the dual bound's recurrence, on the flattened
+    curvature operator from a uniformly random unit tangent vector, for
+    m = min(max_iters, n (r-1)) steps.  Its vectors fill one (m, n r) array
+    allocated up front (m n r 8 bytes); they are not reorthogonalised, since
+    run_bcm2 accepts a direction only by its true hess_quadratic.  A
+    breakdown beta <= 1e-12 |A|_1 before step m stops it and flags
+    `exhausted`: the start's Krylov space is then invariant under Hess, and
+    its top Ritz pair is exact (almost surely, for a random start).
     Returns the estimate lambda_max(T) and the reconstructed unit direction.
     """
     max_iters = check_count("max_iters", max_iters, 1)
@@ -153,43 +148,31 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
         raise ValidationError("tangent space is trivial (r = 1)")
     m = min(max_iters, dim)
     breakdown_tol = 1e-12 * instance.one_norm
-    basis = np.empty((m, n * r))
-    alphas, betas = [], []
-    exhausted = False
+    basis, alphas, betas = np.empty((m, n * r)), [], []
 
-    res = _project_rows(sigma, rng.standard_normal((n, r)))   # the start
-    for k in range(m):
-        vec = res.ravel()
-        # CGS2: vec -= basis^T (basis vec), two BLAS matrix-vector products
-        # per pass.  One pass leaves rounding errors along the basis; the
-        # second removes them ("twice is enough", Giraud et al. 2005).
-        # Against the empty basis at k = 0 both passes subtract exact zeros.
-        stored = basis[:k]
-        for _ in range(2):
-            vec -= (stored @ vec) @ stored
-        beta = float(np.linalg.norm(vec))
-        if k:
-            if beta <= breakdown_tol:
-                exhausted = True
-                break
-            betas.append(beta)
-        basis[k] = vec / beta
-        u = basis[k].reshape(n, r)
-        res = _hess_apply_rows(instance, sigma, cache.inner, u)
-        alphas.append(float(np.sum(u * res)))
+    def apply(q):
+        return _hess_apply_rows(instance, sigma, cache.inner,
+                                q.reshape(n, r)).ravel()
 
-    k = len(alphas)
-    alpha_arr = np.asarray(alphas)
-    beta_arr = np.asarray(betas)
+    start = _project_rows(sigma, rng.standard_normal((n, r))).ravel()
+    start /= np.linalg.norm(start)
+    for k, (q, alpha, beta) in enumerate(lanczos(apply, start), 1):
+        basis[k - 1] = q
+        alphas.append(alpha)
+        if k == m or beta <= breakdown_tol:
+            exhausted = k < m
+            break
+        betas.append(beta)
+
     unit = instance.unit   # T in these units is the same at every scale of A
-    vals, vecs = scipy.linalg.eigh_tridiagonal(
-        alpha_arr / unit, beta_arr / unit, select="i", select_range=(k - 1, k - 1))
-    direction = _project_rows(sigma, (vecs[:, 0] @ basis[:k]).reshape(n, r))
+    theta, y = _top_ritz_pair([a / unit for a in alphas],
+                              [b / unit for b in betas])
+    direction = _project_rows(sigma, (y @ basis[:k]).reshape(n, r))
     direction /= np.linalg.norm(direction)
     return LanczosResult(
-        estimate=float(vals[0]) * unit,
+        estimate=theta * unit,
         direction=direction,
-        tri=TridiagonalForm(alpha=alpha_arr, beta=beta_arr,
+        tri=TridiagonalForm(alpha=np.asarray(alphas), beta=np.asarray(betas),
                             basis=basis[:k].reshape(k, n, r)),
         exhausted=exhausted,
         iterations=k,
@@ -270,7 +253,7 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
     trace.header.update(
         epsilon=eps, delta=esc.delta, threshold=threshold, epoch_cap=cap,
         lanczos_budget=budget, step_length=t_step, retries=0,
-        lanczos_reorth=True, escape_seed=esc.seed, lanczos_calls=0)
+        lanczos_reorth=False, escape_seed=esc.seed, lanczos_calls=0)
 
     def escape_step():
         ray = -math.inf   # elsewhere Lanczos alone gives the direction

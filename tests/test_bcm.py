@@ -882,8 +882,10 @@ class TestGoldenTraces:
     # renewed again when complete instances moved to dense storage, whose
     # BLAS products round differently from CSR's (sigma within 2.5e-14,
     # final f_raw 2.5e-16 relative, the same records); and for np.vecdot
-    # in _row_stats (sigma within 3.8e-14, final f_raw 1.2e-16 relative)
-    BCM2 = "6a4dd7dad27d7971b880e19eaba806f16b57c6288252ba42166feae73a51b651"
+    # in _row_stats (sigma within 3.8e-14, final f_raw 1.2e-16 relative);
+    # and when the header's lanczos_reorth became false: this run makes no
+    # Lanczos call, and with the old header value the digest is the old one
+    BCM2 = "9daa6904a76caa80ebeafc80cc3999091ea755329ec5d531f081e4fb941d3a71"
     # it pins the rounding of the escape directions, which test_bcm2 (no
     # escape step) does not; renewed when they came from the leading pair
     # of A - Lambda in place of tangent Lanczos (the same 6 escapes and 151
@@ -892,8 +894,9 @@ class TestGoldenTraces:
     # and sinc one angle (sigma within 5.9e-15, final f_raw bit-identical),
     # and when complete instances moved to dense storage (sigma within
     # 2.6e-14, final f_raw 3.7e-16 relative, the same 6 escapes), and for
-    # np.vecdot in _row_stats (sigma within 8.5e-15, final f_raw 3.7e-16)
-    BCM2_ESCAPES = "950fc2cdfa4b18fb2d7dcb1e9ccc7b80e235052d8d53e5fae043e7bd2f842376"
+    # np.vecdot in _row_stats (sigma within 8.5e-15, final f_raw 3.7e-16);
+    # header-only when lanczos_reorth became false (no Lanczos call here)
+    BCM2_ESCAPES = "31a9733237eafe64a4852b425d6b1a55ea7bcba28ecd203219c1836c55fac1d4"
     # the same start on CSR storage: drive's threshold pre-check and the
     # gather-and-scatter step under an escape policy (2 escapes, 123
     # records).  Computed before bcm_step read its scalars as Python floats
@@ -901,9 +904,11 @@ class TestGoldenTraces:
     # for np.vecdot in _row_stats: the metric's slow tail reaches the
     # escape threshold 31 steps later (7155 coordinate steps, not 7124), so
     # sigma is within 9.5e-7 and the final f_raw 1.0e-13 relative, with the
-    # same 123 records, 2 escapes and concave verdict
+    # same 123 records, 2 escapes and concave verdict.  Header-only when
+    # lanczos_reorth became false: its escapes take LAPACK's pair, and no
+    # step reaches Lanczos
     BCM2_ESCAPES_CSR = (
-        "954285ed0e1e5c5a7ad66218458bf40122f3a88cd000a5ebfb7d5eb90e6817cf")
+        "4e5530c07dbe59bf08b35d11ffa01a4795efe5bb7887034c75681abdd25e282c")
 
     # every row of these is full: bcm_step's in-place path, and the cyclic
     # sweeps run through the step-by-step reference in place of block_sweep;

@@ -149,27 +149,15 @@ class TestLanczos:
                 hits += 1
         assert hits >= 9
 
-    def test_basis_orthonormal(self):
+    def test_basis_rows_unit(self):
+        # the plain recurrence does not keep its basis orthogonal, but each
+        # vector is a residual divided by its norm beta > 0
         inst, point, cache, _ = rand_setup(n=7, r=3, seed=3, inst_seed=9)
         res = escape.lanczos_leading(inst, point, cache, 14,
                                      np.random.default_rng(2))
-        k = res.tri.basis.shape[0]
-        gram = np.einsum("aij,bij->ab", res.tri.basis, res.tri.basis)
-        assert np.abs(gram - np.eye(k)).max() < 1e-10
+        norms = np.linalg.norm(res.tri.basis, axis=(1, 2))
+        assert np.abs(norms - 1.0).max() <= 1e-14
         assert np.all(res.tri.beta > 0.0)
-
-    def test_basis_orthonormal_to_rounding(self):
-        # 90 iterations at n = 30, r = 4: one Gram-Schmidt pass drifts to
-        # 4e-15..5e-13 from I, the second pass holds it under 8e-16
-        for seed in range(4):
-            inst, point, cache, _ = rand_setup(n=30, r=4, seed=seed,
-                                               inst_seed=1 + seed)
-            res = escape.lanczos_leading(inst, point, cache, 90,
-                                         np.random.default_rng(2))
-            assert res.iterations == 90
-            gram = np.einsum("aij,bij->ab", res.tri.basis, res.tri.basis)
-            assert (np.abs(gram - np.eye(90)).max()
-                    <= 10 * np.finfo(float).eps)
 
     @pytest.mark.parametrize("n, r", [(3, 2), (5, 3), (8, 4)])
     def test_breakdown_at_complete_graph_saddle(self, n, r):
@@ -195,6 +183,10 @@ class TestLanczos:
         (8, 3, 16),     # full budget: the recurrence is exact
         (30, 4, 25),
         (100, 3, 20),
+        # full tangent dimension, where the plain recurrence loses
+        # orthogonality: the estimate and the direction still match
+        (30, 4, 90),
+        (20, 4, 60),
     ])
     def test_matches_reference(self, n, r, iters):
         for seed in range(3):
