@@ -10,8 +10,7 @@ Names not exported here are reached as bmcut.<module>.<name>.
 
 from .bcm import SolverConfig, init_cache, run
 from .certify import approx_report, dual_upper_bound, round_cut
-from .errors import (DimensionError, NumericalError, ParseError,
-                     TrivialInstanceError, ValidationError)
+from .errors import DimensionError, NumericalError, ParseError, ValidationError
 from .escape import EscapeConfig, escape_ascent_floor, run_bcm2
 from .manifold import FactorPoint, load_point, random_point, save_point
 from .problem import (ProblemInstance, gen_erdos_renyi, gen_gaussian,

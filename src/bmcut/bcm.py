@@ -121,8 +121,9 @@ def bcm_step(instance: ProblemInstance, point: FactorPoint,
 def block_sweep(instance: ProblemInstance, point: FactorPoint,
                 cache: GradientCache, rows) -> np.ndarray:
     """bcm_step on each of `rows`, a 1-D array of indices in [0, n), in
-    turn, with the update of g delayed; returns the per-step ascents.  Needs
-    `instance.complete`: A[J, :] is read from the dense array.
+    turn, with the update of g delayed; returns the per-step ascents.  CSR
+    rows work too, but drive sends it complete instances only: on CSR rows
+    scipy's column slice A[J, J] makes the sweep slower than bcm_step.
 
     Step t of a block J of BLOCK rows adds A[i, J[:t]] @ D[:t], the block's
     row changes D so far, to g_i; it steps and skips as bcm_step does, also

@@ -19,10 +19,6 @@ class ParseError(ValueError):
     """Unparseable instance file; message carries file and line context."""
 
 
-class TrivialInstanceError(ValidationError):
-    """The cost matrix is identically zero, so every feasible point is optimal."""
-
-
 class NumericalError(RuntimeError):
     """An iterative numerical routine failed to produce a usable result."""
 

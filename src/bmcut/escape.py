@@ -9,8 +9,8 @@ and at a rank-deficient point v z^T (v its top eigenvector, S z = 0) attains
 the bound (Journee, Bach, Absil & Sepulchre, SIAM J. Optim. 20(5), 2010).
 Only where that direction falls short does a tridiagonal Lanczos recurrence
 on the curvature operator Hess[u] itself run.
-The three constants are tied together by the cubic ascent bound
-eps^3/(2700 |A|_1^2); changing one invalidates the others.
+_check_epsilon forms the three constants and the cubic ascent bound
+eps^3/(2700 |A|_1^2) that ties them; changing one invalidates the others.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import numpy as np
 # bcm_step, select_coordinate, grad_metric_sq: unused, kept for perfbench spans
 from .bcm import (GradientCache, SolverConfig, bcm_step, drive, refresh_cache,
                   select_coordinate, start_point)
-from .certify import (_top_ritz_pair, dual_upper_bound, lanczos, lapack_pair,
-                      leading_pair)
-from .errors import TrivialInstanceError, ValidationError, check_count, check_real
+from .certify import (BREAKDOWN_TOL, _top_ritz_pair, dual_upper_bound, lanczos,
+                      lapack_pair, leading_pair)
+from .errors import ValidationError, check_count, check_real
 from .manifold import (FactorPoint, _hess_apply_rows, _project_rows, exp_map,
                        grad_metric_sq, hess_quadratic, riemannian_gradient)
 from .problem import ProblemInstance
@@ -70,19 +70,25 @@ class LanczosResult:
     iterations: int
 
 
-def _check_epsilon(instance: ProblemInstance, epsilon) -> tuple[float, int]:
-    """Refuse an epsilon that leaves an escape constant undefined; return it
-    as a float, with the epoch cap ceil(675 n |A|_1^2 / eps^2) on a run's
-    combined epochs and so on its Lanczos calls.  Every constant divides by
-    epsilon or |A|_1; the threshold and the ascent floor cube eps/|A|_1."""
+def _check_epsilon(instance: ProblemInstance,
+                   epsilon) -> tuple[float, int, float, float, float]:
+    """The one place bcm2's numbers are formed from epsilon: returns (eps,
+    cap, threshold, floor, step), the epoch cap ceil(675 n |A|_1^2 / eps^2)
+    on a run's combined epochs and Lanczos calls, eps^3/(1350 |A|_1),
+    eps^3/(2700 |A|_1^2) and eps/(15 |A|_1).  Refuses the zero instance and
+    an epsilon for which one of them is not finite."""
     epsilon = check_real("epsilon", epsilon, 0.0, open_low=True)
-    if instance.one_norm == 0.0:
-        raise TrivialInstanceError("zero cost matrix: every point is optimal")
+    one = instance.one_norm
+    if one == 0.0:
+        raise ValidationError("zero cost matrix: every point is optimal")
     try:   # float ** raises OverflowError where * and / give inf
-        cap = EPOCH_CAP_NUM * instance.n * instance.one_norm**2 / epsilon**2
-        cube = (epsilon / instance.one_norm)**3   # free of the units of A
-        if max(cap, cube * instance.one_norm, cube * instance.one_norm**2) < math.inf:
-            return epsilon, math.ceil(cap)
+        cap = EPOCH_CAP_NUM * instance.n * one**2 / epsilon**2
+        cube = (epsilon / one)**3   # free of the units of A
+        threshold = cube * one**2 / THRESHOLD_DENOM
+        floor = cube * one / ASCENT_DENOM
+        step = epsilon / (STEP_DENOM * one)
+        if max(cap, threshold, floor, step) < math.inf:
+            return epsilon, math.ceil(cap), threshold, floor, step
     except (OverflowError, ZeroDivisionError):
         pass
     raise ValidationError(f"epsilon = {epsilon!r} gives no finite escape "
@@ -91,21 +97,19 @@ def _check_epsilon(instance: ProblemInstance, epsilon) -> tuple[float, int]:
 
 def escape_threshold(instance: ProblemInstance, epsilon: float) -> float:
     """Gradient-metric level below which the second-order branch engages."""
-    epsilon, _ = _check_epsilon(instance, epsilon)
-    return (epsilon / instance.one_norm)**3 * instance.one_norm**2 / THRESHOLD_DENOM
+    return _check_epsilon(instance, epsilon)[2]
 
 
 def escape_ascent_floor(instance: ProblemInstance, epsilon: float) -> float:
     """Guaranteed objective gain of one accepted escape step."""
-    epsilon, _ = _check_epsilon(instance, epsilon)
-    return (epsilon / instance.one_norm)**3 * instance.one_norm / ASCENT_DENOM
+    return _check_epsilon(instance, epsilon)[3]
 
 
 def lanczos_budget(instance: ProblemInstance, epsilon: float, delta: float,
                    r: int) -> int:
     """Iteration count that bounds the failure probability of every Lanczos
     call over the whole run by delta; capped at the tangent dimension n(r-1),
-    where the recurrence is exact.
+    where the recurrence is exact, also where the bound overflows to inf.
 
     The bound (Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 13(4),
     1992) is stated for positive semidefinite operators and is applied to
@@ -116,13 +120,11 @@ def lanczos_budget(instance: ProblemInstance, epsilon: float, delta: float,
     """
     delta = check_real("delta", delta, 0.0, 1.0, open_low=True)
     r = check_count("r", r, 2)
-    epsilon, calls = _check_epsilon(instance, epsilon)
+    epsilon, calls = _check_epsilon(instance, epsilon)[:2]
     dim = instance.n * (r - 1)
-    ell = math.ceil(
+    return math.ceil(min(
         (0.5 + 2.0 * math.sqrt(instance.one_norm / epsilon))
-        * math.log(calls * LANCZOS_TAIL_CONST * math.sqrt(dim) / delta)
-    )
-    return min(ell, dim)
+        * math.log(calls * LANCZOS_TAIL_CONST * math.sqrt(dim) / delta), dim))
 
 
 def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
@@ -135,9 +137,10 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     m = min(max_iters, n (r-1)) steps.  Its vectors fill one (m, n r) array
     allocated up front (m n r 8 bytes); they are not reorthogonalised, since
     run_bcm2 accepts a direction only by its true hess_quadratic.  A
-    breakdown beta <= 1e-12 |A|_1 before step m stops it and flags
-    `exhausted`: the start's Krylov space is then invariant under Hess, and
-    its top Ritz pair is exact (almost surely, for a random start).
+    breakdown beta <= BREAKDOWN_TOL unit, the certificate's rule, before step
+    m stops it and flags `exhausted`: the start's Krylov space is then
+    invariant under Hess, and its top Ritz pair is exact (almost surely, for
+    a random start).
     Returns the estimate lambda_max(T) and the reconstructed unit direction.
     """
     max_iters = check_count("max_iters", max_iters, 1)
@@ -147,7 +150,7 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     if dim == 0:
         raise ValidationError("tangent space is trivial (r = 1)")
     m = min(max_iters, dim)
-    breakdown_tol = 1e-12 * instance.one_norm
+    unit = instance.unit   # T in these units is the same at every scale of A
     basis, alphas, betas = np.empty((m, n * r)), [], []
 
     def apply(q):
@@ -159,12 +162,11 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     for k, (q, alpha, beta) in enumerate(lanczos(apply, start), 1):
         basis[k - 1] = q
         alphas.append(alpha)
-        if k == m or beta <= breakdown_tol:
+        if k == m or beta <= BREAKDOWN_TOL * unit:
             exhausted = k < m
             break
         betas.append(beta)
 
-    unit = instance.unit   # T in these units is the same at every scale of A
     theta, y = _top_ritz_pair([a / unit for a in alphas],
                               [b / unit for b in betas])
     direction = _project_rows(sigma, (y @ basis[:k]).reshape(n, r))
@@ -182,18 +184,17 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
 def second_order_step(instance: ProblemInstance, point: FactorPoint,
                       cache: GradientCache, direction: np.ndarray,
                       epsilon: float) -> float:
-    """Geodesic step of length eps/(15 |A|_1) along the (sign-corrected)
-    tangent array `direction`, followed by a full cache rebuild.  Mutates
-    point and cache; returns the measured objective increase.
+    """Geodesic step of length eps/(15 |A|_1), from _check_epsilon, along
+    the (sign-corrected) tangent array `direction`, then a full cache
+    rebuild.  Mutates point and cache; returns the measured objective gain.
     """
-    epsilon, _ = _check_epsilon(instance, epsilon)
+    t = _check_epsilon(instance, epsilon)[4]
     nrm = float(np.linalg.norm(direction))
     if not abs(nrm - 1.0) <= 1e-8:   # NaN fails
         raise ValidationError(f"direction must have unit Frobenius norm, got {nrm}")
     d = direction
     if float(np.sum(d * riemannian_gradient(point, cache))) < 0.0:
         d = -d
-    t = epsilon / (STEP_DENOM * instance.one_norm)
     f_before = cache.objective()
     point.sigma[:] = exp_map(point, d, t).sigma
     refresh_cache(instance, point, cache)
@@ -244,11 +245,10 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
         trace.status = "trivial"
         return point, trace
 
-    eps, cap = _check_epsilon(instance, esc.epsilon if esc.epsilon is not None
-                              else auto_epsilon(instance, point, cache))
-    threshold = escape_threshold(instance, eps)
+    eps, cap, threshold, _, t_step = _check_epsilon(
+        instance, esc.epsilon if esc.epsilon is not None
+        else auto_epsilon(instance, point, cache))
     budget = lanczos_budget(instance, eps, esc.delta, point.r)
-    t_step = eps / (STEP_DENOM * instance.one_norm)
     rng_lan = np.random.default_rng(esc.seed)
     trace.header.update(
         epsilon=eps, delta=esc.delta, threshold=threshold, epoch_cap=cap,

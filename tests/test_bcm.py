@@ -427,6 +427,14 @@ class TestBlockSweep:
         # as in bcm_step, row 7 is at its maximizer until row 9 moves
         assert ascents[0] > 0.0 and ascents[1] == 0.0 and ascents[3] > 0.0
 
+    def test_csr_rows_match_step_by_step(self):
+        # the kernel does not need a complete instance; drive keeps CSR
+        # instances on bcm_step only because it is faster there
+        inst = bmcut.gen_erdos_renyi(30, 60, sign=-1, seed=4)
+        assert not inst.complete
+        rows = np.random.default_rng(5).integers(30, size=200)
+        self.run_rows(inst, rows, r=4)
+
     def test_partial_last_block(self):
         n = 2 * bcm.BLOCK + 5
         assert n % bcm.BLOCK

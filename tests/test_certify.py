@@ -162,6 +162,25 @@ class TestDualBound:
         assert dense_calls == []
         assert cert.iterations > 0
 
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+    def test_tridiagonal_eigensolve_failure_raises(self, tmp_path, monkeypatch,
+                                                   routine):
+        # LAPACK reports its failure in `info`, the last value it returns
+        real = getattr(scipy.linalg.lapack, routine)
+        monkeypatch.setattr(scipy.linalg.lapack, routine,
+                            lambda *a: (*real(*a)[:-1], 1))
+        with pytest.raises(NumericalError, match="tridiagonal"):
+            certify._top_ritz_pair([1.0, 2.0, 3.0], [0.5, 0.5])
+
+        inst = gaussian_pair_zeroed(201, 1)
+        assert not certify.lapack_pair(inst)
+        graph, pt = tmp_path / "g.mtx", tmp_path / "p.bin"
+        bmcut.write_matrix_market(inst, str(graph))
+        bmcut.save_point(manifold.random_point(201, 4, np.random.default_rng(2)),
+                         str(pt))
+        assert cli.main(["certify", "--mtx", str(graph),
+                         "--point", str(pt)]) == 4
+
     def test_dense_eigh_failure_raises(self, tmp_path, monkeypatch):
         # LAPACK's failure is refused like the recurrence's, not let through
         # as a LinAlgError

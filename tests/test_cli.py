@@ -172,6 +172,16 @@ class TestSolve:
         assert run_cli(["solve", "--mtx", str(mm), "--method", "bcm2",
                         "--epsilon", "0.1", "--r", "2"]) == 0
 
+    def test_underflowing_delta_gives_the_lanczos_cap(self, tmp_path):
+        # the budget's log argument overflowed, and the run exited 1 with
+        # an OverflowError
+        trace = tmp_path / "t.jsonl"
+        assert run_cli(["solve", "--gen", "gaussian:n=6,seed=0",
+                        "--method", "bcm2", "--max-epochs", "2",
+                        "--delta", "1e-320", "--trace", str(trace)]) == 0
+        header = json.loads(trace.read_text().splitlines()[0])
+        assert header["r"] == 4 and header["lanczos_budget"] == 18
+
     def test_timings_flag_changes_trace(self, tmp_path):
         base = ["solve", "--gen", "gaussian:n=10,seed=0", "--max-epochs", "20"]
         t1, t2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -228,6 +238,15 @@ class TestBench:
         first = data[1].split(",")
         # identical start: f at epoch 0 matches across methods
         assert first[1] == first[3]
+
+    def test_stdout_matches_out_file(self, tmp_path, capsys):
+        args = ["bench", "--gen", "er:n=20,edges=40,sign=-1,seed=3",
+                "--rules", "cyclic,greedy", "--epochs", "5", "--seed", "2"]
+        out = tmp_path / "bench.csv"
+        assert run_cli(args + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert run_cli(args) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
     def test_no_rules_usage_error(self):
         assert run_cli(["bench", "--gen", "gaussian:n=10,seed=0",

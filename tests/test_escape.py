@@ -1,12 +1,13 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bmcut
-from bmcut import (TrivialInstanceError, ValidationError, bcm, certify, escape,
-                   manifold)
+from bmcut import ValidationError, bcm, certify, escape, manifold
 
 import oracles
 from conftest import gaussian_pair_zeroed
@@ -48,7 +49,7 @@ class TestThreshold:
 
     def test_zero_instance_trivial(self):
         inst = bmcut.preprocess(np.zeros((4, 4)))
-        with pytest.raises(TrivialInstanceError):
+        with pytest.raises(ValidationError, match="zero cost matrix"):
             escape.escape_threshold(inst, 0.5)
 
     @pytest.mark.parametrize("fn", [escape.escape_threshold,
@@ -57,6 +58,71 @@ class TestThreshold:
         # eps^3 overflows above about 5.6e102, where float ** raises
         with pytest.raises(ValidationError, match=r"epsilon = 1e\+103"):
             fn(triangle, 1e103)
+
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("eps", [0.01, 0.5, 3.0])
+    def test_values_are_the_paper_formulas(self, seed, eps):
+        # bit for bit the expressions each function used to form itself
+        inst = bmcut.gen_gaussian(20, seed)
+        one = inst.one_norm
+        assert (escape.escape_threshold(inst, eps)
+                == (eps / one)**3 * one**2 / 1350.0)
+        assert (escape.escape_ascent_floor(inst, eps)
+                == (eps / one)**3 * one / 2700.0)
+        _, trace = escape.run_bcm2(inst, bcm.SolverConfig(max_epochs=1),
+                                   escape.EscapeConfig(epsilon=eps), r=3)
+        assert trace.header["threshold"] == escape.escape_threshold(inst, eps)
+        assert trace.header["step_length"] == eps / (15.0 * one)
+        assert trace.header["epoch_cap"] == math.ceil(675.0 * 20 * one**2 / eps**2)
+
+
+# bcm2's epsilon constants, formed into its numbers in _check_epsilon alone
+EPSILON_CONSTANTS = {"THRESHOLD_DENOM", "STEP_DENOM", "ASCENT_DENOM",
+                     "EPOCH_CAP_NUM"}
+
+
+def epsilon_constant_readers(source: str) -> set[str]:
+    """The outermost function, or <module>, around each read of one of
+    EPSILON_CONSTANTS in the source."""
+    found = set()
+
+    def visit(node, where):
+        if where == "<module>" and isinstance(node, ast.FunctionDef):
+            where = node.name
+        if (isinstance(node, ast.Name) and node.id in EPSILON_CONSTANTS
+                and isinstance(node.ctx, ast.Load)):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_finds_epsilon_constant_reads():
+    source = ("STEP_DENOM = 15.0\nx = 2 * EPOCH_CAP_NUM\n"
+              "def _check_epsilon(e):\n    return e / STEP_DENOM\n"
+              "def run_bcm2(e):\n    def inner():\n"
+              "        return e / ASCENT_DENOM\n    return inner()\n"
+              "def other(e):\n    return e.STEP_DENOM + STEP\n")
+    assert epsilon_constant_readers(source) == {"<module>", "_check_epsilon",
+                                                "run_bcm2"}
+    # a step length formed again in second_order_step is found
+    real = Path(escape.__file__).read_text()
+    planted = real.replace("    f_before = cache.objective()\n",
+                           "    t = epsilon / (STEP_DENOM * instance.one_norm)\n"
+                           "    f_before = cache.objective()\n")
+    assert planted != real
+    assert epsilon_constant_readers(planted) == {"_check_epsilon",
+                                                 "second_order_step"}
+
+
+def test_epsilon_numbers_formed_in_check_epsilon():
+    # the threshold, ascent floor, step length and epoch cap have one
+    # derivation, so a run's header holds the floats it runs with
+    source = Path(escape.__file__).read_text()
+    assert epsilon_constant_readers(source) == {"_check_epsilon"}
 
 
 class TestShiftedApply:
@@ -102,6 +168,13 @@ class TestBudget:
         a[0, 1] = a[1, 0] = 1.0  # one_norm exactly 1
         inst = bmcut.preprocess(a)
         assert escape.lanczos_budget(inst, eps, delta, r) == 152
+
+    @pytest.mark.parametrize("r, cap", [(3, 12), (4, 18)])
+    def test_overflowing_bound_gives_the_cap(self, r, cap):
+        # the log argument overflowed to inf and math.ceil raised
+        # OverflowError; the bound exceeds every dimension there
+        inst = bmcut.gen_gaussian(6, 0)
+        assert escape.lanczos_budget(inst, 1e-100, 1e-300, r) == cap
 
     def test_validation(self):
         inst = bmcut.gen_gaussian(5, seed=0)

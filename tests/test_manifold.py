@@ -51,6 +51,19 @@ class TestFactorPoint:
         assert pt.r == 1
         assert np.array_equal(np.abs(pt.sigma), np.ones((4, 1)))
 
+    def test_random_point_zero_draw_row(self):
+        # a row drawn as exactly zero has no direction: it becomes e_1
+        class ZeroRow:
+            def standard_normal(self, shape):
+                x = np.random.default_rng(0).standard_normal(shape)
+                x[2] = 0.0
+                return x
+
+        pt = manifold.random_point(5, 3, ZeroRow())
+        assert np.array_equal(pt.sigma[2], [1.0, 0.0, 0.0])
+        assert np.allclose(np.linalg.norm(pt.sigma, axis=1), 1.0, atol=1e-12)
+        FactorPoint(pt.sigma)   # checks the unit rows
+
     def test_random_point_rows_unit(self):
         pt = manifold.random_point(50, 7, np.random.default_rng(4))
         assert np.allclose(np.linalg.norm(pt.sigma, axis=1), 1.0, atol=1e-12)
