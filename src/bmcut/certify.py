@@ -24,7 +24,7 @@ from scipy.linalg.blas import daxpy
 
 from .bcm import GradientCache
 from .errors import NumericalError, ValidationError, check_count, check_real
-from .manifold import FactorPoint
+from .manifold import FactorPoint, _unit_rows
 from .problem import ProblemInstance
 
 # rows up to which every instance takes LAPACK's pair; complete instances
@@ -155,7 +155,7 @@ def top_ritz_value(instance: ProblemInstance,
         return w
 
     q = np.random.default_rng(0).standard_normal(n)
-    q /= np.linalg.norm(q)
+    q /= math.sqrt(q @ q)
     alphas, betas, check = [], [], 8
     for k, (_, alpha, beta) in zip(range(1, MAX_LANCZOS_STEPS + 1),
                                    lanczos(apply, q)):
@@ -284,13 +284,8 @@ def round_cut(instance: ProblemInstance, point: FactorPoint, trials: int,
     sigma = point.sigma
     best_signs, best_value = None, -np.inf
     for start in range(0, trials, ROUND_CHUNK):
-        z = rng.standard_normal((min(ROUND_CHUNK, trials - start),
-                                 sigma.shape[1]))
-        nz = np.linalg.norm(z, axis=1)
-        zero = nz == 0.0
-        z[zero, 0] = 1.0
-        nz[zero] = 1.0
-        z /= nz[:, None]
+        z = _unit_rows(rng.standard_normal((min(ROUND_CHUNK, trials - start),
+                                            sigma.shape[1])))
         signs = _chunk_winner(instance.rows, sigma, z)
         value = cut_value(instance, signs)
         if value > best_value:

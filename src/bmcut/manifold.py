@@ -61,17 +61,23 @@ def _project_rows(sigma: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w - np.einsum("ij,ij->i", sigma, w)[:, None] * sigma
 
 
-def random_point(n: int, r: int, rng: np.random.Generator) -> FactorPoint:
-    """Rows drawn uniformly on the unit sphere via normalized Gaussians."""
-    n, r = check_count("n", n, 0), check_count("r", r, 1)
-    x = rng.standard_normal((n, r))
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """Divide each row of x by its norm, in place, and return x; a row of
+    norm below 1e-300 has no direction and becomes e_1."""
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     bad = norms[:, 0] < 1e-300
     if bad.any():
         x[bad] = 0.0
         x[bad, 0] = 1.0
         norms[bad] = 1.0
-    return FactorPoint(x / norms)
+    x /= norms
+    return x
+
+
+def random_point(n: int, r: int, rng: np.random.Generator) -> FactorPoint:
+    """Rows drawn uniformly on the unit sphere via normalized Gaussians."""
+    n, r = check_count("n", n, 0), check_count("r", r, 1)
+    return FactorPoint(_unit_rows(rng.standard_normal((n, r))))
 
 
 def exp_map(point: FactorPoint, u: np.ndarray, t: float) -> FactorPoint:

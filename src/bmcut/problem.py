@@ -163,9 +163,8 @@ def gen_gaussian(n: int, seed: int) -> ProblemInstance:
 
 def _decode_pairs(ks: np.ndarray, n: int):
     """Map flat indices in [0, n(n-1)/2) to (i, j) with i < j, lexicographic."""
-    starts = np.arange(n, dtype=np.int64) * (n - 1) - (
-        np.arange(n, dtype=np.int64) * (np.arange(n, dtype=np.int64) - 1)
-    ) // 2
+    k = np.arange(n, dtype=np.int64)
+    starts = k * (n - 1) - k * (k - 1) // 2
     i = np.searchsorted(starts, ks, side="right") - 1
     j = i + 1 + (ks - starts[i])
     return i, j
@@ -174,6 +173,7 @@ def _decode_pairs(ks: np.ndarray, n: int):
 def gen_erdos_renyi(n: int, edges: int, sign: int, seed: int) -> ProblemInstance:
     """Uniform simple graph on n nodes with exactly `edges` edges, weights sign*1.
 
+    The edge set is one draw without replacement from the n(n-1)/2 pairs.
     sign=-1 orients maximization of <A, X> toward the Max-Cut relaxation.
     """
     n = check_count("n", n, 2)
@@ -182,18 +182,7 @@ def gen_erdos_renyi(n: int, edges: int, sign: int, seed: int) -> ProblemInstance
     m = n * (n - 1) // 2
     edges = check_count("edges", edges, 1, m + 1)
     rng = np.random.default_rng(check_count("seed", seed, 0))
-    if edges <= m // 3:
-        # sparse regime: rejection into a set stays uniform over edge subsets
-        chosen: set[int] = set()
-        while len(chosen) < edges:
-            need = edges - len(chosen)
-            for k in rng.integers(0, m, size=max(16, 2 * need)):
-                chosen.add(int(k))
-                if len(chosen) == edges:
-                    break
-        ks = np.fromiter(sorted(chosen), dtype=np.int64)
-    else:
-        ks = np.sort(rng.permutation(m)[:edges]).astype(np.int64)
+    ks = np.sort(rng.choice(m, size=edges, replace=False))
     i, j = _decode_pairs(ks, n)
     return _from_edges(n, i, j, np.full(edges, float(sign)))
 
@@ -256,10 +245,7 @@ def _load_matrix_market(path: str) -> ProblemInstance:
         raise ParseError(f"{path}: {exc}") from None
     if np.iscomplexobj(raw):
         raise ParseError(f"{path}: complex entries are not supported")
-    try:
-        return preprocess(raw)
-    except DimensionError as exc:
-        raise DimensionError(f"{path}: {exc}") from None
+    return preprocess(raw)
 
 
 def load_instance(path: str, format: str = "edge-list") -> ProblemInstance:
@@ -271,13 +257,16 @@ def load_instance(path: str, format: str = "edge-list") -> ProblemInstance:
     (coordinate or array; passed to ``preprocess``, so a general header is
     symmetrized).
     Every source rejects non-finite entries, and finite entries whose sums
-    (repeated pairs, norms, trace) overflow.
+    (repeated pairs, norms, trace) overflow; a refusal names the file.
     """
-    if format == "edge-list":
-        return _load_edge_list(path)
-    if format == "matrix-market":
-        return _load_matrix_market(path)
-    raise ValidationError(f"unknown instance format {format!r}")
+    loaders = {"edge-list": _load_edge_list,
+               "matrix-market": _load_matrix_market}
+    if format not in loaders:
+        raise ValidationError(f"unknown instance format {format!r}")
+    try:   # a ParseError already names the file
+        return loaders[format](path)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def write_edge_list(instance: ProblemInstance, path: str) -> None:

@@ -41,6 +41,20 @@ def small_corpus(sizes=(10, 50, 200), seeds=(0, 1)):
     return out
 
 
+# (file name, format, text) of files each loader reads but the instance
+# build refuses: an infinite entry, and finite entries whose sums overflow
+REFUSED_FILES = [
+    pytest.param("inf.mtx", "matrix-market",
+                 "%%MatrixMarket matrix coordinate real general\n"
+                 "2 2 1\n2 1 inf\n", id="mtx_inf"),
+    pytest.param("big.mtx", "matrix-market",
+                 "%%MatrixMarket matrix coordinate real general\n"
+                 "3 3 2\n2 1 1e308\n3 1 1e308\n", id="mtx_overflow"),
+    pytest.param("big.txt", "edge-list", "1 2 1e308\n1 3 1e308\n",
+                 id="edges_overflow"),
+]
+
+
 def gaussian_pair_zeroed(n, seed):
     """A Gaussian instance with the pair (0, 1) zeroed: rows 0 and 1 are
     partial, so the instance is not complete."""

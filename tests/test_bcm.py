@@ -876,14 +876,14 @@ class TestGoldenTraces:
     steps and records exactly, so a renewed digest must come with iterates
     that moved only in their last bits, on the same steps."""
 
-    # renewed when _row_stats came to take its row dots from np.vecdot in
-    # place of np.einsum: sigma within 4.8e-14, final f_raw within 3.6e-16
-    # relative, the same records
+    # renewed, with F_RAW and COUNTS, when gen_erdos_renyi came to draw its
+    # edge set with one Generator.choice: a new graph at the same size and
+    # seed, whose values the solver before that change gives exactly
     BCM = {
-        "cyclic": "f7e64790f218d8b1acbd7c9d0b33149d7731e588ea5c04d3f96647d9f9a1380d",
-        "uniform": "e1a6f3713957912e5582ca81f731c86ff4e96215d9d4acff12b602aca14dee35",
-        "importance": "6fbcaf1ddc82672b68ba1ad0d85d60fe9efc4660fe3842899e02a952b427be0a",
-        "greedy": "bd1cf8d4709d137d8a7b2d013eb0b92ff46aa2a315b845da03128f8c108d3bc0",
+        "cyclic": "e8600fa9530c7d89afffea6d5f7eb03f08a1fd4e594f28a01a2f28a40bfb0712",
+        "uniform": "81d8e6348d2250e534da96331c7d4372e7162b30cface240783341109f2fcf58",
+        "importance": "4255252844fab95d7ca95f1ef9be7b8158b64cc34eec854883a2e30ccfeedbc5",
+        "greedy": "7968eed69e5779f75c048927a9658fcad371ae5c85d19c40e8662bf62c9f9cd7",
     }
     # renewed when the header gained lanczos_calls (0 here); without that
     # field the file and the iterates are the earlier ones, byte for byte;
@@ -906,17 +906,13 @@ class TestGoldenTraces:
     # header-only when lanczos_reorth became false (no Lanczos call here)
     BCM2_ESCAPES = "31a9733237eafe64a4852b425d6b1a55ea7bcba28ecd203219c1836c55fac1d4"
     # the same start on CSR storage: drive's threshold pre-check and the
-    # gather-and-scatter step under an escape policy (2 escapes, 123
-    # records).  Computed before bcm_step read its scalars as Python floats
-    # and gathered with ndarray.take; neither moved a bit of it.  Renewed
-    # for np.vecdot in _row_stats: the metric's slow tail reaches the
-    # escape threshold 31 steps later (7155 coordinate steps, not 7124), so
-    # sigma is within 9.5e-7 and the final f_raw 1.0e-13 relative, with the
-    # same 123 records, 2 escapes and concave verdict.  Header-only when
-    # lanczos_reorth became false: its escapes take LAPACK's pair, and no
-    # step reaches Lanczos
+    # gather-and-scatter step under an escape policy.  Its escapes take
+    # LAPACK's pair, and no step reaches Lanczos.  Renewed, with F_RAW and
+    # COUNTS, for gen_erdos_renyi's one Generator.choice draw, as BCM was:
+    # 3 escapes, 313 records and the concave verdict, where the earlier
+    # graph took 2 escapes and 123 records
     BCM2_ESCAPES_CSR = (
-        "4e5530c07dbe59bf08b35d11ffa01a4795efe5bb7887034c75681abdd25e282c")
+        "6d43c877e10c3e68b0e71aaaa499303f8bf7c0d2cf22969ab850af691999a3ae")
 
     # every row of these is full: bcm_step's in-place path, and the cyclic
     # sweeps run through the step-by-step reference in place of block_sweep;
@@ -946,21 +942,21 @@ class TestGoldenTraces:
     }
 
     F_RAW = {
-        "cyclic": 1252.959426783742,
-        "uniform": 1252.9591382374608,
-        "importance": 1252.9488896508808,
-        "greedy": 1252.9604518470378,
+        "cyclic": 1230.1897316280738,
+        "uniform": 1230.1829465417873,
+        "importance": 1230.1839626713474,
+        "greedy": 1230.1907609790028,
         (240, 0, 22, "cyclic"): 38.80530387753638,
         (61, 2, 5, "greedy"): 18.648429893815027,
         ("blocked", 240, 0, 22, "cyclic"): 38.80530387753638,
         ("blocked", 61, 2, 5, "uniform"): 18.640048254479638,
         "bcm2": 14.384915723469149,
         "bcm2_escapes": 9.694098844035516,
-        "bcm2_escapes_csr": 204.72877030995983,
+        "bcm2_escapes_csr": 197.20850612824094,
     }
 
     # (coordinate steps, records) of each case, the header's bcm_steps for
-    # bcm2; BCM2_ESCAPES_CSR's 7155 steps are the renewed digest's
+    # bcm2
     COUNTS = {
         "cyclic": (75000, 251),
         "uniform": (75000, 251),
@@ -972,7 +968,7 @@ class TestGoldenTraces:
         ("blocked", 61, 2, 5, "uniform"): (1830, 31),
         "bcm2": (2477, 63),
         "bcm2_escapes": (2793, 151),
-        "bcm2_escapes_csr": (7155, 123),
+        "bcm2_escapes_csr": (18455, 313),
     }
 
     def assert_final(self, trace, case):

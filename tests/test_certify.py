@@ -305,14 +305,15 @@ class TestRitzValueAccuracy:
         # the sparse benchmark's kind of iterate: greedy, 9 epochs.  theta's
         # bits and step count were recorded before top_ritz_value came to
         # run the shared lanczos generator: a kernel that reorders an
-        # operation moves them
+        # operation moves them.  Renewed for gen_erdos_renyi's one
+        # Generator.choice draw (229 steps on the earlier graph)
         inst = bmcut.gen_erdos_renyi(1000, 3000, sign=-1, seed=0)
         cfg = bcm.SolverConfig(rule="greedy", max_epochs=9, grad_tol=0.0,
                                seed=0)
         point, _ = bcm.run(inst, cfg, r=45)
         theta, steps = self.assert_close(inst,
                                          bcm.init_cache(inst, point).inner)
-        assert (theta.hex(), steps) == ("0x1.78cee5c3f9316p-4", 229)
+        assert (theta.hex(), steps) == ("0x1.efbce3ad3872ep-4", 144)
 
     def test_er_near_stationary_cluster(self):
         # cyclic iterates: several eigenvalues of A - Lambda sit within

@@ -11,6 +11,8 @@ import scipy.io
 import bmcut
 from bmcut import cli
 
+from conftest import REFUSED_FILES
+
 
 def run_cli(args, tmp_path=None):
     """Invoke main() in-process, capturing the exit code."""
@@ -157,6 +159,15 @@ class TestSolve:
         out, err = capsys.readouterr()
         assert out == ""
         assert "grad_tol" in err
+
+    @pytest.mark.parametrize("name, fmt, text", REFUSED_FILES)
+    def test_refused_file_is_named(self, tmp_path, capsys, name, fmt, text):
+        p = tmp_path / name
+        p.write_text(text)
+        flag = {"matrix-market": "--mtx", "edge-list": "--edge-list"}[fmt]
+        assert run_cli(["solve", flag, str(p)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {p}: matrix contains non-finite entries or sums\n")
 
     def test_complex_matrix_market_is_parse_error(self, tmp_path, capsys):
         mm = tmp_path / "c.mtx"
@@ -540,6 +551,21 @@ def test_git_describe_ignores_working_directory(tmp_path, monkeypatch):
                            capture_output=True, text=True, check=True)
     monkeypatch.chdir(tmp_path)
     assert cli._git_describe() != other.stdout.strip()
+
+
+def test_git_describe_without_git(monkeypatch):
+    def missing(*args, **kwargs):
+        raise FileNotFoundError("git")
+
+    monkeypatch.setattr(cli.subprocess, "run", missing)
+    assert cli._git_describe() == "unknown"
+
+
+def test_git_describe_outside_a_checkout(monkeypatch):
+    # git exits 128 where no repository holds bmcut's source
+    monkeypatch.setattr(cli.subprocess, "run", lambda *args, **kwargs:
+                        subprocess.CompletedProcess(args, 128, "", "fatal"))
+    assert cli._git_describe() == "unknown"
 
 
 def test_solve_defaults_are_the_configs():

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 import bmcut
 from bmcut import DimensionError, ParseError, ValidationError
 
-from conftest import gaussian_pair_zeroed
+from conftest import REFUSED_FILES, gaussian_pair_zeroed
 
 
 def recompute_norms(inst):
@@ -163,17 +163,16 @@ class TestErdosRenyi:
                 bmcut.gen_erdos_renyi(5, 3, sign=sign, seed=0)
 
     def test_deterministic_both_regimes(self):
-        # sparse regime (rejection sampler) and dense regime (permutation)
+        # a sparse draw and a dense one
         for edges in (5, 40):
             a = bmcut.gen_erdos_renyi(10, edges, sign=-1, seed=9)
             b = bmcut.gen_erdos_renyi(10, edges, sign=-1, seed=9)
             assert np.array_equal(a.dense(), b.dense())
             assert a.nnz == 2 * edges
 
-    @pytest.mark.parametrize("edges", [2, 4], ids=["rejection", "permutation"])
+    @pytest.mark.parametrize("edges", [2, 4], ids=["sparse", "dense"])
     def test_uniform_over_edge_sets(self, edges):
-        # n = 4 has 6 possible edges and 15 sets of 2, or of 4; m // 3 = 2
-        # sends edges = 2 to the rejection sampler and 4 to the permutation
+        # n = 4 has 6 possible edges and 15 sets of 2, or of 4
         counts = collections.Counter()
         for seed in range(1500):
             inst = bmcut.gen_erdos_renyi(4, edges, sign=-1, seed=seed)
@@ -181,6 +180,18 @@ class TestErdosRenyi:
         assert len(counts) == 15
         observed = np.array(list(counts.values()))
         assert stats.chisquare(observed).statistic < stats.chi2.isf(1e-4, 14)
+
+    @pytest.mark.parametrize("n, edges", [(4, 6), (10, 5), (10, 40), (300, 900)])
+    def test_one_choice_draw(self, n, edges):
+        # the edge set is one choice without replacement over the n(n-1)/2
+        # pairs, numbered as np.triu_indices lists them
+        m = n * (n - 1) // 2
+        ks = np.sort(np.random.default_rng(7).choice(m, edges, replace=False))
+        i, j = np.triu_indices(n, 1)
+        expect = np.zeros((n, n), dtype=bool)
+        expect[i[ks], j[ks]] = True
+        inst = bmcut.gen_erdos_renyi(n, edges, sign=-1, seed=7)
+        assert np.array_equal(np.triu(inst.dense()) != 0, expect)
 
     def test_norm_inequality_over_generators(self):
         for seed in range(5):
@@ -322,6 +333,15 @@ class TestLoad:
         p.write_text("1 2 1e16\n2 1 1\n1 2 -1e16\n")
         inst = bmcut.load_instance(str(p), "edge-list")
         assert (inst.rows != inst.rows.T).nnz == 0
+
+    @pytest.mark.parametrize("name, fmt, text", REFUSED_FILES)
+    def test_refused_file_is_named(self, tmp_path, name, fmt, text):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(ValidationError) as exc:
+            bmcut.load_instance(str(p), fmt)
+        assert str(exc.value) == (
+            f"{p}: matrix contains non-finite entries or sums")
 
     def test_matrix_market_non_square_names_path(self, tmp_path):
         p = tmp_path / "wide.mtx"
