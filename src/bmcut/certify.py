@@ -5,11 +5,11 @@ For any diagonal vector lam and any feasible X (unit diagonal, psd),
 + sum(lam) (weak duality), so picking lam_i = <sigma_i, g_i> at the current
 iterate bounds the relaxation optimum.  The reported bound puts the
 eigensolver's estimate theta in place of lambda_max, with no margin added:
-LAPACK's top eigenvalue where lapack_pair holds, and elsewhere the top Ritz
-value of a seeded Lanczos recurrence, which in floating point does not rise
-above lambda_max beyond rounding (Paige, Linear Algebra Appl. 34, 1980), so
-beyond rounding it can only fall short of it.  At rank-deficient
-second-order points the bound is tight.
+LAPACK's top eigenvalue on complete instances, stored dense, and on all
+others the top Ritz value of a seeded Lanczos recurrence, which in floating
+point does not rise above lambda_max beyond rounding (Paige, Linear Algebra
+Appl. 34, 1980), so beyond rounding it can only fall short of it.  At
+rank-deficient second-order points the bound is tight.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from .errors import NumericalError, ValidationError, check_count, check_real
 from .manifold import FactorPoint, _unit_rows
 from .problem import ProblemInstance
 
-# rows up to which every instance takes LAPACK's pair; complete instances
-# take it at any size (lapack_pair)
-DENSE_EIG_LIMIT = 200
 ROUND_CHUNK = 32        # rounding trials scored per matrix product
 # the recurrence of top_ritz_value, on A - Diag(lam) over instance.unit:
 RITZ_TOL = 1e-8         # stop at a top Ritz residual |beta_k s_k| this small
@@ -60,35 +57,32 @@ class Cut:
         return {"signs": self.signs.astype(int).tolist(), "value": self.value}
 
 
-def lapack_pair(instance: ProblemInstance) -> bool:
-    """Whether the dual bound and bcm2's escape take LAPACK's pair
-    (leading_pair): complete, or n <= DENSE_EIG_LIMIT."""
-    return instance.n <= DENSE_EIG_LIMIT or instance.complete
-
-
 def leading_pair(instance: ProblemInstance,
                  lam: np.ndarray) -> tuple[float, np.ndarray]:
     """LAPACK's top eigenpair (theta, v) of A - Diag(lam), |v| = 1.
 
     LAPACK's value for the matrix divided by `instance.unit`, times that
     unit, so theta and v are the same numbers at every scale of A; the
-    division and the solve run in place on one n x n dense copy, so callers
-    take it where lapack_pair holds.  LAPACK's failure raises
-    NumericalError.
+    division and the solve run in place on one n x n dense copy, taken on
+    complete instances alone.  Where the one-pair solve fails or returns no
+    pair, as it can at a highly repeated top eigenvalue, the full solve's
+    last pair is taken, on a new copy; failure of both raises NumericalError.
     """
-    n = instance.n
-    m = instance.dense()
-    m[np.diag_indices(n)] -= lam
-    unit = instance.unit
-    m /= unit   # exact: unit is a power of two
-    try:
-        # m.T is the same symmetric matrix in Fortran order, which LAPACK
-        # overwrites without making a copy
-        vals, vecs = scipy.linalg.eigh(
-            m.T, subset_by_index=[n - 1, n - 1], overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError("dense eigensolve did not converge") from exc
-    return float(vals[0]) * unit, vecs[:, 0]
+    n, unit = instance.n, instance.unit
+    for subset in ([n - 1, n - 1], None):
+        m = instance.dense()
+        m[np.diag_indices(n)] -= lam
+        m /= unit   # exact: unit is a power of two
+        try:
+            # m.T is the same symmetric matrix in Fortran order, which
+            # LAPACK overwrites without making a copy
+            vals, vecs = scipy.linalg.eigh(m.T, subset_by_index=subset,
+                                           overwrite_a=True)
+        except scipy.linalg.LinAlgError:
+            continue
+        if len(vals):
+            return float(vals[-1]) * unit, vecs[:, -1]
+    raise NumericalError("dense eigensolve did not converge")
 
 
 def lanczos(apply, q: np.ndarray):
@@ -174,15 +168,15 @@ def dual_upper_bound(instance: ProblemInstance, point: FactorPoint,
                      cache: GradientCache) -> Certificate:
     """Upper bound on the relaxation optimum from the current iterate.
 
-    Its theta is LAPACK's (leading_pair) where lapack_pair holds, and
-    elsewhere top_ritz_value's, whose step count the certificate carries.
+    Its theta is LAPACK's (leading_pair) on complete instances, and on all
+    others top_ritz_value's, whose step count the certificate carries.
     Either is an estimate with no margin added.
     """
     if instance.n == 0:
         raise ValidationError("the dual bound needs n >= 1, got n = 0")
     instance.check_rows(cache.inner.size, "cache")
     lam = cache.inner.copy()
-    if lapack_pair(instance):
+    if instance.complete:
         slack, steps = leading_pair(instance, lam)[0], 0
     else:
         slack, steps = top_ritz_value(instance, lam)

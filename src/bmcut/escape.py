@@ -7,8 +7,8 @@ Lambda) U) with Lambda = diag(<sigma_i, g_i>), so twice the top eigenvalue of
 A - Lambda, the dual certificate's own eigenproblem, bounds the curvature,
 and at a rank-deficient point v z^T (v its top eigenvector, S z = 0) attains
 the bound (Journee, Bach, Absil & Sepulchre, SIAM J. Optim. 20(5), 2010).
-Only where that direction falls short does a tridiagonal Lanczos recurrence
-on the curvature operator Hess[u] itself run.
+Where that direction falls short, and always on incomplete instances, a
+tridiagonal Lanczos recurrence on the curvature operator Hess[u] runs.
 _check_epsilon forms the three constants and the cubic ascent bound
 eps^3/(2700 |A|_1^2) that ties them; changing one invalidates the others.
 """
@@ -24,7 +24,7 @@ import numpy as np
 from .bcm import (GradientCache, SolverConfig, bcm_step, drive, refresh_cache,
                   select_coordinate, start_point)
 from .certify import (BREAKDOWN_TOL, _top_ritz_pair, dual_upper_bound, lanczos,
-                      lapack_pair, leading_pair)
+                      leading_pair)
 from .errors import ValidationError, check_count, check_real
 from .manifold import (FactorPoint, _hess_apply_rows, _project_rows, exp_map,
                        grad_metric_sq, hess_quadratic, riemannian_gradient)
@@ -220,17 +220,17 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
     """Greedy coordinate ascent interleaved with escape steps.
 
     Above the threshold the greedy rule takes single-row steps (n of them
-    count as one epoch).  Below it, an escape step where lapack_pair holds
+    count as one epoch).  Below it, an escape step on a complete instance
       (a) computes LAPACK's top pair (theta, v) of A - Lambda (leading_pair);
       (b) declares the point eps-approximate concave if 2 theta < eps/2,
           which bounds every curvature below eps/2 and the gap by n eps/4;
       (c) steps along U = proj(v z^T), normalised, with z the last right
           singular vector of S, if its curvature is >= eps/2;
-      (d) else, and always elsewhere (where the dual bound's theta is a
-          basis-free Lanczos estimate with no eigenvector and no proven
-          margin), runs Lanczos on the curvature operator, steps along its
-          direction if that curvature is >= eps/2, or stops with the concave
-          verdict.
+      (d) else, and always on an incomplete instance (whose dual bound's
+          theta is a basis-free Lanczos estimate with no eigenvector and no
+          proven margin), runs Lanczos on the curvature operator, steps
+          along its direction if that curvature is >= eps/2, or stops with
+          the concave verdict, which holds with probability >= 1 - delta.
     The header's lanczos_calls counts the steps that reached (d).  The loop
     itself is bcm.drive with the escape threshold and step, and
     max_epochs = min(cap, solver.max_epochs), where cap (see _check_epsilon)
@@ -256,8 +256,8 @@ def run_bcm2(instance: ProblemInstance, solver: SolverConfig,
         lanczos_reorth=False, escape_seed=esc.seed, lanczos_calls=0)
 
     def escape_step():
-        ray = -math.inf   # elsewhere Lanczos alone gives the direction
-        if lapack_pair(instance):
+        ray = -math.inf   # incomplete: Lanczos alone gives the direction
+        if instance.complete:
             theta, v = leading_pair(instance, cache.inner)
             if 2.0 * theta < eps / 2.0:
                 return None

@@ -57,7 +57,7 @@ class ProblemInstance:
     @property
     def complete(self) -> bool:
         """Stored dense, as `_finish` does with no zero off-diagonal entry;
-        `bcm.drive`, `bcm_step` and `certify.lapack_pair` branch on it."""
+        `bcm.drive`, `bcm_step`, `dual_upper_bound` and `run_bcm2` branch on it."""
         return isinstance(self.rows, np.ndarray)
 
     def check_rows(self, m: int, what: str) -> None:
@@ -270,21 +270,26 @@ def load_instance(path: str, format: str = "edge-list") -> ProblemInstance:
 
 
 def write_edge_list(instance: ProblemInstance, path: str) -> None:
-    """Write a "# <n> nodes" header and the strict upper triangle as 1-based
-    "i j w" lines.
-
-    The trace offset has no edge-list representation and is dropped.
-    """
+    """Write a "# <n> nodes" header, a nonzero trace offset as the self-loop
+    "1 1 offset", and the strict upper triangle, as 1-based "i j w" lines."""
     coo = sp.coo_array(sp.triu(instance.rows, k=1))
+    loop = [(0, 0, instance.trace_offset)] if instance.trace_offset else []
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {instance.n} nodes, {coo.nnz} edges\n")
-        for i, j, w in zip(coo.row, coo.col, coo.data):
+        fh.write(f"# {instance.n} nodes, {coo.nnz + len(loop)} edges\n")
+        for i, j, w in loop + list(zip(coo.row, coo.col, coo.data)):
             fh.write(f"{i + 1} {j + 1} {float(w)!r}\n")
 
 
 def write_matrix_market(instance: ProblemInstance, path: str) -> None:
+    """Write A as a symmetric coordinate file, a nonzero trace offset as (1, 1)."""
     import scipy.io
 
+    a, offset = sp.coo_array(instance.rows), instance.trace_offset
+    if abs(offset) > np.finfo(np.float64).max / 2:   # (x + x) 0.5 overflows
+        raise ValidationError(f"trace offset {offset!r} overflows the symmetrization")
+    if offset:
+        a = sp.coo_array((np.r_[offset, a.data], (np.r_[0, a.row], np.r_[0, a.col])),
+                         shape=a.shape)
     # through a handle: given a name, mmwrite appends .mtx to any other suffix
     with open(path, "wb") as fh:
-        scipy.io.mmwrite(fh, sp.coo_matrix(instance.rows), symmetry="symmetric")
+        scipy.io.mmwrite(fh, a, symmetry="symmetric")

@@ -61,3 +61,9 @@ def gaussian_pair_zeroed(n, seed):
     a = bmcut.gen_gaussian(n, seed).dense()
     a[0, 1] = a[1, 0] = 0.0
     return bmcut.preprocess(a)
+
+
+def negated_complete(n):
+    """K_n's Max-Cut instance A = I - J, complete.  At the all-equal point
+    A - Lambda = n I - J, whose top eigenvalue n has multiplicity n - 1."""
+    return bmcut.preprocess(-(np.ones((n, n)) - np.eye(n)))

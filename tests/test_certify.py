@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bmcut
@@ -18,7 +18,7 @@ from bmcut import (FactorPoint, NumericalError, ValidationError, bcm, certify,
                    cli, manifold)
 
 import oracles
-from conftest import gaussian_pair_zeroed
+from conftest import gaussian_pair_zeroed, negated_complete
 
 
 class TestDualBound:
@@ -131,12 +131,13 @@ class TestDualBound:
             certify.top_ritz_value(inst, lam)
 
     def test_complete_above_limit_takes_dense_eigh(self, monkeypatch):
+        # the storage alone picks the eigensolver, at any size
         def refused(*args, **kwargs):
             raise AssertionError("Lanczos run on a complete instance")
 
         monkeypatch.setattr(certify, "top_ritz_value", refused)
         inst = bmcut.gen_gaussian(240, seed=1)
-        assert inst.n > certify.DENSE_EIG_LIMIT and inst.complete
+        assert inst.complete
         point = manifold.random_point(240, 22, np.random.default_rng(2))
         cert = certify.dual_upper_bound(inst, point,
                                         bcm.init_cache(inst, point))
@@ -146,6 +147,7 @@ class TestDualBound:
                 <= 1e-12 * inst.one_norm)
 
     def test_incomplete_above_limit_takes_lanczos(self, monkeypatch):
+        # one zero pair makes a Gaussian instance take the recurrence
         inst = gaussian_pair_zeroed(240, 1)
         assert not inst.complete
         point = manifold.random_point(240, 22, np.random.default_rng(2))
@@ -173,7 +175,7 @@ class TestDualBound:
             certify._top_ritz_pair([1.0, 2.0, 3.0], [0.5, 0.5])
 
         inst = gaussian_pair_zeroed(201, 1)
-        assert not certify.lapack_pair(inst)
+        assert not inst.complete
         graph, pt = tmp_path / "g.mtx", tmp_path / "p.bin"
         bmcut.write_matrix_market(inst, str(graph))
         bmcut.save_point(manifold.random_point(201, 4, np.random.default_rng(2)),
@@ -199,6 +201,20 @@ class TestDualBound:
         bmcut.save_point(point, str(pt))
         assert cli.main(["certify", "--edge-list", str(graph),
                          "--point", str(pt)]) == 4
+
+    @pytest.mark.parametrize("inst, complete", [
+        (bmcut.gen_gaussian(240, seed=0), True),
+        (bmcut.gen_gaussian(20, seed=0), True),
+        (bmcut.gen_erdos_renyi(1000, 3000, sign=-1, seed=0), False),
+    ], ids=["dense", "escape", "sparse"])
+    def test_workload_class(self, inst, complete):
+        # each benchmark workload's kind of instance: the Gaussian ones take
+        # LAPACK's pair, the sparse ER one the recurrence
+        point = manifold.random_point(inst.n, 4, np.random.default_rng(0))
+        cert = certify.dual_upper_bound(inst, point,
+                                        bcm.init_cache(inst, point))
+        assert inst.complete == complete
+        assert (cert.iterations == 0) == complete
 
     def test_dense_path_working_memory(self):
         # A - Lambda is scaled and solved in place in one n x n copy; an
@@ -269,16 +285,54 @@ class TestLeadingPair:
         (bmcut.gen_gaussian(240, seed=4), 22),
     ], ids=["dense-eigh", "lanczos", "dense-eigh-above-limit"])
     def test_slack_is_theta(self, inst, r):
-        # the certificate and the escape read one eigensolve where LAPACK's
-        # pair is taken, and the certificate the recurrence's theta elsewhere
+        # the certificate and the escape read one eigensolve on a complete
+        # instance, and the certificate the recurrence's theta on all others
         point = manifold.random_point(inst.n, r, np.random.default_rng(3))
         cache = bcm.init_cache(inst, point)
         cert = certify.dual_upper_bound(inst, point, cache)
-        if certify.lapack_pair(inst):
+        if inst.complete:
             theta, steps = certify.leading_pair(inst, cache.inner)[0], 0
         else:
             theta, steps = certify.top_ritz_value(inst, cache.inner)
         assert (cert.slack, cert.iterations) == (theta, steps)
+
+    @pytest.mark.parametrize("n", [200, 240, 300])
+    def test_repeated_top_eigenvalue(self, tmp_path, n):
+        # A - Lambda = n I - J: LAPACK's one-pair solve can return no pair
+        # for its (n - 1)-fold top eigenvalue (at n = 200 and 300 with one
+        # BLAS thread, at 240 with two), and the full solve then gives it
+        inst = negated_complete(n)
+        point = FactorPoint(np.tile([1.0, 0.0, 0.0], (n, 1)))
+        cert = certify.dual_upper_bound(inst, point,
+                                        bcm.init_cache(inst, point))
+        assert abs(cert.slack - n) <= 1e-12 * n
+        graph, pt = tmp_path / "k.mtx", tmp_path / "eq.csv"
+        bmcut.write_matrix_market(inst, str(graph))
+        bmcut.save_point(point, str(pt))
+        assert cli.main(["certify", "--mtx", str(graph),
+                         "--point", str(pt)]) == 0
+
+    def test_full_solve_where_one_pair_gives_none(self, monkeypatch):
+        # the one-pair solve returns no pair after overwriting its input:
+        # the full solve runs on a new copy of A - Diag(lam)
+        real = scipy.linalg.eigh
+
+        def no_pair(a, subset_by_index=None, **kwargs):
+            if subset_by_index is None:
+                return real(a, **kwargs)
+            a[...] = np.nan
+            return np.empty(0), np.empty((a.shape[0], 0))
+
+        monkeypatch.setattr(scipy.linalg, "eigh", no_pair)
+        inst = bmcut.gen_gaussian(30, seed=0)
+        lam = np.random.default_rng(1).standard_normal(30)
+        theta, v = certify.leading_pair(inst, lam)
+        m = inst.dense()
+        m[np.diag_indices(30)] -= lam
+        tol = 1e-12 * inst.one_norm
+        assert abs(theta - np.linalg.eigvalsh(m)[-1]) <= tol
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(m @ v - theta * v) <= 1e-10 * inst.one_norm
 
 
 class TestRitzValueAccuracy:
@@ -337,11 +391,51 @@ class TestRitzValueAccuracy:
         # A = 0 and lam with d distinct values: the Krylov space of any start
         # has dimension d, so beta_d breaks down and T_d holds the spectrum
         inst = bmcut.preprocess(sp.csr_array((300, 300)))
-        assert not certify.lapack_pair(inst)
+        assert not inst.complete
         lam = np.repeat(levels, 300 // len(levels))
         theta, k = certify.top_ritz_value(inst, lam)
         assert k == steps
         assert theta == pytest.approx(-min(levels), abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 40), k=st.integers(-400, 400),
+           seed=st.integers(0, 2**32 - 1))
+    @example(data=None, n=2, k=0, seed=0)
+    def test_small_incomplete(self, data, n, k, seed):
+        # the small incomplete instances the recurrence serves alone: random
+        # patterns with isolated rows and disconnected parts at a random
+        # point, and near-complete unweighted ER graphs at the all-equal
+        # point, whose spectra are degenerate; A scaled by 2^k.  The example
+        # is n = 2 with a zero off-diagonal
+        rng = np.random.default_rng(seed)
+        if data is None:
+            a, point = np.zeros((2, 2)), FactorPoint(np.eye(2))
+        elif data.draw(st.booleans(), label="er"):
+            pairs = n * (n - 1) // 2
+            assume(pairs >= 2)
+            edges = data.draw(st.integers(max(1, pairs - 2 * n), pairs - 1),
+                              label="edges")
+            a = bmcut.gen_erdos_renyi(n, edges, -1, seed).dense()
+            point = FactorPoint(np.tile([1.0, 0.0, 0.0], (n, 1)))
+        else:
+            density = data.draw(st.floats(0.0, 1.0), label="density")
+            a = np.triu(rng.standard_normal((n, n))
+                        * (rng.random((n, n)) < density), 1)
+            a[0, 1] = 0.0
+            parts = data.draw(st.integers(1, n), label="parts")
+            a[:parts, parts:] = 0.0   # rows < parts apart from the rest
+            a += a.T
+            point = manifold.random_point(n, data.draw(st.integers(2, 5)),
+                                          rng)
+        inst = bmcut.preprocess(a * 2.0**k)
+        assert not inst.complete
+        cert = certify.dual_upper_bound(inst, point,
+                                        bcm.init_cache(inst, point))
+        m = inst.dense()
+        m[np.diag_indices(n)] -= cert.lam
+        assert abs(cert.slack - np.linalg.eigvalsh(m)[-1]) \
+            <= 1e-8 * inst.one_norm
+        assert cert.iterations > 0
 
     def test_planted_optimum(self):
         # Lambda(x) at the planted cut: lambda_max(A - Lambda) = 0 exactly
@@ -756,21 +850,21 @@ def names_used(source: str) -> set[str]:
 
 
 @pytest.mark.parametrize("source, named", [
-    ("from .certify import DENSE_EIG_LIMIT as LIMIT\n", True),
-    ("big = n > certify.DENSE_EIG_LIMIT\n", True),
-    ("DENSE_EIG_LIMIT = 200\n", True),
-    ("# DENSE_EIG_LIMIT\nx = 'DENSE_EIG_LIMIT'\n", False)],
+    ("from .certify import RITZ_TOL as TOL\n", True),
+    ("tol = certify.RITZ_TOL\n", True),
+    ("RITZ_TOL = 1e-8\n", True),
+    ("# RITZ_TOL\nx = 'RITZ_TOL'\n", False)],
     ids=["import", "attribute", "assignment", "comment"])
 def test_checker_finds_names(source, named):
-    assert ("DENSE_EIG_LIMIT" in names_used(source)) == named
+    assert ("RITZ_TOL" in names_used(source)) == named
 
 
-@pytest.mark.parametrize("name", ["DENSE_EIG_LIMIT", "daxpy", "dstebz",
-                                  "dstein", "eigh_tridiagonal"])
+@pytest.mark.parametrize("name", ["eigh", "daxpy", "dstebz", "dstein",
+                                  "eigh_tridiagonal"])
 def test_certify_alone_names(name):
-    # lapack_pair is the one rule for where LAPACK's pair is taken, and
-    # certify.lanczos and _top_ritz_pair are the one Lanczos recurrence and
-    # the one tridiagonal solve
+    # leading_pair is the one dense eigensolve, and certify.lanczos and
+    # _top_ritz_pair are the one Lanczos recurrence and the one tridiagonal
+    # solve
     for path in sorted(Path(certify.__file__).parent.glob("*.py")):
         if path.name != "certify.py":
             assert name not in names_used(path.read_text()), (

@@ -10,7 +10,7 @@ import bmcut
 from bmcut import ValidationError, bcm, certify, escape, manifold
 
 import oracles
-from conftest import gaussian_pair_zeroed
+from conftest import gaussian_pair_zeroed, negated_complete
 
 
 def rand_setup(n=10, r=3, seed=0, inst_seed=1):
@@ -468,7 +468,7 @@ class TestRunBcm2:
         monkeypatch.setattr(escape, "leading_pair",
                             lambda *args: calls.append(1) or real(*args))
         inst = bmcut.gen_gaussian(201, seed)
-        assert inst.n > certify.DENSE_EIG_LIMIT and inst.complete
+        assert inst.complete
         start = np.zeros((201, 2))
         start[:, 0] = 1.0
         _, trace = escape.run_bcm2(
@@ -479,14 +479,12 @@ class TestRunBcm2:
         assert trace.header["lanczos_calls"] == 0
         assert calls == [1]
 
-    def test_lanczos_alone_above_dense_limit(self, monkeypatch):
-        # on an incomplete instance above the limit no leading pair is
-        # computed: every escape step, and the concave verdict, come from
-        # Lanczos
+    def test_lanczos_alone_on_incomplete(self, monkeypatch):
+        # on an incomplete instance no leading pair is computed: every
+        # escape step, and the concave verdict, come from Lanczos
         calls, real = [], escape.leading_pair
         monkeypatch.setattr(escape, "leading_pair",
                             lambda *args: calls.append(1) or real(*args))
-        monkeypatch.setattr(certify, "DENSE_EIG_LIMIT", 10)
         start = np.zeros((20, 4))
         start[:, 0] = 1.0
         _, trace = escape.run_bcm2(
@@ -499,6 +497,42 @@ class TestRunBcm2:
         assert trace.header["escape_steps"] >= 1
         assert (trace.header["lanczos_calls"]
                 == trace.header["escape_steps"] + 1)
+
+    @pytest.mark.parametrize("n, complete", [
+        (20, False), (200, False), (201, False), (20, True), (201, True)])
+    def test_storage_picks_the_eigensolver(self, monkeypatch, n, complete):
+        # LAPACK's pair for the certificate and the escape exactly where the
+        # instance is stored dense, at every size
+        calls, real = [], escape.leading_pair
+        monkeypatch.setattr(escape, "leading_pair",
+                            lambda *args: calls.append(1) or real(*args))
+        inst = (bmcut.gen_gaussian(n, 3) if complete
+                else gaussian_pair_zeroed(n, 3))
+        assert inst.complete == complete
+        start = np.zeros((n, 2))
+        start[:, 0] = 1.0
+        point = bmcut.FactorPoint(start)
+        cert = bmcut.dual_upper_bound(inst, point, bcm.init_cache(inst, point))
+        assert (cert.iterations == 0) == complete
+        _, trace = escape.run_bcm2(
+            inst, bcm.SolverConfig(rule="greedy", max_epochs=1),
+            escape.EscapeConfig(epsilon=0.01), initial=point)
+        assert trace.header["escape_steps"] >= 1
+        assert bool(calls) == complete
+
+    @pytest.mark.parametrize("n", [200, 300])
+    def test_repeated_top_eigenvalue(self, n):
+        # K_n's all-equal point, where LAPACK's one-pair solve for the
+        # (n - 1)-fold top eigenvalue of A - Lambda can return no pair
+        inst = negated_complete(n)
+        start = np.zeros((n, 4))
+        start[:, 0] = 1.0
+        _, trace = escape.run_bcm2(
+            inst, bcm.SolverConfig(rule="greedy", seed=0),
+            escape.EscapeConfig(epsilon=0.05 * inst.one_norm),
+            initial=bmcut.FactorPoint(start))
+        assert trace.status == "concave"
+        assert trace.header["escape_steps"] >= 1
 
     @pytest.mark.parametrize("max_epochs, status", [
         (1, "max_epochs"), (2, "epoch_cap"), (3, "epoch_cap")])

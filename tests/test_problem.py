@@ -14,6 +14,11 @@ from bmcut import DimensionError, ParseError, ValidationError
 from conftest import REFUSED_FILES, gaussian_pair_zeroed
 
 
+def offset_instance():
+    """A 3 x 3 instance with trace offset 2 + 3 = 5."""
+    return bmcut.preprocess([[2.0, 1, 0], [1, 3, 4], [0, 4, 0]])
+
+
 def recompute_norms(inst):
     a = np.abs(inst.dense())
     return a.sum(axis=0).max(), a.sum()
@@ -374,11 +379,12 @@ class TestLoad:
 
     def test_edge_list_roundtrip(self, tmp_path):
         # the second instance's last node is isolated: only the header's node
-        # count keeps it
+        # count keeps it.  The third's trace offset 5 is written as the
+        # self-loop "1 1 5.0", which the loader adds to the diagonal once
         tail = np.zeros((5, 5))
         tail[0, 1] = tail[1, 0] = tail[1, 3] = tail[3, 1] = -1.0
         for inst in (bmcut.gen_erdos_renyi(12, 20, sign=-1, seed=4),
-                     bmcut.preprocess(tail)):
+                     bmcut.preprocess(tail), offset_instance()):
             p = tmp_path / "round.txt"
             bmcut.write_edge_list(inst, str(p))
             back = bmcut.load_instance(str(p), "edge-list")
@@ -424,8 +430,39 @@ class TestLoad:
         assert inst.trace_offset == w[~off].sum()
 
     def test_matrix_market_roundtrip(self, tmp_path):
-        inst = bmcut.gen_gaussian(8, seed=2)
-        p = tmp_path / "round.mtx"
-        bmcut.write_matrix_market(inst, str(p))
+        # a trace offset is written as the (1, 1) entry, which the loader's
+        # symmetrization (x + x) 0.5 keeps exactly
+        for inst in (bmcut.gen_gaussian(8, seed=2), offset_instance()):
+            p = tmp_path / "round.mtx"
+            bmcut.write_matrix_market(inst, str(p))
+            back = bmcut.load_instance(str(p), "matrix-market")
+            assert back.trace_offset == inst.trace_offset
+            assert back.checksum() == inst.checksum()
+
+    def test_matrix_market_offset_overflow_refused(self, tmp_path):
+        # an offset above half the largest float would overflow the loader's
+        # symmetrization, so the file could not be read back
+        inst = bmcut.preprocess(np.diag([6e307, 6e307]))
+        p = tmp_path / "big.mtx"
+        with pytest.raises(ValidationError, match="trace offset"):
+            bmcut.write_matrix_market(inst, str(p))
+        fits = bmcut.preprocess(np.diag([4e307, 4e307]))
+        bmcut.write_matrix_market(fits, str(p))
         back = bmcut.load_instance(str(p), "matrix-market")
-        assert np.allclose(inst.dense(), back.dense(), atol=1e-14)
+        assert back.checksum() == fits.checksum()
+
+    def test_zero_offset_files_unchanged(self, tmp_path):
+        # a zero offset, as in every bmcut gen output, writes no diagonal
+        # entry: the edge list holds the strict upper triangle, the Matrix
+        # Market file the strict lower one
+        inst = bmcut.gen_erdos_renyi(5, 3, sign=-1, seed=0)
+        p, q = tmp_path / "e.txt", tmp_path / "e.mtx"
+        bmcut.write_edge_list(inst, str(p))
+        bmcut.write_matrix_market(inst, str(q))
+        assert p.read_text().splitlines()[0] == "# 5 nodes, 3 edges"
+        assert all(i != j for i, j, _ in
+                   (line.split() for line in p.read_text().splitlines()[1:]))
+        rows = [line.split() for line in q.read_text().splitlines()
+                if not line.startswith("%")]
+        assert rows[0] == ["5", "5", "3"]
+        assert all(int(i) > int(j) for i, j, _ in rows[1:])

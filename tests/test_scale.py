@@ -139,8 +139,9 @@ def complete_slack(k):
 @example(k=-300)
 @example(k=300)
 def test_complete_slack_scales_exactly_above_dense_limit(k):
-    # a complete instance takes LAPACK above DENSE_EIG_LIMIT too, on A -
-    # Lambda over its power-of-two unit: the same numbers at every k
+    # a complete instance takes LAPACK at n = 240, the dense workload's
+    # size, on A - Lambda over its power-of-two unit: the same numbers at
+    # every k
     assert complete_slack(k) == complete_slack(0) * 2.0**k
 
 
@@ -157,7 +158,7 @@ def lanczos_slack(k):
 @example(k=-300)
 @example(k=300)
 def test_lanczos_slack_scales_exactly(k):
-    # an incomplete instance above DENSE_EIG_LIMIT takes the recurrence on
-    # A - Lambda over its power-of-two unit: the same steps at every k
+    # an incomplete instance takes the recurrence on A - Lambda over its
+    # power-of-two unit: the same steps at every k
     slack, steps = lanczos_slack(0)
     assert lanczos_slack(k) == (slack * 2.0**k, steps)
