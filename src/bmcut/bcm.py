@@ -173,7 +173,7 @@ class SolverConfig:
         object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     epoch: int
     kind: str                    # "bcm" or "escape"

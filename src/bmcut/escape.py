@@ -54,7 +54,7 @@ class EscapeConfig:
 
 @dataclass
 class TridiagonalForm:
-    alpha: np.ndarray         # diagonal
+    alpha: np.ndarray         # diagonal, in units of instance.unit
     beta: np.ndarray          # off-diagonal, > 0: it stops at breakdown
     basis: np.ndarray         # (k, n, r) Lanczos vectors: a view of the first
                               # k rows of the preallocated (m, n r) basis
@@ -75,8 +75,9 @@ def _check_epsilon(instance: ProblemInstance,
     """The one place bcm2's numbers are formed from epsilon: returns (eps,
     cap, threshold, floor, step), the epoch cap ceil(675 n |A|_1^2 / eps^2)
     on a run's combined epochs and Lanczos calls, eps^3/(1350 |A|_1),
-    eps^3/(2700 |A|_1^2) and eps/(15 |A|_1).  Refuses the zero instance and
-    an epsilon for which one of them is not finite."""
+    eps^3/(2700 |A|_1^2) and eps/(15 |A|_1).  Refuses the zero instance, an
+    epsilon for which one of them is not finite, and one whose threshold lies
+    under n ulp(|A|_1^2), the rounding error of the gradient metric."""
     epsilon = check_real("epsilon", epsilon, 0.0, open_low=True)
     one = instance.one_norm
     if one == 0.0:
@@ -87,6 +88,12 @@ def _check_epsilon(instance: ProblemInstance,
         threshold = cube * one**2 / THRESHOLD_DENOM
         floor = cube * one / ASCENT_DENOM
         step = epsilon / (STEP_DENOM * one)
+        level = instance.n * math.ulp(one**2)
+        if threshold < level:
+            raise ValidationError(
+                f"epsilon = {epsilon!r} puts the escape threshold under n ulp(|A|_1^2), "
+                f"the metric's rounding error: epsilon >= "
+                f"{one * (THRESHOLD_DENOM * level / one**2)**(1 / 3):.4g} is needed")
         if max(cap, threshold, floor, step) < math.inf:
             return epsilon, math.ceil(cap), threshold, floor, step
     except (OverflowError, ZeroDivisionError):
@@ -133,15 +140,15 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     """Leading curvature eigenpair via the Lanczos recurrence on Hess.
 
     Runs certify.lanczos, the dual bound's recurrence, on the flattened
-    curvature operator from a uniformly random unit tangent vector, for
-    m = min(max_iters, n (r-1)) steps.  Its vectors fill one (m, n r) array
-    allocated up front (m n r 8 bytes); they are not reorthogonalised, since
-    run_bcm2 accepts a direction only by its true hess_quadratic.  A
-    breakdown beta <= BREAKDOWN_TOL unit, the certificate's rule, before step
-    m stops it and flags `exhausted`: the start's Krylov space is then
-    invariant under Hess, and its top Ritz pair is exact (almost surely, for
-    a random start).
-    Returns the estimate lambda_max(T) and the reconstructed unit direction.
+    curvature operator over instance.unit (so T is the same at every scale
+    of A, as in top_ritz_value) from a uniformly random unit tangent vector,
+    for m = min(max_iters, n (r-1)) steps.  Its vectors fill one (m, n r)
+    array allocated up front (m n r 8 bytes); they are not reorthogonalised,
+    since run_bcm2 accepts a direction only by its true hess_quadratic.  A
+    breakdown beta <= BREAKDOWN_TOL, the certificate's rule, before step m
+    stops it and flags `exhausted`: the start's Krylov space is then
+    invariant under Hess, and its top Ritz pair is exact (almost surely).
+    Returns unit lambda_max(T) and the reconstructed unit direction.
     """
     max_iters = check_count("max_iters", max_iters, 1)
     sigma = point.sigma
@@ -150,25 +157,24 @@ def lanczos_leading(instance: ProblemInstance, point: FactorPoint,
     if dim == 0:
         raise ValidationError("tangent space is trivial (r = 1)")
     m = min(max_iters, dim)
-    unit = instance.unit   # T in these units is the same at every scale of A
+    unit = instance.unit
     basis, alphas, betas = np.empty((m, n * r)), [], []
 
-    def apply(q):
+    def apply(q):   # Hess / unit, exact as in top_ritz_value
         return _hess_apply_rows(instance, sigma, cache.inner,
-                                q.reshape(n, r)).ravel()
+                                q.reshape(n, r)).ravel() / unit
 
     start = _project_rows(sigma, rng.standard_normal((n, r))).ravel()
     start /= np.linalg.norm(start)
     for k, (q, alpha, beta) in enumerate(lanczos(apply, start), 1):
         basis[k - 1] = q
         alphas.append(alpha)
-        if k == m or beta <= BREAKDOWN_TOL * unit:
+        if k == m or beta <= BREAKDOWN_TOL:
             exhausted = k < m
             break
         betas.append(beta)
 
-    theta, y = _top_ritz_pair([a / unit for a in alphas],
-                              [b / unit for b in betas])
+    theta, y = _top_ritz_pair(alphas, betas)
     direction = _project_rows(sigma, (y @ basis[:k]).reshape(n, r))
     direction /= np.linalg.norm(direction)
     return LanczosResult(

@@ -1,4 +1,3 @@
-import ast
 import copy
 import dataclasses
 import hashlib
@@ -1041,111 +1040,3 @@ class TestGoldenTraces:
         assert not inst.complete
         assert (self.escape_run(tmp_path, inst, "bcm2_escapes_csr")
                 == self.BCM2_ESCAPES_CSR)
-
-
-# numpy's Python-level wrappers add dispatch to every call, on a step of
-# about 12 us; ROADMAP.md ("Where the time goes") has the timings.  For the
-# function forms in numpy/_core/fromnumeric.py the ndarray methods give the
-# same bits; einsum's row dots are np.vecdot's, a gufunc, in _row_stats.
-FROMNUMERIC = {"argmax", "argmin", "cumsum", "searchsorted", "sum", "max",
-               "take", "einsum"}
-PER_STEP = ("_row_stats", "select_coordinate", "bcm_step", "block_sweep",
-            "drive")
-
-
-def fromnumeric_calls(source: str) -> dict[str, set[str]]:
-    """np.<wrapper>(...) calls, einsum included, in each per-step function
-    of the source."""
-    found = {}
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.FunctionDef) and node.name in PER_STEP:
-            found[node.name] = {
-                call.func.attr for call in ast.walk(node)
-                if isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Attribute)
-                and isinstance(call.func.value, ast.Name)
-                and call.func.value.id == "np"
-                and call.func.attr in FROMNUMERIC}
-    return found
-
-
-def test_checker_finds_fromnumeric_calls():
-    source = ("def drive(c):\n    return np.argmax(c.norms) + c.inner.argmax()\n"
-              "def bcm_step(g):\n    return np.take(g, [0]), np.zeros(2)\n"
-              "def _row_stats(g):\n    return np.einsum('ij,ij->i', g, g)\n"
-              "def other(x):\n    return np.sum(x)\n")
-    assert fromnumeric_calls(source) == {"drive": {"argmax"},
-                                         "bcm_step": {"take"},
-                                         "_row_stats": {"einsum"}}
-
-
-def test_per_step_paths_call_no_fromnumeric_wrapper():
-    found = fromnumeric_calls(Path(bcm.__file__).read_text())
-    assert sorted(found) == sorted(PER_STEP)
-    assert all(not calls for calls in found.values()), found
-
-
-# the row norms and alignments: np or math vecdot and sqrt, also imported bare
-ROW_FORMULA = {f"{mod}{name}" for mod in ("np.", "numpy.", "math.", "")
-               for name in ("vecdot", "sqrt")}
-
-
-def row_formula_callers(source: str) -> set[str]:
-    """The outermost function, or <module>, around each call of the row
-    formula in the source."""
-    found = set()
-
-    def visit(node, where):
-        if where == "<module>" and isinstance(node, ast.FunctionDef):
-            where = node.name
-        if isinstance(node, ast.Call) and ast.unparse(node.func) in ROW_FORMULA:
-            found.add(where)
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source), "<module>")
-    return found
-
-
-def test_checker_finds_row_formula_calls():
-    source = ("x = np.sqrt(2.0)\n"
-              "def _row_stats(g):\n    return np.vecdot(g, g)\n"
-              "def block_sweep(gi):\n    def inner():\n"
-              "        return math.sqrt(gi @ gi)\n    return inner()\n"
-              "def other(x):\n    return np.linalg.norm(x) + x.sqrt()\n")
-    assert row_formula_callers(source) == {"<module>", "_row_stats",
-                                           "block_sweep"}
-
-
-def test_row_formula_lives_in_row_stats():
-    # every |g_i| and <sigma_i, g_i> in bcm comes from _row_stats, so a
-    # stored norm equals a fresh one bit for bit
-    assert row_formula_callers(Path(bcm.__file__).read_text()) == {"_row_stats"}
-
-
-def integer_checks(source: str) -> set[str]:
-    """operator.index calls and isinstance(..., bool) tests in the source."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        if ast.unparse(node.func) in ("operator.index", "index"):
-            found.add("operator.index")
-        if (ast.unparse(node.func) == "isinstance" and len(node.args) == 2
-                and "bool" in ast.unparse(node.args[1])):
-            found.add("isinstance(..., bool)")
-    return found
-
-
-def test_checker_finds_integer_checks():
-    source = ("k = -1 if isinstance(i, bool) else operator.index(i)\n"
-              "ok = isinstance(x, (int, np.bool_)) or isinstance(x, float)\n")
-    assert integer_checks(source) == {"operator.index", "isinstance(..., bool)"}
-
-
-def test_check_count_is_the_only_integer_check():
-    for path in sorted(Path(bcm.__file__).parent.glob("*.py")):
-        if path.name == "errors.py":
-            continue
-        found = sorted(integer_checks(path.read_text()))
-        assert not found, f"bmcut.{path.stem} checks integers itself: {found}"

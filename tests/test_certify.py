@@ -1,10 +1,8 @@
-import ast
 import copy
 import hashlib
 import json
 import re
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +17,7 @@ from bmcut import (FactorPoint, NumericalError, ValidationError, bcm, certify,
 
 import oracles
 from conftest import gaussian_pair_zeroed, negated_complete
+from test_rules import RULES, SOURCES, breaches, named, scopes
 
 
 class TestDualBound:
@@ -836,36 +835,20 @@ class TestPlanted:
         assert cut.value <= opt
 
 
-def names_used(source: str) -> set[str]:
-    """Every name the source reads, binds, imports or takes as an attribute."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, ast.alias):
-            found.add(node.name)
-    return found
-
-
-@pytest.mark.parametrize("source, named", [
+@pytest.mark.parametrize("source, found", [
     ("from .certify import RITZ_TOL as TOL\n", True),
     ("tol = certify.RITZ_TOL\n", True),
     ("RITZ_TOL = 1e-8\n", True),
     ("# RITZ_TOL\nx = 'RITZ_TOL'\n", False)],
     ids=["import", "attribute", "assignment", "comment"])
-def test_checker_finds_names(source, named):
-    assert ("RITZ_TOL" in names_used(source)) == named
+def test_checker_finds_names(source, found):
+    assert bool(scopes(source, lambda node: named(node, {"RITZ_TOL"}))) == found
 
 
 @pytest.mark.parametrize("name", ["eigh", "daxpy", "dstebz", "dstein",
                                   "eigh_tridiagonal"])
 def test_certify_alone_names(name):
-    # leading_pair is the one dense eigensolve, and certify.lanczos and
-    # _top_ritz_pair are the one Lanczos recurrence and the one tridiagonal
-    # solve
-    for path in sorted(Path(certify.__file__).parent.glob("*.py")):
-        if path.name != "certify.py":
-            assert name not in names_used(path.read_text()), (
-                f"bmcut.{path.stem} names {name}")
+    # the eigensolvers row of RULES, one name at a time
+    row = RULES["eigensolvers"]._replace(
+        match=lambda node: named(node, {name}))
+    assert breaches(row, SOURCES) == set()

@@ -151,6 +151,12 @@ class TestSolve:
                         "--method", "bcm2", "--epsilon", eps]) == 2
         assert "epsilon" in capsys.readouterr().err
 
+    def test_epsilon_under_rounding_error_is_validation_error(self, capsys):
+        eps = 1e-4 * bmcut.gen_gaussian(61, 2).one_norm
+        assert run_cli(["solve", "--gen", "gaussian:n=61,seed=2", "--r", "11",
+                        "--method", "bcm2", "--epsilon", repr(eps)]) == 2
+        assert "rounding error" in capsys.readouterr().err
+
     def test_infinite_grad_tol_is_validation_error(self, capsys):
         # accepted before: the run stopped at epoch 0 and the trace header
         # held "grad_tol": Infinity, which strict JSON parsers refuse

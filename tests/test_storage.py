@@ -1,9 +1,7 @@
 """Storage follows the data: a complete instance is one read-only dense
 array, any other read-only CSR rows, and only problem.py knows which."""
 
-import ast
 import hashlib
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +13,6 @@ from bmcut import bcm, certify, escape, problem
 
 from conftest import gaussian_pair_zeroed
 
-SRC = Path(bmcut.__file__).resolve().parent
 LAYOUT = {"indptr", "indices", "data"}
 
 
@@ -240,29 +237,3 @@ def test_storages_agree(rule):
     assert np.abs(s0 - s1).max() <= 1e-12
     for a, b in zip(v0, v1):
         assert a == pytest.approx(b, rel=1e-12)
-
-
-def layout_reads(source: str) -> set[str]:
-    """CSR attributes read, and .toarray() calls, anywhere in the source."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr in LAYOUT:
-            found.add(node.attr)
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "toarray"):
-            found.add("toarray()")
-    return found
-
-
-def test_checker_finds_layout_reads():
-    source = ("lo = inst.rows.indptr[i]\nv = rows.data.reshape(n, n - 1)\n"
-              "a = inst.rows.toarray()\nb = inst.rows @ x\n")
-    assert layout_reads(source) == {"indptr", "data", "toarray()"}
-
-
-def test_storage_layout_stays_in_problem():
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "problem.py":
-            continue
-        reads = sorted(layout_reads(path.read_text()))
-        assert not reads, f"bmcut.{path.stem} reads the storage: {reads}"
