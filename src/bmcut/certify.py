@@ -24,7 +24,7 @@ from scipy.linalg.blas import daxpy
 
 from .bcm import GradientCache
 from .errors import NumericalError, ValidationError, check_count, check_real
-from .manifold import FactorPoint, _unit_rows
+from .manifold import FactorPoint
 from .problem import ProblemInstance
 
 ROUND_CHUNK = 32        # rounding trials scored per matrix product
@@ -244,7 +244,7 @@ def cut_value(instance: ProblemInstance, signs: np.ndarray) -> float:
 
 
 def _chunk_winner(a, sigma: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Signs of the first best trial among the unit directions in z's rows.
+    """Signs of the first best trial among the directions in z's rows.
 
     The (n, k) sign block is scored by one product with a, the instance's
     rows in either storage; every temporary dies on return, so a chunk
@@ -262,24 +262,25 @@ def round_cut(instance: ProblemInstance, point: FactorPoint, trials: int,
               rng: np.random.Generator) -> Cut:
     """Best hyperplane rounding over `trials` draws (Goemans-Williamson).
 
-    Each trial projects the rows onto a uniformly random direction and takes
-    signs, with sign(0) := +1.  Trials run in chunks of ROUND_CHUNK = 32: a
-    chunk draws its k directions as one (k, r) block, which leaves the
-    generator where k single draws of r would, and scores its k sign vectors
-    with one product with the instance's rows.  The first strictly best
-    trial wins.  Chunk winners are compared by `cut_value`, which also
-    gives the reported value, so a cut drawn again in a later chunk ties
-    exactly; inside a chunk the product's scores, which can differ from
-    `cut_value` in the last bits, order the trials.  Working memory is about
-    2 n ROUND_CHUNK doubles.  Deterministic per generator state.
+    Each trial projects the rows onto a raw standard normal draw z and takes
+    signs, with sign(0) := +1: they are those of z/|z|, a uniformly random
+    direction, and a zero draw is the all-+1 trial.  Trials run in chunks of
+    ROUND_CHUNK = 32: a chunk draws its k directions as one (k, r) block, which
+    leaves the generator where k single draws of r would, and scores its k sign
+    vectors with one product with the instance's rows.  The first strictly best
+    trial wins.  Chunk winners are compared by `cut_value`, which also gives
+    the reported value, so a cut drawn again in a later chunk ties exactly;
+    inside a chunk the product's scores, which can differ from `cut_value` in
+    the last bits, order the trials.  Working memory is about 2 n ROUND_CHUNK
+    doubles.  Deterministic per generator state.
     """
     trials = check_count("trials", trials, 1)
     instance.check_rows(point.n, "point")
     sigma = point.sigma
     best_signs, best_value = None, -np.inf
     for start in range(0, trials, ROUND_CHUNK):
-        z = _unit_rows(rng.standard_normal((min(ROUND_CHUNK, trials - start),
-                                            sigma.shape[1])))
+        z = rng.standard_normal((min(ROUND_CHUNK, trials - start),
+                                 sigma.shape[1]))
         signs = _chunk_winner(instance.rows, sigma, z)
         value = cut_value(instance, signs)
         if value > best_value:

@@ -61,9 +61,11 @@ def _project_rows(sigma: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w - np.einsum("ij,ij->i", sigma, w)[:, None] * sigma
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """Divide each row of x by its norm, in place, and return x; a row of
-    norm below 1e-300 has no direction and becomes e_1."""
+def random_point(n: int, r: int, rng: np.random.Generator) -> FactorPoint:
+    """Rows drawn uniformly on the unit sphere via normalized Gaussians; a
+    row of norm below 1e-300 has no direction and becomes e_1."""
+    n, r = check_count("n", n, 0), check_count("r", r, 1)
+    x = rng.standard_normal((n, r))
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     bad = norms[:, 0] < 1e-300
     if bad.any():
@@ -71,13 +73,7 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
         x[bad, 0] = 1.0
         norms[bad] = 1.0
     x /= norms
-    return x
-
-
-def random_point(n: int, r: int, rng: np.random.Generator) -> FactorPoint:
-    """Rows drawn uniformly on the unit sphere via normalized Gaussians."""
-    n, r = check_count("n", n, 0), check_count("r", r, 1)
-    return FactorPoint(_unit_rows(rng.standard_normal((n, r))))
+    return FactorPoint(x)
 
 
 def exp_map(point: FactorPoint, u: np.ndarray, t: float) -> FactorPoint:
@@ -106,7 +102,7 @@ def grad_metric_sq(cache) -> float:
     absorbs last-bit cancellation noise.
     """
     terms = metric_term(cache.norms, cache.inner)
-    return float(2.0 * np.sum(np.maximum(terms, 0.0)))
+    return float(2.0 * np.maximum(terms, 0.0).sum())
 
 
 def metric_term(norm, inner):

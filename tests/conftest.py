@@ -42,7 +42,8 @@ def small_corpus(sizes=(10, 50, 200), seeds=(0, 1)):
 
 
 # (file name, format, text) of files each loader reads but the instance
-# build refuses: an infinite entry, and finite entries whose sums overflow
+# build refuses: an infinite entry, and finite entries whose sums overflow:
+# a column's one-norm, a repeated edge's weight, and the self-loops' trace
 REFUSED_FILES = [
     pytest.param("inf.mtx", "matrix-market",
                  "%%MatrixMarket matrix coordinate real general\n"
@@ -52,6 +53,10 @@ REFUSED_FILES = [
                  "3 3 2\n2 1 1e308\n3 1 1e308\n", id="mtx_overflow"),
     pytest.param("big.txt", "edge-list", "1 2 1e308\n1 3 1e308\n",
                  id="edges_overflow"),
+    pytest.param("big.txt", "edge-list", "1 2 1e308\n2 1 1e308\n",
+                 id="edges_repeat_overflow"),
+    pytest.param("big.txt", "edge-list", "1 1 1e308\n2 2 1e308\n1 2 1.0\n",
+                 id="edges_self_loops_overflow"),
 ]
 
 

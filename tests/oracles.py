@@ -219,7 +219,7 @@ def lanczos_reference(instance, point, cache, max_iters, rng):
     sigma = point.sigma
     n, r = sigma.shape
     m = min(max_iters, n * (r - 1))
-    breakdown_tol = 1e-12 * instance.one_norm
+    breakdown_tol = certify.BREAKDOWN_TOL * instance.unit
 
     def apply(u):
         return manifold._hess_apply_rows(instance, sigma, cache.inner, u)
@@ -269,20 +269,17 @@ def lanczos_reference(instance, point, cache, max_iters, rng):
 
 
 def round_cut_reference(instance, point, trials, rng):
-    """Per-trial hyperplane rounding: one draw of r, one normalisation and
-    one cut_value matvec per trial, keeping the first strictly best.  Given
-    the same generator it draws the same random numbers as round_cut.
+    """Per-trial hyperplane rounding: one raw standard normal draw z of r,
+    the signs of sigma z with sign(0) := +1, and one cut_value matvec per
+    trial, keeping the first strictly best.  z is not normalised, which
+    leaves the signs of z/|z|, and a zero draw gives the all-+1 trial.
+    Given the same generator it draws the same random numbers as round_cut.
     """
     sigma = point.sigma
     best_signs = None
     best_value = -np.inf
     for _ in range(trials):
         z = rng.standard_normal(sigma.shape[1])
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            z[0] = 1.0
-        else:
-            z /= nz
         x = np.where(sigma @ z >= 0.0, 1.0, -1.0)
         v = certify.cut_value(instance, x)
         if v > best_value:

@@ -875,55 +875,31 @@ class TestGoldenTraces:
     steps and records exactly, so a renewed digest must come with iterates
     that moved only in their last bits, on the same steps."""
 
-    # renewed, with F_RAW and COUNTS, when gen_erdos_renyi came to draw its
-    # edge set with one Generator.choice: a new graph at the same size and
-    # seed, whose values the solver before that change gives exactly
+    # each selection rule on CSR storage: ER n = 300, r = 8, 250 epochs
     BCM = {
         "cyclic": "e8600fa9530c7d89afffea6d5f7eb03f08a1fd4e594f28a01a2f28a40bfb0712",
         "uniform": "81d8e6348d2250e534da96331c7d4372e7162b30cface240783341109f2fcf58",
         "importance": "4255252844fab95d7ca95f1ef9be7b8158b64cc34eec854883a2e30ccfeedbc5",
         "greedy": "7968eed69e5779f75c048927a9658fcad371ae5c85d19c40e8662bf62c9f9cd7",
     }
-    # renewed when the header gained lanczos_calls (0 here); without that
-    # field the file and the iterates are the earlier ones, byte for byte;
-    # renewed again when complete instances moved to dense storage, whose
-    # BLAS products round differently from CSR's (sigma within 2.5e-14,
-    # final f_raw 2.5e-16 relative, the same records); and for np.vecdot
-    # in _row_stats (sigma within 3.8e-14, final f_raw 1.2e-16 relative);
-    # and when the header's lanczos_reorth became false: this run makes no
-    # Lanczos call, and with the old header value the digest is the old one
+    # bcm2 from a random start on dense storage: it makes no escape step
+    # and no Lanczos call, so it pins greedy steps under an escape threshold
+    # and the header's bcm2 fields
     BCM2 = "9daa6904a76caa80ebeafc80cc3999091ea755329ec5d531f081e4fb941d3a71"
-    # it pins the rounding of the escape directions, which test_bcm2 (no
-    # escape step) does not; renewed when they came from the leading pair
-    # of A - Lambda in place of tangent Lanczos (the same 6 escapes and 151
-    # records, final f_raw 2.8e-11 relative from the Lanczos run's), and
-    # again when the refresh moved to a sweep start and exp_map gave cos
-    # and sinc one angle (sigma within 5.9e-15, final f_raw bit-identical),
-    # and when complete instances moved to dense storage (sigma within
-    # 2.6e-14, final f_raw 3.7e-16 relative, the same 6 escapes), and for
-    # np.vecdot in _row_stats (sigma within 8.5e-15, final f_raw 3.7e-16);
-    # header-only when lanczos_reorth became false (no Lanczos call here)
+    # the stationary all-equal start on dense storage: it pins the rounding
+    # of the escape directions, which test_bcm2 does not: 6 escapes along
+    # LAPACK's leading pair of A - Lambda, each an exp_map step
     BCM2_ESCAPES = "31a9733237eafe64a4852b425d6b1a55ea7bcba28ecd203219c1836c55fac1d4"
-    # the same start on CSR storage: drive's threshold pre-check and the
-    # gather-and-scatter step under an escape policy.  Renewed, with F_RAW
-    # and COUNTS, for gen_erdos_renyi's one Generator.choice draw, as BCM
-    # was: 3 escapes, 313 records and the concave verdict, where the earlier
-    # graph took 2 escapes and 123 records.  Renewed again when incomplete
-    # instances came to take Lanczos alone at every size: the same 3
-    # escapes, 313 records and verdict, now from 4 Lanczos calls in place
-    # of LAPACK's pair, 18448 steps in place of 18455, final f_raw
-    # 5.0e-14 relative; the solver before that change gives these values
-    # exactly when its n <= 200 rule is switched off
+    # the same start on CSR storage: drive's threshold pre-check, the
+    # gather-and-scatter step under an escape policy, and escapes along
+    # Lanczos directions: 3 escapes from 4 Lanczos calls, then the concave
+    # verdict
     BCM2_ESCAPES_CSR = (
         "4e0cbe2dccf6486e91cb9081d7c18a91a53b735f062d6fc37c9709dd795b85b0")
 
-    # every row of these is full: bcm_step's in-place path, and the cyclic
-    # sweeps run through the step-by-step reference in place of block_sweep;
-    # both were renewed when complete instances moved to dense storage, where
-    # init_cache and refresh_cache take BLAS products in place of CSR ones
-    # (sigma within 2.7e-14 and 1.1e-14, final f_raw 1.8e-16 relative and
-    # bit-identical); and for np.vecdot in _row_stats (sigma within 2.5e-14
-    # and 1.2e-14, final f_raw bit-identical)
+    # every row of these is full: bcm_step's in-place path on dense storage,
+    # where init_cache and refresh_cache take BLAS products, and the cyclic
+    # sweeps run through the step-by-step reference in place of block_sweep
     BCM_DENSE = {
         (240, 0, 22, "cyclic"):
             "d730da230c2b28e26c175f846acc30fcda9863cd8b17b219f2995afb19684ea5",
@@ -931,12 +907,8 @@ class TestGoldenTraces:
             "fdd0deaacaf4417d1c03b8202099a0913164ae38068b97c1cdc0e2f976e9254f",
     }
 
-    # the same cyclic case, and a uniform one, through block_sweep itself;
-    # sigma is within 2.6e-14 and 7.2e-15 of the step-by-step sweep's.
-    # Renewed for dense storage: sigma within 6.8e-15 and 3.7e-15, final
-    # f_raw 1.8e-16 relative and bit-identical; for np.vecdot in _row_stats:
-    # sigma within 6.0e-15 and 2.8e-15, final f_raw bit-identical and
-    # 1.9e-16 relative
+    # the same cyclic case, and a uniform one, through block_sweep itself:
+    # its sigma differs from the step-by-step sweep's in the last bits
     BCM_BLOCKED = {
         (240, 0, 22, "cyclic"):
             "bae62c66beb13c386155ce412e46f9aeb7eb8ebe4d3daffbfb08ad9243222972",

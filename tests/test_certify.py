@@ -356,10 +356,8 @@ class TestRitzValueAccuracy:
 
     def test_er_greedy_iterate(self):
         # the sparse benchmark's kind of iterate: greedy, 9 epochs.  theta's
-        # bits and step count were recorded before top_ritz_value came to
-        # run the shared lanczos generator: a kernel that reorders an
-        # operation moves them.  Renewed for gen_erdos_renyi's one
-        # Generator.choice draw (229 steps on the earlier graph)
+        # bits and step count pin the recurrence: a kernel that reorders an
+        # operation moves them
         inst = bmcut.gen_erdos_renyi(1000, 3000, sign=-1, seed=0)
         cfg = bcm.SolverConfig(rule="greedy", max_epochs=9, grad_tol=0.0,
                                seed=0)
@@ -456,13 +454,9 @@ def cert_at(instance, point):
 
 
 class TestApproxReport:
-    # frozen from the report that ran its own dual bound from the cache;
-    # renewed when the dense eigensolve came to run on A - Diag(lam) over
-    # its power-of-two unit: slack moved by 1.2e-17 at the optimum and by
-    # one ulp of 3.0 at the saddle; renewed at the optimum when _row_stats
-    # moved to np.vecdot (f_raw 3 - 4.4e-16 -> 3.0 and upper_bound up one
-    # ulp, so f_total and the floors too), then all four when the note on
-    # upper_bound stopped calling it unconditional
+    # every field of the report, notes included, at the triangle's optimum
+    # and at its saddle: the dense eigensolve's slack, the bound, the floors
+    # at each rank and epsilon, and the labels
     DIGESTS = {
         ("optimum", 2, 0.1):
             "71c7eb8c7c19a64a95e9dc06bf45556d5306d92c053f6271e5b1795b4371ac96",
@@ -662,9 +656,10 @@ class TestRoundingMatchesReference:
             assert_same_cut(fast, ref)
             assert len(set(fast.signs[8:])) == 1
 
-    def test_zero_direction_uses_first_axis(self):
-        # only the first draw, a zero row, separates the two nodes, and only
-        # through the z[0] = 1 branch: 0/0 would give NaN and equal signs
+    def test_zero_direction_is_all_plus_trial(self):
+        # a zero draw projects every row to 0, and sign(0) := +1 makes it the
+        # all-+1 trial; the other draws are orthogonal to both rows and give
+        # it too.  Taking the zero draw as e_1 would cut the edge (value 2)
         inst = bmcut.preprocess([[0.0, -1.0], [-1.0, 0.0]])
         point = FactorPoint(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
         draws = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
@@ -672,8 +667,8 @@ class TestRoundingMatchesReference:
         fast = certify.round_cut(inst, point, 3, fast_rng)
         ref = oracles.round_cut_reference(inst, point, 3, ref_rng)
         assert_same_cut(fast, ref)
-        assert np.array_equal(fast.signs, [1.0, -1.0])
-        assert fast.value == 2.0
+        assert np.array_equal(fast.signs, [1.0, 1.0])
+        assert fast.value == -2.0
         assert fast_rng.pos == ref_rng.pos == len(draws)
 
     @pytest.mark.parametrize("r", [1, 2, 5])

@@ -84,6 +84,10 @@ def others(owner: str) -> tuple:
     return tuple(m for m in SOURCES if m != owner)
 
 
+FROMNUMERIC = calls(*(f"np.{f}" for f in (
+    "argmax", "argmin", "cumsum", "searchsorted", "sum", "max", "take",
+    "einsum")))
+
 RULES = {
     # every |g_i| and <sigma_i, g_i> in bcm comes from one formula, so a
     # stored norm equals a fresh one bit for bit
@@ -93,10 +97,13 @@ RULES = {
     # numpy's fromnumeric wrappers add dispatch to a step of about 12 us
     # (ROADMAP.md, "Where the time goes"); their ndarray methods give the
     # same bits, and einsum's row dots are np.vecdot's, in _row_stats
-    "fromnumeric": Row(calls(*(f"np.{f}" for f in (
-        "argmax", "argmin", "cumsum", "searchsorted", "sum", "max", "take",
-        "einsum"))), ("bcm",), set(), ("_row_stats", "select_coordinate",
-                                       "bcm_step", "block_sweep", "drive")),
+    "fromnumeric": Row(FROMNUMERIC, ("bcm",), set(), (
+        "_row_stats", "select_coordinate", "bcm_step", "block_sweep",
+        "drive")),
+    # the same for the metric, which drive reads at every record and, under
+    # bcm2, at each pick at or under the escape threshold
+    "fromnumeric_metric": Row(FROMNUMERIC, ("manifold",), set(),
+                              ("grad_metric_sq", "metric_term")),
     # errors.check_count is the one integer check
     "integer_check": Row(integer_check, others("errors"), set()),
     # leading_pair is the one dense eigensolve; certify.lanczos and
@@ -148,6 +155,9 @@ SNIPPETS = [   # (rule, source, the scopes its row finds there)
      "x):\n    return np.sum(x)\n", {"drive", "bcm_step", "_row_stats"}),
     ("fromnumeric", "def drive(c):\n    return c.inner.argmax() + np.zeros(2)"
      "\n", set()),
+    ("fromnumeric_metric", "def grad_metric_sq(c):\n    return np.sum(c)\n"
+     "def metric_term(n, i):\n    return n * n - i * i\ndef other(x):\n    "
+     "return np.sum(x)\n", {"grad_metric_sq"}),
     ("integer_check", "def a(i):\n    return operator.index(i)\ndef b(i):\n  "
      "  return -1 if isinstance(i, bool) else i\ndef c(x):\n    return "
      "isinstance(x, (int, np.bool_))\ndef d(x):\n    return isinstance(x, "
@@ -182,6 +192,8 @@ PLANTS = [   # (rule, module, text, its replacement, the breach it makes)
      "int(np.argmax(cache.norms - cache.inner))", {"bcm.select_coordinate"}),
     ("fromnumeric", "bcm", "def block_sweep(", "def sweep(",
      {"bcm.block_sweep"}),
+    ("fromnumeric_metric", "manifold", "np.maximum(terms, 0.0).sum()",
+     "np.sum(np.maximum(terms, 0.0))", {"manifold.grad_metric_sq"}),
     ("integer_check", "bcm", 'check_count("row index", i, 0, instance.n)',
      "operator.index(i)", {"bcm.bcm_step"}),
     ("eigensolvers", "escape", "import numpy as np\n",

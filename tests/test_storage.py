@@ -195,7 +195,7 @@ class TestSourceDigests:
     digests are fixed, so a change of the stored index dtype that moved a
     checksum would fail here."""
 
-    # renewed for gen_erdos_renyi's one Generator.choice draw
+    # an ER instance and its Matrix Market copy: int64 and int32 indices
     ER = "8ed9428bfa633772c4d826219be19b2088ee184e7d9bf30f9ec1bca083abb2e6"
 
     @pytest.mark.parametrize("make, digest", [
