@@ -14,6 +14,7 @@ mirrors the sum; raw matrices (Matrix Market files) go through
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -191,6 +192,36 @@ _NODES_HEADER = re.compile(r"#\s*(\d+) nodes\b")
 
 
 def _load_edge_list(path: str) -> ProblemInstance:
+    """Scan the leading blank and '#' lines for the header, then parse any rest
+    (loadtxt warns on none) with numpy's C reader and check it in bulk.  What
+    that refuses goes to `_parse_edge_lines`, the one source of line-numbered
+    errors, which also takes what only numpy refused (`1_0`, later comments)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = io.StringIO(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    n, start = None, 0
+    for line in iter(text.readline, ""):
+        if (line := line.strip()) and not line.startswith("#"):
+            text.seek(start)
+            try:
+                i, j, w = np.loadtxt(text, [("i", np.int64), ("j", np.int64), ("w", float)],
+                                     ndmin=1, comments=None, unpack=True)
+            except ValueError:   # grammar, arity, int64 overflow, a later '#' line
+                break
+            top = int(max(i.max(), j.max()))
+            n = top if n is None else n
+            if min(i.min(), j.min()) >= 1 and top <= n and np.isfinite(w).all():
+                text.close()   # frees the text before the build's peak
+                return _from_edges(n, i - 1, j - 1, w)
+            break
+        header = _NODES_HEADER.match(line)
+        n, start = int(header.group(1)) if header else n, text.tell()
+    return _parse_edge_lines(path, text.getvalue().split("\n"))
+
+
+def _parse_edge_lines(path: str, lines) -> ProblemInstance:
     # a line "i j w" adds w to the symmetric entry {i, j}; a "# <n> nodes"
     # comment before the first edge fixes n, so trailing isolated nodes and
     # edgeless graphs survive
@@ -199,36 +230,35 @@ def _load_edge_list(path: str) -> ProblemInstance:
     vals: list[float] = []
     n = None
     limit = math.inf
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                header = _NODES_HEADER.match(text)
-                if header and not rows:
-                    n = limit = int(header.group(1))
-                continue
-            parts = text.split()
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{ln}: expected 'i j w', got {text!r}")
-            try:
-                i, j = int(parts[0]), int(parts[1])
-                w = float(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{ln}: {exc}") from None
-            if not (0 < i <= limit and 0 < j <= limit):
-                if i < 1 or j < 1:
-                    raise ParseError(
-                        f"{path}:{ln}: indices are 1-based, got {i} {j}")
+    for ln, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            header = _NODES_HEADER.match(text)
+            if header and not rows:
+                n = limit = int(header.group(1))
+            continue
+        parts = text.split()
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{ln}: expected 'i j w', got {text!r}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+            w = float(parts[2])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{ln}: {exc}") from None
+        if not (0 < i <= limit and 0 < j <= limit):
+            if i < 1 or j < 1:
                 raise ParseError(
-                    f"{path}:{ln}: index {max(i, j)} exceeds the header's "
-                    f"{n} nodes")
-            if not math.isfinite(w):
-                raise ParseError(f"{path}:{ln}: non-finite weight {parts[2]}")
-            rows.append(i - 1)
-            cols.append(j - 1)
-            vals.append(w)
+                    f"{path}:{ln}: indices are 1-based, got {i} {j}")
+            raise ParseError(
+                f"{path}:{ln}: index {max(i, j)} exceeds the header's "
+                f"{n} nodes")
+        if not math.isfinite(w):
+            raise ParseError(f"{path}:{ln}: non-finite weight {parts[2]}")
+        rows.append(i - 1)
+        cols.append(j - 1)
+        vals.append(w)
     if n is None:
         if not rows:
             raise ParseError(f"{path}: no edges found and no '# <n> nodes' header")
@@ -251,11 +281,11 @@ def _load_matrix_market(path: str) -> ProblemInstance:
 def load_instance(path: str, format: str = "edge-list") -> ProblemInstance:
     """Load an instance file and build it through the one construction path.
 
-    Formats: "edge-list" (lines "i j w", 1-based, '#' comments; repeated
-    pairs, in either orientation, are summed; a "# <n> nodes" comment before
-    the first edge sets n, else n is the largest index) and "matrix-market"
-    (coordinate or array; passed to ``preprocess``, so a general header is
-    symmetrized).
+    Formats: "edge-list" (UTF-8 lines "i j w", 1-based, '#' comments; repeated
+    pairs, in either orientation, are summed; a "# <n> nodes" comment before the
+    first edge sets n, else n is the largest index; numpy's reader parses it, and
+    Python's line loop whatever numpy refuses) and "matrix-market" (coordinate or
+    array; passed to ``preprocess``, so a general header is symmetrized).
     Every source rejects non-finite entries, and finite entries whose sums
     (repeated pairs, norms, trace) overflow; a refusal names the file.
     """

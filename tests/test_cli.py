@@ -100,6 +100,12 @@ class TestSolve:
         bad.write_text("1 2 x\n")
         assert run_cli(["solve", "--edge-list", str(bad)]) == 3
 
+    def test_non_utf8_edge_list_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin.txt"
+        bad.write_bytes(b"1 2 1.0\n2 3 \xff\n")
+        assert run_cli(["solve", "--edge-list", str(bad)]) == 3
+        assert f"error: {bad}: " in capsys.readouterr().err
+
     def test_overflowing_norm_is_validation_error(self, tmp_path):
         big = tmp_path / "big.txt"
         big.write_text("1 2 1e308\n1 3 1e308\n")

@@ -1,4 +1,5 @@
 import collections
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bmcut
-from bmcut import DimensionError, ParseError, ValidationError
+from bmcut import DimensionError, ParseError, ValidationError, problem
 
 from conftest import REFUSED_FILES, gaussian_pair_zeroed
 
@@ -22,6 +23,61 @@ def offset_instance():
 def recompute_norms(inst):
     a = np.abs(inst.dense())
     return a.sum(axis=0).max(), a.sum()
+
+
+def line_loop(path):
+    """The edge-list loader's line loop alone, on the file as text mode reads it."""
+    with open(path, encoding="utf-8") as fh:
+        return problem._parse_edge_lines(path, fh)
+
+
+def load_outcome(path):
+    """What load_instance gives on an edge list: the instance's identity, or
+    the refusal's type and message."""
+    try:
+        inst = bmcut.load_instance(path, "edge-list")
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return (inst.n, inst.checksum(), inst.trace_offset,
+            None if inst.complete else inst.rows.indices.dtype)
+
+
+# edge-list texts that numpy's reader and the line loop might read apart: a
+# lead of headers, comments and blank lines, a body of edges (any whitespace
+# str.split knows) and blank lines, and, in one text of three, an odd line: a
+# '#' line after the first edge, bad arity, spellings only Python's int and
+# float take (1_0, Arabic-Indic three) or both refuse, 0, negative, above-header
+# and overflowing indices, and non-finite weights
+BLANK = st.sampled_from(["", "  ", "\t", "\x0c"])
+LEAD_LINE = st.one_of(BLANK, st.integers(0, 6).map(lambda k: f"# {k} nodes"),
+                      st.sampled_from(["# a comment", "#3 nodes", " # 4 nodes, 2 edges"]))
+SEP = st.sampled_from([" ", "  ", "\t", "\x0c", "\xa0", "\x0b", "\x1c", "\x85",
+                       "\u2028", "\u3000"])
+BODY_LINE = st.one_of(BLANK, st.tuples(
+    st.sampled_from(["", " ", "\t"]), st.sampled_from(["1", "2", "3", "+1", "04"]),
+    SEP, st.sampled_from(["1", "2", "3", "4"]), SEP,
+    st.sampled_from(["1.0", "-2.5", "3", "1e-3", "+.5", "5.", "-0", "1E2", "1e-400"]),
+    st.sampled_from(["", " ", "\xa0"])).map("".join))
+ODD_LINE = st.one_of(
+    st.sampled_from(["# 2 nodes", "# a comment", "1 2", "1 2 3 4", "1 2 3 # tail",
+                     "1\u200b2\u200b3"]),
+    st.tuples(st.sampled_from(["1", "1_0", "\u0663", "0", "-1", "99999999999999999999",
+                               "1.0", "x"]),
+              st.sampled_from([" 2 ", " 9 "]),
+              st.sampled_from(["1_0.5", "\u0663", "nan", "-Infinity", "inf", "1e400",
+                               "1e308", "0x10", "x", "1"])).map("".join))
+
+
+def edge_text(lead, body, odd, at, eol, final_eol):
+    """The lead, then the body with the odd line, if any, before body[at]."""
+    lines = lead + body[:at] + ([] if odd is None else [odd]) + body[at:]
+    return eol.join(lines) + eol * final_eol
+
+
+EDGE_TEXT = st.builds(
+    edge_text, st.lists(LEAD_LINE, max_size=3), st.lists(BODY_LINE, max_size=6),
+    st.one_of(st.none(), st.none(), ODD_LINE), st.integers(0, 6),
+    st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
 
 
 class TestPreprocess:
@@ -240,10 +296,11 @@ class TestLoad:
         p.write_text("# a comment\n1 2 1.5\n2 1 0.5\n1 3 2.0\n\n")
         inst = bmcut.load_instance(str(p), "edge-list")
         assert inst.n == 3
-        # duplicates summed after symmetrization: (1.5 + 0.5)/2 * 2 = 2 halves
-        assert inst.rows[0, 1] == pytest.approx(2.0)
-        assert inst.rows[1, 0] == pytest.approx(2.0)
-        assert inst.rows[0, 2] == pytest.approx(2.0)
+        # the repeats of {1, 2}, in either orientation, are summed once and
+        # mirrored, with no halving: 1.5 + 0.5
+        assert inst.rows[0, 1] == 2.0
+        assert inst.rows[1, 0] == 2.0
+        assert inst.rows[0, 2] == 2.0
 
     def test_edge_list_self_loop_feeds_offset(self, tmp_path):
         p = tmp_path / "e.txt"
@@ -415,6 +472,49 @@ class TestLoad:
         assert inst.n == n
         assert np.array_equal(inst.dense(), ref)
         assert inst.trace_offset == w[~off].sum()
+
+    def test_edge_list_not_utf8_is_parse_error(self, tmp_path):
+        p = tmp_path / "latin.txt"
+        p.write_bytes(b"1 2 1.0\n2 3 \xff\n")
+        with pytest.raises(ParseError,
+                           match=r"latin\.txt: 'utf-8' codec can't decode byte 0xff"):
+            bmcut.load_instance(str(p), "edge-list")
+
+    @settings(max_examples=150, deadline=None)
+    @given(EDGE_TEXT)
+    def test_edge_list_stages_agree(self, tmp_path_factory, text):
+        # numpy's reader and the line loop it falls back to give one result
+        p = str(tmp_path_factory.mktemp("edges") / "e.txt")
+        with open(p, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with mock.patch.object(problem, "_load_edge_list", line_loop):
+            expected = load_outcome(p)
+        assert load_outcome(p) == expected
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_edge_list_numpy_stage_loads(self, tmp_path, monkeypatch, header):
+        # a first stage that refused every file would reach the line loop
+        def refuse(path, lines):
+            raise AssertionError("the line loop ran")
+
+        monkeypatch.setattr(problem, "_parse_edge_lines", refuse)
+        inst = bmcut.gen_erdos_renyi(30, 200, sign=-1, seed=1)
+        p = tmp_path / "e.txt"
+        bmcut.write_edge_list(inst, str(p))
+        if not header:   # node 30 has an edge, so n is the largest index
+            p.write_text(p.read_text().split("\n", 1)[1])
+        assert bmcut.load_instance(str(p), "edge-list").checksum() == inst.checksum()
+
+    def test_index_arrays_are_int64(self, tmp_path):
+        # the checksum hashes indices as <i8 whatever their dtype, and int32
+        # indices would slow every take in bcm_step
+        inst = bmcut.gen_erdos_renyi(50, 100, sign=-1, seed=0)
+        p = tmp_path / "e.txt"
+        bmcut.write_edge_list(inst, str(p))
+        for got in (inst, bmcut.load_instance(str(p), "edge-list")):
+            assert not got.complete
+            assert got.rows.indices.dtype == np.int64
+            assert got.rows.indptr.dtype == np.int64
 
     def test_matrix_market_roundtrip(self, tmp_path):
         # a trace offset is written as the (1, 1) entry, which the loader's
