@@ -7,8 +7,8 @@ construction path, ``_finish``: it strips the diagonal into ``trace_offset``,
 caches the two norms the solver bounds depend on, and rejects non-finite
 entries and sums that overflow.  Weighted pairs (edge lists, Erdos-Renyi
 graphs) go through ``_from_edges``, which sums each pair's repeats once and
-mirrors the sum; raw matrices (Matrix Market files) go through
-``preprocess``, which symmetrizes.
+mirrors the sum; raw matrices go through ``preprocess``, which symmetrizes,
+as do Matrix Market files except symmetric coordinate ones, taken as stored.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ class ProblemInstance:
 def _finish(sym: sp.sparray | np.ndarray) -> ProblemInstance:
     """Build an instance from an exactly symmetric matrix (diagonal included).
 
-    ``sym`` is a dense array or a sparse matrix with no repeated coordinates,
-    built by the caller for this call, so a sparse ``sym`` is edited in place.
+    ``sym`` is dense, or sparse with no repeated coordinates (as a symmetric
+    file's CSR is), built for this call, so a sparse ``sym`` is edited in place.
     Here the instance's only CSR image is filtered (diagonal into trace_offset,
     explicit zeros and symmetrization's cancellations dropped, columns
     sorted) and gives the norms and checksum; then a complete A is densified
@@ -102,7 +102,7 @@ def _finish(sym: sp.sparray | np.ndarray) -> ProblemInstance:
     if not (math.isfinite(l11) and math.isfinite(offset)):
         raise ValidationError("matrix contains non-finite entries or sums")
     one_norm = float(abs(mat).sum(axis=0).max()) if n else 0.0
-    h = hashlib.sha256(np.concatenate(([n], mat.indptr, mat.indices)).astype("<i8"))
+    h = hashlib.sha256(np.concatenate(([n], mat.indptr, mat.indices), dtype="<i8"))
     h.update(mat.data)
     h.update(np.float64(offset))
     if mat.nnz == n * (n - 1):
@@ -136,7 +136,9 @@ def preprocess(raw_matrix) -> ProblemInstance:
 
     ``raw_matrix`` is array-like or scipy-sparse, with real entries.  The
     returned instance stores (raw + raw.T)/2 off the diagonal; trace_offset
-    records the trace removed from the diagonal.
+    records the trace removed from the diagonal.  On an exactly symmetric
+    raw, whose sum doubles each entry exactly, those are raw's own bits,
+    unless a diagonal entry above half the largest float overflows.
     """
     if np.iscomplexobj(raw_matrix):   # the float64 conversion would drop them
         raise ValidationError("complex entries are not supported")
@@ -189,6 +191,7 @@ def gen_erdos_renyi(n: int, edges: int, sign: int, seed: int) -> ProblemInstance
 
 
 _NODES_HEADER = re.compile(r"#\s*(\d+) nodes\b")
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _load_edge_list(path: str) -> ProblemInstance:
@@ -218,6 +221,8 @@ def _load_edge_list(path: str) -> ProblemInstance:
             break
         header = _NODES_HEADER.match(line)
         n, start = int(header.group(1)) if header else n, text.tell()
+        if (n or 0) > _INT64_MAX:   # the line loop names its line
+            break
     return _parse_edge_lines(path, text.getvalue().split("\n"))
 
 
@@ -229,7 +234,7 @@ def _parse_edge_lines(path: str, lines) -> ProblemInstance:
     cols: list[int] = []
     vals: list[float] = []
     n = None
-    limit = math.inf
+    limit = _INT64_MAX
     for ln, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
@@ -238,6 +243,8 @@ def _parse_edge_lines(path: str, lines) -> ProblemInstance:
             header = _NODES_HEADER.match(text)
             if header and not rows:
                 n = limit = int(header.group(1))
+                if n > _INT64_MAX:
+                    raise ParseError(f"{path}:{ln}: {n} nodes exceed int64")
             continue
         parts = text.split()
         if len(parts) != 3:
@@ -251,9 +258,8 @@ def _parse_edge_lines(path: str, lines) -> ProblemInstance:
             if i < 1 or j < 1:
                 raise ParseError(
                     f"{path}:{ln}: indices are 1-based, got {i} {j}")
-            raise ParseError(
-                f"{path}:{ln}: index {max(i, j)} exceeds the header's "
-                f"{n} nodes")
+            raise ParseError(f"{path}:{ln}: index {max(i, j)} exceeds " + (
+                "int64" if n is None else f"the header's {n} nodes"))
         if not math.isfinite(w):
             raise ParseError(f"{path}:{ln}: non-finite weight {parts[2]}")
         rows.append(i - 1)
@@ -267,15 +273,27 @@ def _parse_edge_lines(path: str, lines) -> ProblemInstance:
 
 
 def _load_matrix_market(path: str) -> ProblemInstance:
+    """A square coordinate file with a symmetric header, which the reader
+    mirrors, goes to `_finish` as stored; the rest go to `preprocess`, as do
+    merged repeats, whose sums can differ by orientation, and a diagonal
+    entry whose doubling overflows, which `preprocess` refuses."""
     import scipy.io
 
     try:
         raw = scipy.io.mmread(path)
+        nrows, ncols, _, layout, _, symmetry = scipy.io.mminfo(path)
     except Exception as exc:
         raise ParseError(f"{path}: {exc}") from None
     if np.iscomplexobj(raw):
         raise ParseError(f"{path}: complex entries are not supported")
-    return preprocess(raw)
+    if not (layout == "coordinate" and symmetry == "symmetric" and nrows == ncols):
+        return preprocess(raw)
+    m = sp.csr_array(raw, dtype=np.float64)
+    merged = m.nnz != raw.nnz
+    del raw   # frees the reader's output before the build's peak
+    if merged or (abs(m.diagonal()) > np.finfo(np.float64).max / 2).any():
+        return preprocess(m)
+    return _finish(m)
 
 
 def load_instance(path: str, format: str = "edge-list") -> ProblemInstance:
@@ -284,8 +302,10 @@ def load_instance(path: str, format: str = "edge-list") -> ProblemInstance:
     Formats: "edge-list" (UTF-8 lines "i j w", 1-based, '#' comments; repeated
     pairs, in either orientation, are summed; a "# <n> nodes" comment before the
     first edge sets n, else n is the largest index; numpy's reader parses it, and
-    Python's line loop whatever numpy refuses) and "matrix-market" (coordinate or
-    array; passed to ``preprocess``, so a general header is symmetrized).
+    Python's line loop whatever numpy refuses; an index or a header count beyond
+    int64 is refused) and "matrix-market" (coordinate or array; a general
+    header is symmetrized by ``preprocess``, and a symmetric coordinate file,
+    which the reader mirrors, is taken as stored, with the same bits).
     Every source rejects non-finite entries, and finite entries whose sums
     (repeated pairs, norms, trace) overflow; a refusal names the file.
     """

@@ -43,7 +43,9 @@ def small_corpus(sizes=(10, 50, 200), seeds=(0, 1)):
 
 # (file name, format, text) of files each loader reads but the instance
 # build refuses: an infinite entry, and finite entries whose sums overflow:
-# a column's one-norm, a repeated edge's weight, and the self-loops' trace
+# a column's one-norm, a symmetric file's diagonal entry doubled, as
+# (A + A^T)/2 would, and an off-diagonal one counted twice in |A|_{1,1}, a
+# repeated edge's weight, and the self-loops' trace
 REFUSED_FILES = [
     pytest.param("inf.mtx", "matrix-market",
                  "%%MatrixMarket matrix coordinate real general\n"
@@ -51,12 +53,27 @@ REFUSED_FILES = [
     pytest.param("big.mtx", "matrix-market",
                  "%%MatrixMarket matrix coordinate real general\n"
                  "3 3 2\n2 1 1e308\n3 1 1e308\n", id="mtx_overflow"),
+    pytest.param("big.mtx", "matrix-market",
+                 "%%MatrixMarket matrix coordinate real symmetric\n"
+                 "2 2 1\n1 1 1e308\n", id="mtx_symmetric_diagonal_overflow"),
+    pytest.param("big.mtx", "matrix-market",
+                 "%%MatrixMarket matrix coordinate real symmetric\n"
+                 "2 2 1\n2 1 1e308\n", id="mtx_symmetric_pair_overflow"),
     pytest.param("big.txt", "edge-list", "1 2 1e308\n1 3 1e308\n",
                  id="edges_overflow"),
     pytest.param("big.txt", "edge-list", "1 2 1e308\n2 1 1e308\n",
                  id="edges_repeat_overflow"),
     pytest.param("big.txt", "edge-list", "1 1 1e308\n2 2 1e308\n1 2 1.0\n",
                  id="edges_self_loops_overflow"),
+]
+
+# (text, message after "<path>:1: ") of edge lists naming a node count beyond
+# int64, in an edge or in the header, which no index array can hold
+BEYOND_INT64_EDGES = [
+    pytest.param("1 99999999999999999999 1.0\n",
+                 "index 99999999999999999999 exceeds int64", id="index"),
+    pytest.param("# 99999999999999999999 nodes\n1 2 1.0\n",
+                 "99999999999999999999 nodes exceed int64", id="header"),
 ]
 
 

@@ -8,6 +8,7 @@ disagree when one of them is wrong.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 
@@ -318,6 +319,12 @@ def block_sweep_reference(instance, point, cache, rows) -> np.ndarray:
     that bcm.block_sweep delays, returning the same per-step ascents."""
     return np.asarray([bcm_step_reference(instance, point, cache, i)
                        for i in rows])
+
+
+def matrix_market_reference(path):
+    """A Matrix Market file through scipy's reader and `preprocess`'s
+    (A + A^T)/2, whatever its header's symmetry: the loader's old path."""
+    return bmcut.preprocess(scipy.io.mmread(path))
 
 
 def align_procrustes(p: np.ndarray, q: np.ndarray):

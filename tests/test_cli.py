@@ -11,7 +11,7 @@ import scipy.io
 import bmcut
 from bmcut import cli
 
-from conftest import REFUSED_FILES
+from conftest import BEYOND_INT64_EDGES, REFUSED_FILES
 
 
 def run_cli(args, tmp_path=None):
@@ -105,6 +105,14 @@ class TestSolve:
         bad.write_bytes(b"1 2 1.0\n2 3 \xff\n")
         assert run_cli(["solve", "--edge-list", str(bad)]) == 3
         assert f"error: {bad}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", BEYOND_INT64_EDGES)
+    def test_edge_list_beyond_int64_is_parse_error(self, tmp_path, capsys,
+                                                   text, message):
+        huge = tmp_path / "huge.txt"
+        huge.write_text(text)
+        assert run_cli(["solve", "--edge-list", str(huge)]) == 3
+        assert capsys.readouterr().err == f"error: {huge}:1: {message}\n"
 
     def test_overflowing_norm_is_validation_error(self, tmp_path):
         big = tmp_path / "big.txt"

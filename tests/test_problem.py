@@ -1,18 +1,22 @@
 import collections
+import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 from scipy import stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import bmcut
+import oracles
 from bmcut import DimensionError, ParseError, ValidationError, problem
 
-from conftest import REFUSED_FILES, gaussian_pair_zeroed
+from conftest import BEYOND_INT64_EDGES, REFUSED_FILES, gaussian_pair_zeroed
 
 
 def offset_instance():
@@ -283,6 +287,45 @@ class TestComplete:
         assert not inst.complete
 
 
+# small symmetric coordinate files: entries in either triangle and on the
+# diagonal, repeated coordinates (a few of them, so repeats are common),
+# explicit and signed zeros, subnormal, cancelling and overflowing values,
+# and integer and pattern fields
+MTX_VALUE = {
+    "real": st.sampled_from(["0", "-0.0", "1.5", "-2", "0.1", "5e-324", "1e16",
+                             "-1e16", "8.9e307", "1e308", "-1e308"]),
+    "integer": st.sampled_from(["0", "3", "-7", "9007199254740993",
+                                "-4611686018427387904"]),
+    "pattern": st.just(""),
+}
+
+
+@st.composite
+def symmetric_mtx(draw):
+    n = draw(st.integers(1, 12))
+    field = draw(st.sampled_from(sorted(MTX_VALUE)))
+    coords = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                           min_size=1, max_size=6))
+    entries = draw(st.lists(st.tuples(st.sampled_from(coords), MTX_VALUE[field]),
+                            max_size=20))
+    body = "".join(f"{i} {j} {v}".rstrip() + "\n" for (i, j), v in entries)
+    return (f"%%MatrixMarket matrix coordinate {field} symmetric\n"
+            f"{n} {n} {len(entries)}\n{body}")
+
+
+def build_outcome(build, path):
+    """The instance's stored bits and cached values, or the refusal's type
+    and message without the path load_instance adds."""
+    try:
+        inst = build(path)
+    except ValidationError as exc:
+        return type(exc), str(exc).removeprefix(f"{path}: ")
+    parts = (inst.rows,) if inst.complete else (
+        inst.rows.data, inst.rows.indices, inst.rows.indptr)
+    return (inst.n, [(a.dtype.str, a.tobytes()) for a in parts], inst.digest,
+            inst.one_norm.hex(), inst.l11_norm.hex(), inst.trace_offset.hex())
+
+
 class TestLoad:
     def test_edge_list_minimal(self, tmp_path):
         p = tmp_path / "e.txt"
@@ -456,6 +499,13 @@ class TestLoad:
         with pytest.raises(ParseError, match=r"bad\.txt:3"):
             bmcut.load_instance(str(p), "edge-list")
 
+    @pytest.mark.parametrize("text, message", BEYOND_INT64_EDGES)
+    def test_edge_list_beyond_int64_rejected(self, tmp_path, text, message):
+        p = tmp_path / "huge.txt"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{p}:1: {message}")):
+            bmcut.load_instance(str(p), "edge-list")
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6),
                               st.integers(-4, 4)), min_size=1, max_size=30))
@@ -516,9 +566,43 @@ class TestLoad:
             assert got.rows.indices.dtype == np.int64
             assert got.rows.indptr.dtype == np.int64
 
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_mtx())
+    @example("%%MatrixMarket matrix coordinate real symmetric\n"
+             "2 2 3\n2 1 1e16\n2 1 -1e16\n1 2 1.5\n")
+    def test_matrix_market_symmetric_as_stored(self, tmp_path_factory, text):
+        # a symmetric header skips (A + A^T)/2, which gives the same bits and
+        # the same refusals on the reader's mirrored entries.  The reader puts
+        # the mirrors after the stored entries, so repeats can sum to
+        # different values at (1, 2) and (2, 1) (2 and 1.5 in the example),
+        # which (A + A^T)/2 evens out
+        p = str(tmp_path_factory.mktemp("mtx") / "s.mtx")
+        with open(p, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        expected = build_outcome(oracles.matrix_market_reference, p)
+        assert build_outcome(
+            lambda path: bmcut.load_instance(path, "matrix-market"), p) == expected
+
+    def test_matrix_market_symmetric_build_peak(self, tmp_path):
+        # the build of a symmetric file holds no more than scipy's reader
+        # holds while it reads; (A + A^T)/2 took 2.25 times that
+        p = str(tmp_path / "g.mtx")
+        bmcut.write_matrix_market(bmcut.gen_gaussian(240, seed=5), p)
+        peaks = []
+        for read in (scipy.io.mmread,
+                     lambda path: bmcut.load_instance(path, "matrix-market")):
+            read(p)   # imports and first-call caches are not the build's
+            tracemalloc.start()
+            try:
+                read(p)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+
     def test_matrix_market_roundtrip(self, tmp_path):
-        # a trace offset is written as the (1, 1) entry, which the loader's
-        # symmetrization (x + x) 0.5 keeps exactly
+        # a trace offset is written as the (1, 1) entry, which the loader
+        # keeps exactly
         for inst in (bmcut.gen_gaussian(8, seed=2), offset_instance()):
             p = tmp_path / "round.mtx"
             bmcut.write_matrix_market(inst, str(p))
@@ -527,8 +611,8 @@ class TestLoad:
             assert back.checksum() == inst.checksum()
 
     def test_matrix_market_offset_overflow_refused(self, tmp_path):
-        # an offset above half the largest float would overflow the loader's
-        # symmetrization, so the file could not be read back
+        # the loader refuses a diagonal entry above half the largest float,
+        # whose symmetrization would overflow, so the file could not be read back
         inst = bmcut.preprocess(np.diag([6e307, 6e307]))
         p = tmp_path / "big.mtx"
         with pytest.raises(ValidationError, match="trace offset"):
