@@ -131,13 +131,13 @@ def top_ritz_value(instance: ProblemInstance,
     Runs on M = (A - Diag(lam)) / instance.unit, exact as in leading_pair,
     from the normalised standard normal vector of default_rng(0), so theta
     is a function of lam alone, and keeps T_k and four length-n vectors but
-    no basis.  Every max(8, k // 8) steps, and at a breakdown beta_k <=
-    BREAKDOWN_TOL, it solves T_k for its top pair (theta_k, s) and stops
-    once the residual |beta_k s_k| <= RITZ_TOL, that is <= RITZ_TOL |A|_1
-    in A's own units.  Returns (theta_k times the unit, k).  A non-finite
-    alpha or beta, or no convergence in MAX_LANCZOS_STEPS steps, raises
-    NumericalError: a partially converged Ritz value can sit below
-    lambda_max, and a bound built on it would be too low.
+    no basis.  At step min(n, 64) and every max(8, k // 8) steps after, and
+    at a breakdown beta_k <= BREAKDOWN_TOL, it takes T_k's top pair (theta_k,
+    s) and stops once |beta_k s_k| <= RITZ_TOL, i.e. RITZ_TOL |A|_1 in A's
+    units.  Before step n, a Ritz value in a cluster under the top can pass it.
+    Returns (theta_k times the unit, k).  A non-finite alpha or beta, or no
+    convergence in MAX_LANCZOS_STEPS steps, raises NumericalError: an
+    unconverged theta can sit below lambda_max, and a bound on it too low.
     """
     n, unit, rows = instance.n, instance.unit, instance.rows
     shift, term = lam / unit, np.empty(n)
@@ -150,7 +150,7 @@ def top_ritz_value(instance: ProblemInstance,
 
     q = np.random.default_rng(0).standard_normal(n)
     q /= math.sqrt(q @ q)
-    alphas, betas, check = [], [], 8
+    alphas, betas, check = [], [], min(n, 64)
     for k, (_, alpha, beta) in zip(range(1, MAX_LANCZOS_STEPS + 1),
                                    lanczos(apply, q)):
         alphas.append(alpha)

@@ -723,9 +723,22 @@ def split_graphs(draw):
     return bmcut.preprocess(a)
 
 
+def clustered_split_graph():
+    """A split graph whose greedy iterate at seed 451 leaves a cluster at the
+    top of A - Lambda: lambda_max is 2.7e-8, and the next three lie within
+    2e-11 of 0.  A Ritz value that stopped on its residual at step 8 of 11
+    sat 2.7e-8 below it, and the bound fell below the best cut, 16."""
+    a = np.zeros((11, 11))
+    for i, j, w in [(0, 4, -1), (0, 6, -1), (0, 10, 1), (1, 3, -1), (2, 9, 1),
+                    (3, 9, -1), (4, 6, 1), (4, 10, 1), (5, 8, 1), (6, 10, 1)]:
+        a[i, j] = a[j, i] = w
+    return bmcut.preprocess(a)
+
+
 class TestRoundingSandwich:
     @settings(max_examples=40, deadline=None)
     @given(inst=split_graphs(), seed=st.integers(0, 2**16))
+    @example(inst=clustered_split_graph(), seed=451)
     def test_cut_le_brute_le_bound(self, inst, seed):
         cfg = bcm.SolverConfig(rule="greedy", max_epochs=200, seed=seed)
         point, _ = bcm.run(inst, cfg, r=3)
